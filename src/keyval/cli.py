@@ -210,6 +210,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_example_conic(args):
+    if args.depth < 1:
+        raise ValueError("--depth must be at least 1, got %d" % args.depth)
     par = conic_parametrization()
     base = par.base
     phi = par.series_at(args.depth + 2)

@@ -168,6 +168,32 @@ def test_example_conic(capsys):
     assert [s["oracle"] for s in steps] == ["1", "2", "3", "4"]
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_example_conic_rejects_depth_below_one(capsys, depth):
+    code, out, err = run(capsys, "example-conic", "--depth", depth)
+    assert code == 2
+    assert out == ""
+    assert "--depth must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        {"initial": 8, "growth": 1, "max": 64},
+        {"initial": 0, "growth": 2, "max": 64},
+        {"initial": 16, "growth": 2, "max": 8},
+    ],
+)
+def test_oracle_rejects_degenerate_policy(capsys, tmp_path, policy):
+    par_doc = {"defining": "x^2 - y^2 - y^3", "branch": "-y", "policy": policy}
+    path = tmp_path / "par.json"
+    path.write_text(json.dumps(par_doc))
+    code, out, err = run(capsys, "oracle", "--param", str(path), "--poly", "x + y")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: precision policy needs")
+
+
 def test_stdin_poly(capsys, b1_path, monkeypatch):
     import io as stdlib_io
 

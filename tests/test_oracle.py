@@ -17,6 +17,7 @@ from keyval.errors import InsufficientPrecisionError, KeyvalError
 from keyval.oracle import conic_branch_series, conic_defining
 from keyval.parsing import parse_poly
 from keyval.polynomials import ExtensionConfig
+from keyval.series import Series
 
 F = Fraction
 FF = BaseFieldConfig.function_field()
@@ -72,10 +73,39 @@ def test_oracle_with_fractional_coefficients(par):
     assert oracle_valuation(f, par) == -1
 
 
+def test_lift_matches_closed_form_to_512(par):
+    closed = conic_branch_series(512)
+    for prec in range(1, 513):
+        assert par.series_at(prec) == Series(closed.coeffs, prec)
+
+
+def test_fresh_lift_to_every_small_precision():
+    # each initial precision gives its own working-precision schedule
+    for prec in range(1, 70):
+        par = conic_parametrization(PrecisionPolicy(initial=prec))
+        assert par.series_at(prec) == conic_branch_series(prec)
+
+
+def test_lift_in_non_monotone_order():
+    par = conic_parametrization()
+    for prec in (64, 16, 33, 6, 128):
+        assert par.series_at(prec) == conic_branch_series(prec)
+
+
 def test_other_branch_converges():
     # the segment y pins down the second root, y*sqrt(1+y)
     par = Parametrization(conic_defining(), YPoly((0, 1)), PrecisionPolicy(initial=8))
     assert par.series_at(4).coeffs == (F(0), F(1), F(1, 2), F(-1, 8))
+    assert par.series_at(100) == -conic_branch_series(100)
+
+
+def test_parametrizations_share_no_state():
+    # lifting one parametrization neither serves nor disturbs another
+    minus = conic_parametrization()
+    plus = Parametrization(conic_defining(), YPoly((0, 1)), PrecisionPolicy(initial=16))
+    for prec in (40, 16, 100, 64, 130):
+        assert minus.series_at(prec) == conic_branch_series(prec)
+        assert plus.series_at(prec) == -conic_branch_series(prec)
 
 
 def test_branch_without_series_root_rejected():
@@ -83,6 +113,28 @@ def test_branch_without_series_root_rejected():
     no_root = p("x^2 - y")
     with pytest.raises(InsufficientPrecisionError):
         Parametrization(no_root, YPoly(()), PrecisionPolicy(initial=8))
+
+
+def test_nonzero_branch_without_series_root_rejected():
+    # from the segment y, Newton's residual order falls instead of rising
+    with pytest.raises(InsufficientPrecisionError, match="stalled"):
+        Parametrization(p("x^2 - y"), YPoly((0, 1)), PrecisionPolicy(initial=8))
+
+
+@pytest.mark.parametrize(
+    "initial, growth, maximum",
+    [(0, 2, 512), (-1, 2, 512), (16, 1, 512), (16, 0, 512), (16, 2, 15)],
+)
+def test_degenerate_policy_rejected(initial, growth, maximum):
+    with pytest.raises(ValueError, match="precision policy needs"):
+        PrecisionPolicy(initial=initial, growth=growth, maximum=maximum)
+
+
+def test_smallest_policy_accepted():
+    par = conic_parametrization(PrecisionPolicy(initial=1, growth=2, maximum=1))
+    assert par.series_at(1) == conic_branch_series(1)
+    assert oracle_valuation(p("1 + x"), par) == 0
+    assert oracle_valuation(p("x"), par) == PrecisionExhausted(F(1))
 
 
 def test_padic_base_rejected():

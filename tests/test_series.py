@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyval.basefield import YPoly
 from keyval.errors import BadConstantTermError
@@ -13,6 +15,96 @@ from keyval.series import (
 )
 
 F = Fraction
+
+
+# Reference kernels: the schoolbook product and the quadratic division
+# recurrence, straight on Fractions.
+
+
+def reference_mul(a: Series, b: Series) -> Series:
+    p = min(a.precision + b.known_order(), b.precision + a.known_order())
+    out = [F(0)] * p
+    for i, x in enumerate(a.coeffs):
+        if x == 0 or i >= p:
+            continue
+        for j, z in enumerate(b.coeffs):
+            if i + j >= p:
+                break
+            if z != 0:
+                out[i + j] += x * z
+    return Series(out, p)
+
+
+def reference_div_unit(num: Series, den: Series) -> Series:
+    p = min(num.precision, den.precision)
+    inv0 = 1 / den.coeffs[0]
+    out = []
+    for n in range(p):
+        acc = num.coeffs[n]
+        for i in range(1, n + 1):
+            if i < len(den.coeffs) and den.coeffs[i] != 0:
+                acc -= den.coeffs[i] * out[n - i]
+        out.append(acc * inv0)
+    return Series(out, p)
+
+
+coefficients = st.one_of(
+    st.just(F(0)),
+    st.integers(-(10**30), 10**30).map(F),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@st.composite
+def series(draw, unit=False):
+    """Series with leading zeros, mixed signs and denominators, any precision.
+
+    A unit series has a nonzero constant term other than 1 and -1.
+    """
+    precision = draw(st.integers(1 if unit else 0, 40))
+    if unit:
+        coeffs = [draw(coefficients.filter(lambda c: c not in (0, 1, -1)))]
+    elif draw(st.booleans()):
+        return Series.zero(precision)
+    else:
+        coeffs = [F(0)] * draw(st.integers(0, 5))
+    return Series(coeffs + draw(st.lists(coefficients, max_size=40)), precision)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series(), series())
+def test_mul_matches_reference(a, b):
+    prod = a * b
+    assert prod == reference_mul(a, b)
+    assert all(type(c) is F for c in prod.coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(series(), series(unit=True))
+def test_div_unit_matches_reference(num, den):
+    assert series_div_unit(num, den) == reference_div_unit(num, den)
+
+
+def test_mul_extremal_coefficients():
+    # equal-sign coefficients of the largest size for their bit length make
+    # the product coefficients as large as the packing width allows
+    for bits in range(1, 20):
+        top = 2**bits - 1
+        for n in (1, 2, 3, 5, 8):
+            for sign in (1, -1):
+                a = Series([top] * n, n)
+                b = Series([sign * top] * n, 2 * n)
+                assert a * b == reference_mul(a, b)
+                assert b * b == reference_mul(b, b)
+
+
+def test_mul_and_div_match_reference_at_oracle_sizes():
+    # -y*sqrt(1+y) has denominators up to 2**(2n), as in the oracle
+    for n in (1, 2, 17, 129):
+        phi = series_sqrt(Series((1, 1), n)) * Series((0, -1), n)
+        den = Series((3,) + phi.coeffs[1:], n)
+        assert phi * den == reference_mul(phi, den)
+        assert series_div_unit(phi, den) == reference_div_unit(phi, den)
 
 
 def test_construction_pads_and_truncates():
