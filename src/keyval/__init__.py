@@ -29,6 +29,7 @@ from .keybasis import (
     WeightedBasis,
     adic_expand,
     expansion_eval,
+    expansion_weight,
     index_data,
     initial_form,
     truncated_keys_from_series,
@@ -44,13 +45,7 @@ from .oracle import (
 )
 from .parsing import parse_kelem, parse_poly, poly_text
 from .polynomials import ExtensionConfig, Poly, poly_divmod, poly_reduce
-from .rewrite import (
-    FormalExpansion,
-    RewriteTrace,
-    formal_weight,
-    lower_expansion,
-    raise_expansion,
-)
+from .rewrite import RewriteTrace, lower_expansion, raise_expansion
 from .series import InsufficientPrecision, Series, series_ord, series_sqrt
 from .values import (
     INF,

@@ -195,7 +195,6 @@ class YPoly:
         return "YPoly(%r)" % (self.coeffs,)
 
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 _ONE_COEFFS = (1,)
 _Y_ZERO = YPoly(())

@@ -16,7 +16,6 @@ from .izumi import (
     CorpusConfig,
     GaussValuation,
     canonical_witnesses,
-    chain_bound,
     empirical_izumi,
     extension_bound,
     gauss_value,
@@ -43,11 +42,8 @@ from .rewrite import lower_expansion, raise_expansion
 from .values import format_value
 
 
-def _read_poly(args, basis_or_base):
-    base = getattr(basis_or_base, "base", basis_or_base)
-    text = args.poly
-    if text == "-":
-        text = sys.stdin.read()
+def _read_poly(args, base):
+    text = sys.stdin.read() if args.poly == "-" else args.poly
     return parse_poly(text, base)
 
 
@@ -56,6 +52,18 @@ def _emit(args, doc, human):
         print(json.dumps(doc, sort_keys=True))
     else:
         print(human)
+
+
+def _value_text(v):
+    """A value, or the lower bound an exhausted oracle run reached."""
+    if isinstance(v, PrecisionExhausted):
+        return ">= %s" % v.bound
+    return format_value(v)
+
+
+def _emit_value(args, key, v):
+    text = _value_text(v)
+    _emit(args, {key: text}, text)
 
 
 def _cmd_validate(args):
@@ -76,30 +84,20 @@ def _cmd_validate(args):
     return 0 if report.ok else 1
 
 
-def _cmd_expand(args):
+def _cmd_expansion(args, expansion, rewrite):
+    """expand, initial, raise and lower: print an expansion of the polynomial.
+
+    ``expansion`` maps (f, level, basis) to an expansion; ``rewrite``, when
+    not None, moves that expansion to the adjacent level and yields a trace.
+    """
     basis = kio.load_basis(args.basis)
-    E = adic_expand(_read_poly(args, basis), args.level, basis)
+    E = expansion(_read_poly(args, basis.base), args.level, basis)
+    if rewrite is not None:
+        E, trace = rewrite(E, basis)
     doc = kio.expansion_to_json(E, basis.base)
-    human = "\n".join(
-        "%s -> %s" % (k, v) for k, v in sorted(doc["terms"].items())
-    )
-    _emit(args, doc, human or "0")
-    return 0
-
-
-def _cmd_rewrite(args, direction):
-    basis = kio.load_basis(args.basis)
-    f = _read_poly(args, basis)
-    E = adic_expand(f, args.level, basis)
-    if direction == "raise":
-        out, trace = raise_expansion(E, basis)
-    else:
-        out, trace = lower_expansion(E, basis)
-    doc = kio.expansion_to_json(out, basis.base)
-    if args.trace:
-        doc["trace"] = kio.trace_to_json(trace, basis.base)
     lines = ["%s -> %s" % (k, v) for k, v in sorted(doc["terms"].items())]
-    if args.trace:
+    if rewrite is not None and args.trace:
+        doc["trace"] = kio.trace_to_json(trace, basis.base)
         lines.append("trace weights: " + " ".join(format_value(w) for w in trace.weights))
     _emit(args, doc, "\n".join(lines) or "0")
     return 0
@@ -107,17 +105,7 @@ def _cmd_rewrite(args, direction):
 
 def _cmd_weight(args):
     basis = kio.load_basis(args.basis)
-    w = weight(_read_poly(args, basis), args.level, basis)
-    _emit(args, {"weight": format_value(w)}, format_value(w))
-    return 0
-
-
-def _cmd_initial(args):
-    basis = kio.load_basis(args.basis)
-    E = initial_form(_read_poly(args, basis), args.level, basis)
-    doc = kio.expansion_to_json(E, basis.base)
-    human = "\n".join("%s -> %s" % (k, v) for k, v in sorted(doc["terms"].items()))
-    _emit(args, doc, human)
+    _emit_value(args, "weight", weight(_read_poly(args, basis.base), args.level, basis))
     return 0
 
 
@@ -146,22 +134,15 @@ def _cmd_groups(args):
 
 
 def _cmd_gauss(args):
-    base = kio.base_from_json(json.loads(args.base)) if args.base else None
-    if base is None:
-        from .basefield import BaseFieldConfig
-
-        base = BaseFieldConfig.function_field()
+    base = kio.base_from_json(json.loads(args.base) if args.base else "function_field")
     g = GaussValuation(base, Fraction(args.beta))
-    text = args.poly if args.poly != "-" else sys.stdin.read()
-    v = gauss_value(parse_poly(text, base), g)
-    _emit(args, {"value": format_value(v)}, format_value(v))
+    _emit_value(args, "value", gauss_value(_read_poly(args, base), g))
     return 0
 
 
 def _cmd_izumi_exact(args):
     basis = kio.load_basis(args.basis)
-    c = izumi_step_constant(basis, args.upper, args.lower)
-    _emit(args, {"constant": format_value(c)}, format_value(c))
+    _emit_value(args, "constant", izumi_step_constant(basis, args.upper, args.lower))
     return 0
 
 
@@ -170,7 +151,7 @@ def _cmd_izumi_bound(args):
     b = extension_bound(
         basis, Fraction(args.mu_prime_x), Fraction(args.c_base), args.normalized
     )
-    _emit(args, {"bound": format_value(b)}, format_value(b))
+    _emit_value(args, "bound", b)
     return 0
 
 
@@ -200,13 +181,9 @@ def _cmd_izumi_search(args):
 
 def _cmd_oracle(args):
     par = kio.load_parametrization(args.param)
-    f = parse_poly(args.poly if args.poly != "-" else sys.stdin.read(), par.base)
-    v = oracle_valuation(f, par)
-    if isinstance(v, PrecisionExhausted):
-        _emit(args, {"value": ">= %s" % v.bound}, ">= %s" % v.bound)
-        return 1
-    _emit(args, {"value": format_value(v)}, format_value(v))
-    return 0
+    v = oracle_valuation(_read_poly(args, par.base), par)
+    _emit_value(args, "value", v)
+    return 1 if isinstance(v, PrecisionExhausted) else 0
 
 
 def _cmd_example_conic(args):
@@ -220,15 +197,12 @@ def _cmd_example_conic(args):
     )
     rows = []
     for i, step in enumerate(result.basis.steps, start=1):
-        mu = oracle_valuation(step.U, par)
         rows.append(
             {
                 "i": i,
                 "U": poly_text(step.U, base),
                 "beta": format_value(step.beta),
-                "oracle": format_value(mu)
-                if not isinstance(mu, PrecisionExhausted)
-                else ">= %s" % mu.bound,
+                "oracle": _value_text(oracle_valuation(step.U, par)),
             }
         )
     doc = {"steps": rows}
@@ -248,11 +222,10 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         return p
 
-    def with_basis_poly(p, level=True):
+    def with_basis_poly(p):
         p.add_argument("--basis", required=True, help="basis JSON file")
         p.add_argument("--poly", required=True, help="polynomial text, or - for stdin")
-        if level:
-            p.add_argument("--level", type=int, required=True)
+        p.add_argument("--level", type=int, required=True)
 
     p = add("validate", help="check the weighted-basis conditions")
     p.add_argument("--basis", required=True)
@@ -312,11 +285,11 @@ def build_parser():
 
 _HANDLERS = {
     "validate": _cmd_validate,
-    "expand": _cmd_expand,
-    "raise": lambda a: _cmd_rewrite(a, "raise"),
-    "lower": lambda a: _cmd_rewrite(a, "lower"),
+    "expand": lambda a: _cmd_expansion(a, adic_expand, None),
+    "raise": lambda a: _cmd_expansion(a, adic_expand, raise_expansion),
+    "lower": lambda a: _cmd_expansion(a, adic_expand, lower_expansion),
     "weight": _cmd_weight,
-    "initial": _cmd_initial,
+    "initial": lambda a: _cmd_expansion(a, initial_form, None),
     "groups": _cmd_groups,
     "gauss": _cmd_gauss,
     "izumi-exact": _cmd_izumi_exact,

@@ -10,7 +10,7 @@ from .errors import KeyvalError
 from .izumi import IzumiReport
 from .keybasis import AdicExpansion, WeightedBasis
 from .oracle import Parametrization, PrecisionPolicy
-from .parsing import kelem_text, parse_kelem, parse_poly, poly_text
+from .parsing import kelem_text, parse_kelem, parse_poly, poly_text, ypoly_text
 from .polynomials import ExtensionConfig
 from .rewrite import RewriteTrace
 from .values import format_value
@@ -43,14 +43,34 @@ def basis_to_json(basis: WeightedBasis) -> dict:
     return doc
 
 
+def _fields(doc, what: str, **types) -> list:
+    """The values of a JSON object's required keys, in the order given.
+
+    Raises ValueError when doc is not an object, lacks a key, or holds a
+    value that is not of the key's type.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("%s must be a JSON object" % what)
+    values = []
+    for key, kind in types.items():
+        if key not in doc:
+            raise ValueError("%s has no %r key" % (what, key))
+        if not isinstance(doc[key], kind):
+            raise ValueError("%s key %r has the wrong type" % (what, key))
+        values.append(doc[key])
+    return values
+
+
 def basis_from_json(doc: dict) -> WeightedBasis:
-    base = base_from_json(doc["base"])
+    base_doc, steps_doc = _fields(doc, "basis", base=object, steps=list)
+    base = base_from_json(base_doc)
     ext = None
     if doc.get("ext"):
         ext = ExtensionConfig.algebraic(parse_poly(doc["ext"], base))
-    steps = [
-        (parse_poly(s["U"], base), Fraction(s["beta"])) for s in doc["steps"]
-    ]
+    steps = []
+    for s in steps_doc:
+        U, beta = _fields(s, "basis step", U=str, beta=(str, int, float))
+        steps.append((parse_poly(U, base), Fraction(beta)))
     return WeightedBasis(base, steps, ext)
 
 
@@ -60,8 +80,6 @@ def load_basis(path) -> WeightedBasis:
 
 
 def parametrization_to_json(par: Parametrization) -> dict:
-    from .parsing import ypoly_text
-
     return {
         "defining": poly_text(par.defining, par.base),
         "branch": ypoly_text(par.branch, par.base.variable),
@@ -74,12 +92,15 @@ def parametrization_to_json(par: Parametrization) -> dict:
 
 
 def parametrization_from_json(doc: dict) -> Parametrization:
+    defining_text, branch_text = _fields(doc, "parametrization", defining=str, branch=str)
     base = base_from_json(doc.get("base", "function_field"))
-    defining = parse_poly(doc["defining"], base)
-    branch = parse_kelem(doc["branch"], base)
+    defining = parse_poly(defining_text, base)
+    branch = parse_kelem(branch_text, base)
     if branch.den.degree > 0:
         raise KeyvalError("branch segment must be polynomial")
     pol = doc.get("policy", {})
+    if not isinstance(pol, dict):
+        raise ValueError("parametrization policy must be a JSON object")
     policy = PrecisionPolicy(
         initial=int(pol.get("initial", 16)),
         growth=int(pol.get("growth", 2)),
@@ -93,18 +114,16 @@ def load_parametrization(path) -> Parametrization:
         return parametrization_from_json(json.load(fh))
 
 
-def _exponents_key(a) -> str:
-    return ",".join(str(e) for e in a)
+def _terms_to_json(terms: dict, base: BaseFieldConfig) -> dict:
+    """Comma-joined exponent vectors -> coefficient text, in sorted order."""
+    return {
+        ",".join(str(e) for e in a): kelem_text(c, base)
+        for a, c in sorted(terms.items())
+    }
 
 
 def expansion_to_json(E: AdicExpansion, base: BaseFieldConfig) -> dict:
-    return {
-        "level": E.level,
-        "terms": {
-            _exponents_key(a): kelem_text(c, base)
-            for a, c in sorted(E.terms.items())
-        },
-    }
+    return {"level": E.level, "terms": _terms_to_json(E.terms, base)}
 
 
 def expansion_from_json(doc: dict, base: BaseFieldConfig) -> AdicExpansion:
@@ -116,18 +135,10 @@ def expansion_from_json(doc: dict, base: BaseFieldConfig) -> AdicExpansion:
 
 
 def trace_to_json(trace: RewriteTrace, base: BaseFieldConfig) -> list:
-    out = []
-    for snap, w in trace.entries:
-        out.append(
-            {
-                "terms": {
-                    _exponents_key(a): kelem_text(c, base)
-                    for a, c in sorted(snap.terms.items())
-                },
-                "weight": format_value(w),
-            }
-        )
-    return out
+    return [
+        {"terms": _terms_to_json(E.terms, base), "weight": format_value(w)}
+        for E, w in trace.entries
+    ]
 
 
 def report_to_json(report: IzumiReport, base: BaseFieldConfig) -> dict:

@@ -154,14 +154,13 @@ def random_corpus_poly(cfg: BaseFieldConfig, corpus: CorpusConfig, index: int) -
             coeffs.append(KElem.zero())
             continue
         unit = rng.choice([1, 2, 3, -1, -2, -3])
+        if cfg.kind != FUNCTION_FIELD:
+            unit = rng.randrange(1, cfg.p) * rng.choice([1, -1])
+        lo = 1 if (k == 0 and corpus.positive_only) else 0
+        v = rng.randint(lo, max(lo, corpus.max_coeff_valuation))
         if cfg.kind == FUNCTION_FIELD:
-            lo = 1 if (k == 0 and corpus.positive_only) else 0
-            v = rng.randint(lo, max(lo, corpus.max_coeff_valuation))
             coeffs.append(KElem(YPoly.const(unit).shift(v)))
         else:
-            unit = rng.randrange(1, cfg.p) * rng.choice([1, -1])
-            lo = 1 if (k == 0 and corpus.positive_only) else 0
-            v = rng.randint(lo, max(lo, corpus.max_coeff_valuation))
             coeffs.append(KElem.const(Fraction(unit * cfg.p**v)))
     return Poly(coeffs)
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .basefield import BaseFieldConfig, KElem, base_valuation
+from .basefield import BaseFieldConfig, KElem, YPoly, base_valuation
 from .errors import (
+    IndexPowerViolationError,
     InsufficientPrecisionError,
     KeyvalError,
     LevelOutOfRangeError,
@@ -27,20 +28,14 @@ from .values import INF, SubgroupGen, Value, is_finite, subgroup_generator, subg
 
 @dataclass
 class AdicExpansion:
-    """Finite term map: exponent vector of length ``level`` -> coefficient in K."""
+    """Finite term map: exponent vector of length ``level`` -> coefficient in K.
+
+    Only :func:`adic_expand` output respects the bounds a_j < m_j below the
+    top level; the rewriting algorithms' intermediate expansions may not.
+    """
 
     level: int
     terms: dict
-
-    def copy(self):
-        return AdicExpansion(self.level, dict(self.terms))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AdicExpansion)
-            and self.level == other.level
-            and self.terms == other.terms
-        )
 
 
 @dataclass
@@ -162,6 +157,9 @@ def expansion_eval(E: AdicExpansion, basis: WeightedBasis) -> Poly:
 
 
 def expansion_weight(E: AdicExpansion, basis: WeightedBasis) -> Value:
+    """Gauss weight: min of nu(c) + sum a_j beta_j, Infinity when empty."""
+    if E.level > basis.alpha:
+        raise LevelOutOfRangeError("expansion level exceeds basis length")
     w = INF
     for a, c in E.terms.items():
         t = basis.term_weight(a, c)
@@ -302,8 +300,6 @@ def index_data(basis: WeightedBasis) -> IndexData:
     Raises IndexPowerViolationError when some n_i does not divide m_i: such
     a basis cannot support a valuation.
     """
-    from .errors import IndexPowerViolationError
-
     chain = _phi_chain(basis)
     entries = []
     for i in range(1, basis.alpha + 1):
@@ -358,8 +354,6 @@ def truncated_keys_from_series(
             flag = True
             break
         steps.append((x - trunc, Fraction(o)))
-        from .basefield import YPoly
-
         trunc = trunc + Poly.const(KElem(YPoly.const(tail[o]).shift(o)))
         tail[o] = Fraction(0)
     if not steps:

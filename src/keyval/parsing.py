@@ -145,10 +145,6 @@ def parse_kelem(text: str, cfg: BaseFieldConfig) -> KElem:
     return p.coeff(0)
 
 
-def _frac_text(f: Fraction) -> str:
-    return str(f)
-
-
 def _join_signed(pieces) -> str:
     out = []
     for neg, text in pieces:
@@ -167,10 +163,10 @@ def ypoly_text(p: YPoly, var: str = "y") -> str:
             continue
         neg, mag = c < 0, abs(c)
         if k == 0:
-            pieces.append((neg, _frac_text(mag)))
+            pieces.append((neg, str(mag)))
             continue
         vpow = var if k == 1 else "%s^%d" % (var, k)
-        pieces.append((neg, vpow if mag == 1 else "%s*%s" % (_frac_text(mag), vpow)))
+        pieces.append((neg, vpow if mag == 1 else "%s*%s" % (mag, vpow)))
     return _join_signed(pieces)
 
 
@@ -182,8 +178,6 @@ def kelem_text(a: KElem, cfg: BaseFieldConfig) -> str:
 
 
 def poly_text(f: Poly, cfg: BaseFieldConfig, var: str = "x") -> str:
-    if f.is_zero():
-        return "0"
     pieces = []
     for k in range(len(f.coeffs) - 1, -1, -1):
         c = f.coeff(k)
@@ -197,18 +191,18 @@ def poly_text(f: Poly, cfg: BaseFieldConfig, var: str = "x") -> str:
             fr = c.as_fraction()
             neg, mag = fr < 0, abs(fr)
             if xpow is None:
-                pieces.append((neg, _frac_text(mag)))
+                pieces.append((neg, str(mag)))
             elif mag == 1:
                 pieces.append((neg, xpow))
             else:
-                pieces.append((neg, "%s*%s" % (_frac_text(mag), xpow)))
+                pieces.append((neg, "%s*%s" % (mag, xpow)))
         elif c.den.degree <= 0 and sum(1 for v in c.num.coeffs if v != 0) == 1:
             # single-monomial coefficient r*y^d: carry the sign, skip parens
             d = c.num.order()
             r = c.num.coeffs[d]
             neg, mag = r < 0, abs(r)
             vpow = cfg.variable if d == 1 else "%s^%d" % (cfg.variable, d)
-            factors = [] if mag == 1 else [_frac_text(mag)]
+            factors = [] if mag == 1 else [str(mag)]
             factors.append(vpow)
             if xpow is not None:
                 factors.append(xpow)

@@ -13,16 +13,7 @@ from dataclasses import dataclass, field
 
 from .basefield import KElem
 from .errors import FuelExhaustedError, KeyvalError, LevelOutOfRangeError
-from .keybasis import AdicExpansion, WeightedBasis
-from .values import INF, Value
-
-
-@dataclass
-class FormalExpansion:
-    """Like AdicExpansion, but without the exponent-bound constraints."""
-
-    level: int
-    terms: dict
+from .keybasis import AdicExpansion, WeightedBasis, expansion_weight
 
 
 @dataclass
@@ -35,20 +26,8 @@ class RewriteTrace:
         return [w for _, w in self.entries]
 
     def record(self, terms, level, basis):
-        w = formal_weight(FormalExpansion(level, terms), basis)
-        self.entries.append((FormalExpansion(level, dict(terms)), w))
-
-
-def formal_weight(E: FormalExpansion, basis: WeightedBasis) -> Value:
-    """Gauss weight: min of nu(c) + sum a_j beta_j, Infinity when empty."""
-    if E.level > basis.alpha:
-        raise LevelOutOfRangeError("expansion level exceeds basis length")
-    w = INF
-    for a, c in E.terms.items():
-        t = basis.term_weight(a, c)
-        if t < w:
-            w = t
-    return w
+        E = AdicExpansion(level, dict(terms))
+        self.entries.append((E, expansion_weight(E, basis)))
 
 
 def _combine(into: dict, exponents, coeff):
@@ -88,15 +67,7 @@ def _pad(a, width):
 
 def _key_power_replacement(basis: WeightedBasis, j: int, width: int) -> dict:
     """U_j^{m_j} as an expansion at vector width: U_{j+1} minus lower terms."""
-    cache = getattr(basis, "_repl_cache", None)
-    if cache is None:
-        cache = basis._repl_cache = {}
-    cached = cache.get((j, width))
-    if cached is not None:
-        return cached
     step = basis.steps[j - 1]
-    if step.m is None:
-        raise KeyvalError("step %d has no integral degree ratio" % j)
     lead = (0,) * (j - 1) + (step.m,)
     out = {}
     for a, c in step.next_expansion.terms.items():
@@ -106,7 +77,6 @@ def _key_power_replacement(basis: WeightedBasis, j: int, width: int) -> dict:
     unit = [0] * width
     unit[j] = 1  # index j is the 1-based level j+1
     _combine(out, tuple(unit), KElem.one())
-    cache[(j, width)] = out
     return out
 
 
@@ -119,41 +89,55 @@ def _default_fuel(terms: dict, basis: WeightedBasis) -> int:
     return 10 * deg * basis.alpha * mmax
 
 
-def _reduce_bounded(terms, basis, width, top, trace, fuel):
+def _substitute(terms: dict, pos: int, m: int, repl: dict, width: int) -> dict:
+    """Replace every power U^m at exponent index ``pos`` by ``repl``.
+
+    Each exponent e at ``pos`` splits as q*m + r; the term keeps U^r and is
+    multiplied by repl^q.  Terms with e < m pass through unchanged.
+    """
+    powers = {}
+    out = {}
+    for a, c in terms.items():
+        if a[pos] < m:
+            _combine(out, a, c)
+            continue
+        q, r = divmod(a[pos], m)
+        stub = list(a)
+        stub[pos] = r
+        hit = powers.get(q)
+        if hit is None:
+            hit = powers[q] = _power(repl, q, width)
+        for eb, cb in hit.items():
+            _combine(out, tuple(x + y for x, y in zip(stub, eb)), c * cb)
+    return out
+
+
+def _reduce_bounded(terms, basis, width, top, trace, fuel, rewrote):
     """Rewrite passes: smallest violating index first, all occurrences at once.
 
     Exponents at 1-based positions 1..top are bounded by their m's; positions
-    above ``top`` are free.
+    above ``top`` are free.  The trace gets the starting terms and every pass;
+    when ``rewrote`` or some pass ran, the canonical result closes it.
     """
+    trace.record(terms, width, basis)
     passes = 0
     while True:
         j = None
         for k in range(1, top + 1):
             m = basis.m(k)
+            if m is None and terms:  # the zero expansion needs no bound
+                raise KeyvalError("step %d has no integral degree ratio" % k)
             if any(a[k - 1] >= m for a in terms):
                 j = k
                 break
         if j is None:
-            return terms, passes
+            if rewrote or passes:
+                trace.record(terms, width, basis)
+            return terms
         if passes >= fuel:
             raise FuelExhaustedError("rewriting exceeded %d passes" % fuel)
-        m = basis.m(j)
         repl = _key_power_replacement(basis, j, width)
-        powers = {}
-        out = {}
-        for a, c in terms.items():
-            if a[j - 1] < m:
-                _combine(out, a, c)
-                continue
-            q, r = divmod(a[j - 1], m)
-            stub = list(a)
-            stub[j - 1] = r
-            hit = powers.get(q)
-            if hit is None:
-                hit = powers[q] = _power(repl, q, width)
-            for eb, cb in hit.items():
-                _combine(out, tuple(x + y for x, y in zip(stub, eb)), c * cb)
-        terms = out
+        terms = _substitute(terms, j - 1, basis.m(j), repl, width)
         passes += 1
         trace.record(terms, width, basis)
 
@@ -168,10 +152,7 @@ def raise_expansion(E: AdicExpansion, basis: WeightedBasis, fuel: int | None = N
     if fuel is None:
         fuel = _default_fuel(terms, basis)
     trace = RewriteTrace("raise")
-    trace.record(terms, width, basis)
-    terms, passes = _reduce_bounded(terms, basis, width, i, trace, fuel)
-    if passes:
-        trace.record(terms, width, basis)  # the canonical result closes the trace
+    terms = _reduce_bounded(terms, basis, width, i, trace, fuel, False)
     return AdicExpansion(width, terms), trace
 
 
@@ -185,29 +166,10 @@ def lower_expansion(E: AdicExpansion, basis: WeightedBasis, fuel: int | None = N
         fuel = _default_fuel(E.terms, basis)
     trace = RewriteTrace("lower")
     rewrote = any(a[-1] for a in E.terms)
-    if not rewrote:
-        terms = dict(E.terms)
-        trace.record(terms, lvl, basis)
-    else:
-        # substitute the recurrence for every occurrence of the top key first;
-        # recording the input expansion would break trace monotonicity.
-        sub = {_pad(a, lvl): c for a, c in basis.steps[i - 1].next_expansion.terms.items()}
-        powers = {}
-        terms = {}
-        for a, c in E.terms.items():
-            e = a[-1]
-            if not e:
-                _combine(terms, a, c)
-                continue
-            stub = a[:-1] + (0,)
-            hit = powers.get(e)
-            if hit is None:
-                hit = powers[e] = _power(sub, e, lvl)
-            for eb, cb in hit.items():
-                _combine(terms, tuple(x + y for x, y in zip(stub, eb)), c * cb)
-        trace.record(terms, lvl, basis)
-    terms, passes = _reduce_bounded(terms, basis, lvl, i - 1, trace, fuel)
-    if rewrote or passes:
-        trace.record(terms, lvl, basis)
+    # substitute the recurrence for every occurrence of the top key first;
+    # recording the input expansion would break trace monotonicity.
+    sub = {_pad(a, lvl): c for a, c in basis.steps[i - 1].next_expansion.terms.items()}
+    terms = _substitute(E.terms, lvl - 1, 1, sub, lvl)
+    terms = _reduce_bounded(terms, basis, lvl, i - 1, trace, fuel, rewrote)
     assert all(a[-1] == 0 for a in terms)
     return AdicExpansion(i, {a[:-1]: c for a, c in terms.items()}), trace

@@ -93,6 +93,22 @@ def test_lower(capsys, b1_path):
     assert json.loads(out)["terms"] == {"1": "y", "3": "1"}
 
 
+def test_lower_trace_json_pinned(capsys, b2_path):
+    code, out, _ = run(
+        capsys, "lower", "--basis", b2_path, "--poly", "x^9", "--level", "3", "--trace", "--json"
+    )
+    assert code == 0
+    reduced = '{"1,0,0": "y^4", "1,1,0": "4*y^3", "1,2,0": "6*y^2", "1,3,0": "4*y", "1,4,0": "1"}'
+    assert out == (
+        '{"level": 2, "terms": {"1,0": "y^4", "1,1": "4*y^3", "1,2": "6*y^2", "1,3": "4*y", '
+        '"1,4": "1"}, "trace": [{"terms": {"0,0,0": "-6*y^5", "0,1,0": "-10*y^4", '
+        '"0,2,0": "-6*y^3", "0,3,0": "-2*y^2", "1,0,0": "-y^5 + y^4", "1,1,0": "-y^4 + 4*y^3", '
+        '"1,2,0": "6*y^2", "1,3,0": "4*y", "1,4,0": "1", "2,0,0": "6*y^4", "2,1,0": "4*y^3", '
+        '"2,2,0": "2*y^2", "3,0,0": "y^4"}, "weight": "9/2"}, '
+        '{"terms": %s, "weight": "9/2"}, {"terms": %s, "weight": "9/2"}]}\n' % (reduced, reduced)
+    )
+
+
 def test_groups(capsys, b2_path):
     code, out, _ = run(capsys, "groups", "--basis", b2_path, "--json")
     assert code == 0
@@ -192,6 +208,61 @@ def test_oracle_rejects_degenerate_policy(capsys, tmp_path, policy):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: precision policy needs")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"base": "function_field"}, "basis has no 'steps' key"),
+        ({"base": "function_field", "steps": [{"U": "x"}]}, "basis step has no 'beta' key"),
+        ([{"U": "x", "beta": "1"}], "basis must be a JSON object"),
+        ({"base": "function_field", "steps": {"U": "x"}}, "basis key 'steps' has the wrong type"),
+        ({"base": "function_field", "steps": [{"U": 1, "beta": "1"}]},
+         "basis step key 'U' has the wrong type"),
+    ],
+)
+def test_malformed_basis_file_is_input_error(capsys, tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", "--basis", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "input error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"defining": "x^2 - y^2 - y^3"}, "parametrization has no 'branch' key"),
+        (["x^2 - y^2 - y^3", "-y"], "parametrization must be a JSON object"),
+        ({"defining": "x^2 - y^2 - y^3", "branch": "-y", "policy": [8, 2, 64]},
+         "parametrization policy must be a JSON object"),
+    ],
+)
+def test_malformed_parametrization_file_is_input_error(capsys, tmp_path, doc, message):
+    path = tmp_path / "par.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "oracle", "--param", str(path), "--poly", "x + y")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: %s\n" % message
+
+
+def test_rewrite_on_undivided_degree_step(capsys, tmp_path):
+    doc = {
+        "base": "function_field",
+        "steps": [
+            {"U": "x", "beta": "1/2"},
+            {"U": "x^2 - y", "beta": "3/2"},
+            {"U": "x^3 - y^2", "beta": "5"},
+        ],
+    }
+    path = tmp_path / "undivided.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "raise", "--basis", str(path), "--poly", "x^5", "--level", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: step 2 has no integral degree ratio\n"
 
 
 def test_stdin_poly(capsys, b1_path, monkeypatch):

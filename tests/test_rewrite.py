@@ -4,16 +4,16 @@ import pytest
 
 from keyval import (
     AdicExpansion,
-    FormalExpansion,
+    WeightedBasis,
     adic_expand,
     expansion_eval,
-    formal_weight,
+    expansion_weight,
     lower_expansion,
     raise_expansion,
     weight,
 )
 from keyval.basefield import BaseFieldConfig
-from keyval.errors import FuelExhaustedError, LevelOutOfRangeError
+from keyval.errors import FuelExhaustedError, KeyvalError, LevelOutOfRangeError
 from keyval.izumi import CorpusConfig, random_corpus_poly
 from keyval.parsing import parse_kelem, parse_poly
 from keyval.values import INF
@@ -30,16 +30,18 @@ def k(text):
     return parse_kelem(text, FF)
 
 
-def test_formal_weight_examples(b1):
-    E = FormalExpansion(1, {(3,): k("1"), (1,): k("y")})
-    assert formal_weight(E, b1) == F(3, 2)
-    assert formal_weight(FormalExpansion(2, {}), b1) is INF
-    assert formal_weight(FormalExpansion(2, {(0, 1): k("1")}), b1) == F(3, 2)
+def test_expansion_weight_examples(b1):
+    E = AdicExpansion(1, {(3,): k("1"), (1,): k("y")})
+    assert expansion_weight(E, b1) == F(3, 2)
+    assert expansion_weight(AdicExpansion(2, {}), b1) is INF
+    assert expansion_weight(AdicExpansion(2, {(0, 1): k("1")}), b1) == F(3, 2)
+    # rewrite intermediates exceed the bound a_1 < m_1 = 2
+    assert expansion_weight(AdicExpansion(2, {(3, 1): k("y")}), b1) == F(4)
 
 
-def test_formal_weight_level_check(b1):
+def test_expansion_weight_level_check(b1):
     with pytest.raises(LevelOutOfRangeError):
-        formal_weight(FormalExpansion(3, {}), b1)
+        expansion_weight(AdicExpansion(3, {}), b1)
 
 
 def test_raise_power_example(b1):
@@ -116,7 +118,42 @@ def test_rewrite_preserves_polynomial(b2):
     assert expansion_eval(down, b2) == f
 
 
+def test_rewrite_rejects_undivided_degree_step():
+    # deg U_3 / deg U_2 = 3/2, so m_2 is undefined and U_2 has no bound
+    basis = WeightedBasis(
+        FF, [(p("x"), F(1, 2)), (p("x^2 - y"), F(3, 2)), (p("x^3 - y^2"), F(5))]
+    )
+    with pytest.raises(KeyvalError, match="step 2 has no integral degree ratio"):
+        raise_expansion(adic_expand(p("x^5"), 2, basis), basis)
+    zero, _ = raise_expansion(AdicExpansion(2, {}), basis)
+    assert zero == AdicExpansion(3, {})
+
+
 def test_fuel_exhaustion(b1):
     E = adic_expand(p("x^9"), 1, b1)
     with pytest.raises(FuelExhaustedError):
         raise_expansion(E, b1, fuel=0)
+
+
+def test_lower_trace_entries_pinned(b2):
+    # x^9 at level 3 has a U_3 term, so lowering substitutes the top key, then
+    # makes one bounded pass on U_1 before the closing entry.
+    E = adic_expand(p("x^9"), 3, b2)
+    out, trace = lower_expansion(E, b2)
+    substituted = {
+        (0, 0, 0): k("-6*y^5"), (0, 1, 0): k("-10*y^4"), (0, 2, 0): k("-6*y^3"),
+        (0, 3, 0): k("-2*y^2"), (1, 0, 0): k("-y^5 + y^4"), (1, 1, 0): k("-y^4 + 4*y^3"),
+        (1, 2, 0): k("6*y^2"), (1, 3, 0): k("4*y"), (1, 4, 0): k("1"),
+        (2, 0, 0): k("6*y^4"), (2, 1, 0): k("4*y^3"), (2, 2, 0): k("2*y^2"),
+        (3, 0, 0): k("y^4"),
+    }
+    reduced = {
+        (1, 0, 0): k("y^4"), (1, 1, 0): k("4*y^3"), (1, 2, 0): k("6*y^2"),
+        (1, 3, 0): k("4*y"), (1, 4, 0): k("1"),
+    }
+    assert [(s.level, s.terms, w) for s, w in trace.entries] == [
+        (3, substituted, F(9, 2)),
+        (3, reduced, F(9, 2)),
+        (3, reduced, F(9, 2)),
+    ]
+    assert out == AdicExpansion(2, {a[:-1]: c for a, c in reduced.items()})
