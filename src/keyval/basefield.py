@@ -14,6 +14,7 @@ from fractions import Fraction
 from .errors import DivisorZeroError, KeyvalError
 from .values import INF, Value
 
+NEG_INF = float("-inf")
 FUNCTION_FIELD = "function_field"
 P_ADIC = "p_adic"
 
@@ -68,23 +69,27 @@ class BaseFieldConfig:
         return "BaseFieldConfig.function_field(%r)" % self.variable
 
 
-class YPoly:
-    """Dense univariate polynomial over Q (the function-field variable)."""
+class DensePoly:
+    """Dense univariate polynomial: a tuple of coefficients, lowest first.
+
+    A subclass names its coefficient ring's ``_zero`` and ``_one``, and
+    ``_unit``, the one that leading coefficients are inverted against.  The
+    inversion must stay exact, so over Q ``_unit`` is ``Fraction(1)`` while
+    ``_one`` stays the int 1.  A coefficient is zero exactly when it is falsy.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        # exact rationals: ints are kept as ints, everything else becomes a
-        # Fraction (mixed int/Fraction arithmetic stays exact in Python)
-        coeffs = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
     @classmethod
     def _make(cls, coeffs):
-        # trusted constructor: coeffs is a list of Fractions
-        while coeffs and coeffs[-1] == 0:
+        # trusted constructor: coeffs is a list of ring elements
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         p = cls.__new__(cls)
         p.coeffs = tuple(coeffs)
@@ -92,37 +97,34 @@ class YPoly:
 
     @classmethod
     def zero(cls):
-        return cls(())
+        return cls._make([])
 
     @classmethod
     def one(cls):
-        return cls((1,))
+        return cls._make([cls._one])
 
     @classmethod
     def const(cls, c):
         return cls((c,))
 
-    @classmethod
-    def gen(cls):
-        return cls((0, 1))
-
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     def is_zero(self):
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self):
         return self.coeffs[-1]
 
-    def order(self):
-        """Index of the lowest nonzero coefficient; None for the zero poly."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
+    def is_monic(self):
+        return bool(self.coeffs) and self.leading == self._one
+
+    def coeff(self, k: int):
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return self._zero
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -131,45 +133,97 @@ class YPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return YPoly._make(out)
+        return self._make(out)
 
     def __neg__(self):
-        return YPoly._make([-c for c in self.coeffs])
+        return self._make([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Fraction) or isinstance(other, int):
-            return YPoly._make([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return _Y_ZERO
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        if not isinstance(other, DensePoly):
+            return self._make([c * other for c in self.coeffs])
+        if not self.coeffs or not other.coeffs:
+            return self._make([])
+        out = [self._zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return YPoly._make(out)
+        return self._make(out)
 
     __rmul__ = __mul__
 
+    def __pow__(self, n: int):
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
     def divmod(self, other):
+        """Quotient and remainder by the nonzero polynomial other."""
         if other.is_zero():
             raise DivisorZeroError("division by the zero polynomial")
         rem = list(self.coeffs)
         dd, dv = len(rem) - 1, other.degree
         if dd < dv:
-            return _Y_ZERO, YPoly._make(rem)
-        inv = _F1 / other.leading
-        quo = [0] * (dd - dv + 1)
+            return self.zero(), self._make(rem)
+        monic = other.is_monic()
+        inv = None if monic else self._unit / other.leading
+        # the leading entry rem[k + dv] is never read again after iteration k,
+        # so the subtraction loop stops short of it
+        lower = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if b]
+        quo = [self._zero] * (dd - dv + 1)
         for k in range(dd - dv, -1, -1):
-            c = rem[k + dv] * inv
-            if c != 0:
+            c = rem[k + dv] if monic else rem[k + dv] * inv
+            if c:
                 quo[k] = c
-                for j, b in enumerate(other.coeffs):
+                for j, b in lower:
                     rem[k + j] -= c * b
-        return YPoly._make(quo), YPoly._make(rem[:dv])
+        return self._make(quo), self._make(rem[:dv])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, self.coeffs)
+
+
+_F1 = Fraction(1)
+
+
+class YPoly(DensePoly):
+    """Dense univariate polynomial over Q (the function-field variable)."""
+
+    __slots__ = ()
+    _zero, _one, _unit = 0, 1, _F1
+
+    def __init__(self, coeffs):
+        # exact rationals: ints are kept as ints, everything else becomes a
+        # Fraction (mixed int/Fraction arithmetic stays exact in Python)
+        super().__init__(
+            c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs
+        )
+
+    @classmethod
+    def gen(cls):
+        return cls((0, 1))
+
+    def order(self):
+        """Index of the lowest nonzero coefficient; None for the zero poly."""
+        for i, c in enumerate(self.coeffs):
+            if c != 0:
+                return i
+        return None
 
     def gcd(self, other):
         a, b = self, other
@@ -183,19 +237,9 @@ class YPoly:
         """Multiply by variable**k."""
         if self.is_zero():
             return self
-        return YPoly._make(list((0,) * k + self.coeffs))
-
-    def __eq__(self, other):
-        return isinstance(other, YPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "YPoly(%r)" % (self.coeffs,)
+        return self._make(list((0,) * k + self.coeffs))
 
 
-_F1 = Fraction(1)
 _ONE_COEFFS = (1,)
 _Y_ZERO = YPoly(())
 _Y_ONE = YPoly((1,))
@@ -246,6 +290,9 @@ class KElem:
 
     def is_zero(self):
         return self.num.is_zero()
+
+    def __bool__(self):
+        return bool(self.num.coeffs)
 
     def is_constant(self):
         return self.num.degree <= 0 and self.den.degree <= 0

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
-from .basefield import BaseFieldConfig, KElem
+from .basefield import BaseFieldConfig
 from .errors import KeyvalError
 from .izumi import IzumiReport
 from .keybasis import AdicExpansion, WeightedBasis
@@ -22,12 +23,17 @@ def base_to_json(base: BaseFieldConfig):
     return "function_field"
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer (not a bool), or a string for int() to read."""
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
+
+
 def base_from_json(doc) -> BaseFieldConfig:
     if doc == "function_field":
         return BaseFieldConfig.function_field()
-    if isinstance(doc, dict) and "p_adic" in doc:
+    if isinstance(doc, dict) and _is_integer(doc.get("p_adic")):
         return BaseFieldConfig.p_adic(int(doc["p_adic"]))
-    raise KeyvalError("bad base field descriptor: %r" % (doc,))
+    raise ValueError("bad base field descriptor: %r" % (doc,))
 
 
 def basis_to_json(basis: WeightedBasis) -> dict:
@@ -64,12 +70,15 @@ def _fields(doc, what: str, **types) -> list:
 def basis_from_json(doc: dict) -> WeightedBasis:
     base_doc, steps_doc = _fields(doc, "basis", base=object, steps=list)
     base = base_from_json(base_doc)
-    ext = None
-    if doc.get("ext"):
-        ext = ExtensionConfig.algebraic(parse_poly(doc["ext"], base))
+    ext_text = doc.get("ext", "")
+    if not isinstance(ext_text, str):
+        raise ValueError("basis key 'ext' has the wrong type")
+    ext = ExtensionConfig.algebraic(parse_poly(ext_text, base)) if ext_text else None
     steps = []
     for s in steps_doc:
         U, beta = _fields(s, "basis step", U=str, beta=(str, int, float))
+        if isinstance(beta, float) and not math.isfinite(beta):
+            raise ValueError("basis step key 'beta' is not finite")
         steps.append((parse_poly(U, base), Fraction(beta)))
     return WeightedBasis(base, steps, ext)
 
@@ -91,6 +100,13 @@ def parametrization_to_json(par: Parametrization) -> dict:
     }
 
 
+def _policy_int(pol: dict, key: str, default: int) -> int:
+    value = pol.get(key, default)
+    if not _is_integer(value):
+        raise ValueError("parametrization policy key %r has the wrong type" % key)
+    return int(value)
+
+
 def parametrization_from_json(doc: dict) -> Parametrization:
     defining_text, branch_text = _fields(doc, "parametrization", defining=str, branch=str)
     base = base_from_json(doc.get("base", "function_field"))
@@ -102,9 +118,9 @@ def parametrization_from_json(doc: dict) -> Parametrization:
     if not isinstance(pol, dict):
         raise ValueError("parametrization policy must be a JSON object")
     policy = PrecisionPolicy(
-        initial=int(pol.get("initial", 16)),
-        growth=int(pol.get("growth", 2)),
-        maximum=int(pol.get("max", 512)),
+        initial=_policy_int(pol, "initial", 16),
+        growth=_policy_int(pol, "growth", 2),
+        maximum=_policy_int(pol, "max", 512),
     )
     return Parametrization(defining, branch.num, policy=policy, base=base)
 

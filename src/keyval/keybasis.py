@@ -22,8 +22,8 @@ from .errors import (
     ZeroInputError,
 )
 from .polynomials import ExtensionConfig, Poly, poly_divmod, poly_reduce
-from .series import InsufficientPrecision, Series, series_ord
-from .values import INF, SubgroupGen, Value, is_finite, subgroup_generator, subgroup_index
+from .series import Series
+from .values import INF, SubgroupGen, Value, subgroup_generator, subgroup_index
 
 
 @dataclass

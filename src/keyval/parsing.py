@@ -145,9 +145,26 @@ def parse_kelem(text: str, cfg: BaseFieldConfig) -> KElem:
     return p.coeff(0)
 
 
-def _join_signed(pieces) -> str:
+def _power_text(var: str, k: int) -> str:
+    return var if k == 1 else "%s^%d" % (var, k)
+
+
+def _rational_term(r, powers: list) -> tuple:
+    """(negative, text) of the rational r times the product of powers."""
+    mag = abs(r)
+    if not powers:
+        return r < 0, str(mag)
+    return r < 0, "*".join(powers if mag == 1 else [str(mag)] + powers)
+
+
+def _dense_text(coeffs, var: str, term) -> str:
+    """The signed sum of term(c, [var^k]) over nonzero coefficients, highest k first."""
     out = []
-    for neg, text in pieces:
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        neg, text = term(c, [_power_text(var, k)] if k else [])
         if not out:
             out.append("-" + text if neg else text)
         else:
@@ -156,18 +173,7 @@ def _join_signed(pieces) -> str:
 
 
 def ypoly_text(p: YPoly, var: str = "y") -> str:
-    pieces = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
-        if c == 0:
-            continue
-        neg, mag = c < 0, abs(c)
-        if k == 0:
-            pieces.append((neg, str(mag)))
-            continue
-        vpow = var if k == 1 else "%s^%d" % (var, k)
-        pieces.append((neg, vpow if mag == 1 else "%s*%s" % (mag, vpow)))
-    return _join_signed(pieces)
+    return _dense_text(p.coeffs, var, _rational_term)
 
 
 def kelem_text(a: KElem, cfg: BaseFieldConfig) -> str:
@@ -178,39 +184,16 @@ def kelem_text(a: KElem, cfg: BaseFieldConfig) -> str:
 
 
 def poly_text(f: Poly, cfg: BaseFieldConfig, var: str = "x") -> str:
-    pieces = []
-    for k in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeff(k)
-        if c.is_zero():
-            continue
-        if k == 0:
-            xpow = None
-        else:
-            xpow = var if k == 1 else "%s^%d" % (var, k)
+    def term(c: KElem, xpow: list) -> tuple:
         if c.is_constant():
-            fr = c.as_fraction()
-            neg, mag = fr < 0, abs(fr)
-            if xpow is None:
-                pieces.append((neg, str(mag)))
-            elif mag == 1:
-                pieces.append((neg, xpow))
-            else:
-                pieces.append((neg, "%s*%s" % (mag, xpow)))
-        elif c.den.degree <= 0 and sum(1 for v in c.num.coeffs if v != 0) == 1:
+            return _rational_term(c.as_fraction(), xpow)
+        if c.den.degree <= 0 and sum(1 for v in c.num.coeffs if v != 0) == 1:
             # single-monomial coefficient r*y^d: carry the sign, skip parens
             d = c.num.order()
-            r = c.num.coeffs[d]
-            neg, mag = r < 0, abs(r)
-            vpow = cfg.variable if d == 1 else "%s^%d" % (cfg.variable, d)
-            factors = [] if mag == 1 else [str(mag)]
-            factors.append(vpow)
-            if xpow is not None:
-                factors.append(xpow)
-            pieces.append((neg, "*".join(factors)))
-        else:
-            body = "(%s)" % kelem_text(c, cfg)
-            pieces.append((False, body if xpow is None else "%s*%s" % (body, xpow)))
-    return _join_signed(pieces)
+            return _rational_term(c.num.coeffs[d], [_power_text(cfg.variable, d)] + xpow)
+        return False, "*".join(["(%s)" % kelem_text(c, cfg)] + xpow)
+
+    return _dense_text(f.coeffs, var, term)
 
 
 def series_text(s, var: str = "y") -> str:

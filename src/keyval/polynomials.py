@@ -6,110 +6,23 @@ dense; key-polynomial degrees stay small at desk scale.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .basefield import KElem
-from .errors import DivisorZeroError, NotAlgebraicError
-
-NEG_INF = float("-inf")
+from .basefield import DensePoly, KElem
+from .errors import NotAlgebraicError
 
 
-class Poly:
+class Poly(DensePoly):
     """Dense polynomial in x over K."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def one(cls):
-        return cls((KElem.one(),))
-
-    @classmethod
-    def const(cls, c: KElem):
-        return cls((c,))
+    __slots__ = ()
+    _zero, _one = KElem.zero(), KElem.one()
+    _unit = _one
 
     @classmethod
     def x(cls):
-        return cls((KElem.zero(), KElem.one()))
+        return cls((cls._zero, cls._one))
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def leading(self) -> KElem:
-        return self.coeffs[-1]
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.leading == KElem.one()
-
-    def coeff(self, k: int) -> KElem:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return KElem.zero()
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, KElem)):
-            if isinstance(other, (int, Fraction)):
-                other = KElem.const(Fraction(other))
-            return Poly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly(())
-        out = [KElem.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "Poly(%r)" % (self.coeffs,)
+    # rebound here so that Poly's product can be wrapped without YPoly's
+    __mul__ = __rmul__ = DensePoly.__mul__
 
 
 class ExtensionConfig:
@@ -146,25 +59,7 @@ class ExtensionConfig:
 
 def poly_divmod(f: Poly, g: Poly):
     """Quotient and remainder of f by the nonzero polynomial g."""
-    if g.is_zero():
-        raise DivisorZeroError("division by the zero polynomial")
-    rem = list(f.coeffs)
-    dd, dv = len(rem) - 1, g.degree
-    if dd < dv:
-        return Poly.zero(), Poly(rem)
-    monic = g.is_monic()
-    inv = None if monic else KElem.one() / g.leading
-    # the leading entry rem[k + dv] is never read again after iteration k,
-    # so the subtraction loop stops short of it
-    lower = [(j, b) for j, b in enumerate(g.coeffs[:-1]) if not b.is_zero()]
-    quo = [KElem.zero()] * (dd - dv + 1)
-    for k in range(dd - dv, -1, -1):
-        c = rem[k + dv] if monic else rem[k + dv] * inv
-        if not c.is_zero():
-            quo[k] = c
-            for j, b in lower:
-                rem[k + j] = rem[k + j] - c * b
-    return Poly(quo), Poly(rem[:dv])
+    return f.divmod(g)
 
 
 def poly_reduce(f: Poly, ext: ExtensionConfig) -> Poly:

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .basefield import YPoly
 from .errors import BadConstantTermError
-from .values import Value
 
 
 @dataclass(frozen=True)

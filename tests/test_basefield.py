@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyval.basefield import BaseFieldConfig, KElem, YPoly, base_valuation
 from keyval.errors import DivisorZeroError, KeyvalError
@@ -96,6 +98,12 @@ def test_kelem_field_axioms_sample():
             assert a / a == KElem.one()
 
 
+def test_kelem_truth_value():
+    y = KElem.gen()
+    assert not KElem.zero() and not (y - y)
+    assert KElem.one() and y and KElem.const(F(-1, 3))
+
+
 def test_kelem_mul_div_examples():
     y = KElem.gen()
     one = KElem.one()
@@ -135,3 +143,69 @@ def test_valuation_axioms_property():
             va, vb = base_valuation(a, FF), base_valuation(b, FF)
             assert base_valuation(a * b, FF) == va + vb
             assert base_valuation(a + b, FF) >= min(va, vb)
+
+
+# Exact rationals as the code meets them: ints, Fractions, or a mix of both.
+rationals = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+)
+
+
+def ypolys(min_size=0, max_size=6):
+    return st.lists(rationals, min_size=min_size, max_size=max_size).map(YPoly)
+
+
+@st.composite
+def ypoly_divisors(draw):
+    """A nonzero divisor; about half of them monic."""
+    body = draw(st.lists(rationals, max_size=3))
+    lead = draw(st.one_of(st.just(1), rationals.filter(lambda c: c != 0)))
+    return YPoly(body + [lead])
+
+
+def _exact(coeffs):
+    return all(type(c) in (int, Fraction) for c in coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ypolys(), ypoly_divisors())
+def test_ypoly_divmod_property(f, g):
+    q, r = f.divmod(g)
+    assert q * g + r == f
+    assert r.degree < g.degree
+    # float coefficients would mean the leading coefficient was inverted inexactly
+    assert _exact(q.coeffs) and _exact(r.coeffs)
+
+
+def kelems(base):
+    """Elements of K: fractions of small YPolys over Q(y), constants over Q_3."""
+    if base.kind == "p_adic":
+        return st.builds(
+            lambda n, k, d: KElem.const(F(n) * F(3) ** k / d),
+            st.integers(-5, 5), st.integers(-2, 2), st.integers(1, 4),
+        )
+    return st.builds(
+        lambda num, den: KElem(num, den if not den.is_zero() else YPoly.one()),
+        ypolys(max_size=3), ypolys(max_size=3),
+    )
+
+
+@pytest.mark.parametrize("base", [FF, P3], ids=["function_field", "p_adic"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kelem_field_axioms_property(base, data):
+    a, b, c = (data.draw(kelems(base)) for _ in range(3))
+    zero, one = KElem.zero(), KElem.one()
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a
+    assert a + (-a) == zero and a - b == a + (-b)
+    if not b.is_zero():
+        assert (a / b) * b == a
+        assert b * (one / b) == one
+    # reduced form: monic denominator, coprime to the numerator
+    assert a.den.leading == 1
+    assert a.num.gcd(a.den) == YPoly.one() or a.is_zero()

@@ -219,6 +219,17 @@ def test_oracle_rejects_degenerate_policy(capsys, tmp_path, policy):
         ({"base": "function_field", "steps": {"U": "x"}}, "basis key 'steps' has the wrong type"),
         ({"base": "function_field", "steps": [{"U": 1, "beta": "1"}]},
          "basis step key 'U' has the wrong type"),
+        ({"base": "function_field", "steps": [{"U": "x", "beta": "1"}], "ext": 5},
+         "basis key 'ext' has the wrong type"),
+        ({"base": "function_field", "steps": [{"U": "x", "beta": float("inf")}]},
+         "basis step key 'beta' is not finite"),
+        ({"base": {"p_adic": [3]}, "steps": [{"U": "x", "beta": "1"}]},
+         "bad base field descriptor: {'p_adic': [3]}"),
+        ({"base": {"p_adic": 3.7}, "steps": [{"U": "x", "beta": "1"}]},
+         "bad base field descriptor: {'p_adic': 3.7}"),
+        ({"base": 5, "steps": [{"U": "x", "beta": "1"}]}, "bad base field descriptor: 5"),
+        ({"base": "bogus", "steps": [{"U": "x", "beta": "1"}]},
+         "bad base field descriptor: 'bogus'"),
     ],
 )
 def test_malformed_basis_file_is_input_error(capsys, tmp_path, doc, message):
@@ -237,6 +248,12 @@ def test_malformed_basis_file_is_input_error(capsys, tmp_path, doc, message):
         (["x^2 - y^2 - y^3", "-y"], "parametrization must be a JSON object"),
         ({"defining": "x^2 - y^2 - y^3", "branch": "-y", "policy": [8, 2, 64]},
          "parametrization policy must be a JSON object"),
+        ({"defining": "x^2 - y^2 - y^3", "branch": "-y", "policy": {"initial": [8]}},
+         "parametrization policy key 'initial' has the wrong type"),
+        ({"defining": "x^2 - y^2 - y^3", "branch": "-y", "policy": {"initial": 8.9}},
+         "parametrization policy key 'initial' has the wrong type"),
+        ({"defining": "x^2 - y^2 - y^3", "branch": "-y", "policy": {"growth": True}},
+         "parametrization policy key 'growth' has the wrong type"),
     ],
 )
 def test_malformed_parametrization_file_is_input_error(capsys, tmp_path, doc, message):

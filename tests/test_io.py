@@ -5,7 +5,6 @@ import pytest
 
 from keyval import io as kio
 from keyval.basefield import BaseFieldConfig
-from keyval.errors import KeyvalError
 from keyval.izumi import CorpusConfig, canonical_witnesses, empirical_izumi, random_corpus_poly, weight_map
 from keyval.keybasis import adic_expand
 from keyval.oracle import PrecisionPolicy, conic_parametrization
@@ -19,8 +18,14 @@ FF = BaseFieldConfig.function_field()
 def test_base_round_trip():
     for base in (FF, BaseFieldConfig.p_adic(5)):
         assert kio.base_from_json(kio.base_to_json(base)) == base
-    with pytest.raises(KeyvalError):
+    with pytest.raises(ValueError):
         kio.base_from_json({"what": 1})
+
+
+def test_integer_fields_accept_strings():
+    assert kio.base_from_json({"p_adic": "3"}) == BaseFieldConfig.p_adic(3)
+    doc = {"defining": "x^2 - y^2 - y^3", "branch": "-y", "policy": {"initial": "8", "max": 64}}
+    assert kio.parametrization_from_json(doc).policy == PrecisionPolicy(initial=8, growth=2, maximum=64)
 
 
 def test_basis_round_trip(b1, b2, b3):

@@ -78,6 +78,68 @@ def test_print_examples():
     assert kelem_text(KElem(YPoly((1,)), YPoly((0, 1))), FF) == "(1)/(y)"
 
 
+
+# One case per printer branch: the rational term at x^0, x and x^k with
+# magnitude 1 and otherwise; the single monomial r*y^d with and without an
+# x-power; and the parenthesised general coefficient.
+@pytest.mark.parametrize(
+    "coeffs, var, text",
+    [
+        ((), "y", "0"),
+        ((1,), "y", "1"),
+        ((-1,), "y", "-1"),
+        ((F(-3, 2),), "y", "-3/2"),
+        ((0, 1), "y", "y"),
+        ((0, -1), "y", "-y"),
+        ((0, F(2, 3)), "y", "2/3*y"),
+        ((0, -5), "y", "-5*y"),
+        ((0, 0, 1), "y", "y^2"),
+        ((0, 0, -1), "y", "-y^2"),
+        ((0, 0, 7), "y", "7*y^2"),
+        ((F(1, 3), -1, 0, -2), "y", "-2*y^3 - y + 1/3"),
+        ((1, 0, -1), "t", "-t^2 + 1"),
+    ],
+)
+def test_ypoly_text_branches(coeffs, var, text):
+    assert ypoly_text(YPoly(coeffs), var) == text
+
+
+@pytest.mark.parametrize(
+    "source, base, text",
+    [
+        ("0", FF, "0"),
+        ("1", FF, "1"),
+        ("-1", FF, "-1"),
+        ("3/2", FF, "3/2"),
+        ("-3/2", FF, "-3/2"),
+        ("x", FF, "x"),
+        ("-x", FF, "-x"),
+        ("2/3*x", FF, "2/3*x"),
+        ("-2/3*x", FF, "-2/3*x"),
+        ("x^3", FF, "x^3"),
+        ("-x^3", FF, "-x^3"),
+        ("-5*x^3", FF, "-5*x^3"),
+        ("y", FF, "y"),
+        ("-y", FF, "-y"),
+        ("3*y^2", FF, "3*y^2"),
+        ("-y*x", FF, "-y*x"),
+        ("2*y*x", FF, "2*y*x"),
+        ("y*x^2", FF, "y*x^2"),
+        ("-1/2*y^2*x", FF, "-1/2*y^2*x"),
+        ("y^3*x^4", FF, "y^3*x^4"),
+        ("y^2-1", FF, "(y^2 - 1)"),
+        ("-(y+1)*x", FF, "(-y - 1)*x"),
+        ("1/y", FF, "((1)/(y))"),
+        ("((y+1)/(y^2))*x^2", FF, "((y + 1)/(y^2))*x^2"),
+        ("x^2 - y + 1/2", FF, "x^2 + (-y + 1/2)"),
+        ("(y+1)/(2*y) + x", FF, "x + ((1/2*y + 1/2)/(y))"),
+        ("27*x^3 - x + 1/3", P3, "27*x^3 - x + 1/3"),
+        ("-x^2 - 1/9", P3, "-x^2 - 1/9"),
+    ],
+)
+def test_poly_text_branches(source, base, text):
+    assert poly_text(parse_poly(source, base), base) == text
+
 def test_series_text():
     assert series_text(Series((0, -1, F(-1, 2)), 3)) == "-1/2*y^2 - y + O(y^3)"
 

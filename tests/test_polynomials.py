@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyval.basefield import BaseFieldConfig, KElem, YPoly
 from keyval.errors import DivisorZeroError, NotAlgebraicError
@@ -10,6 +12,7 @@ from keyval.parsing import parse_poly
 
 F = Fraction
 FF = BaseFieldConfig.function_field()
+P3 = BaseFieldConfig.p_adic(3)
 
 
 def p(text):
@@ -96,3 +99,41 @@ def test_coefficients_may_be_fractions():
     f = p("((y + 1)/(y^2))*x + 1/2")
     assert f.coeff(1) == KElem(YPoly((1, 1)), YPoly((0, 0, 1)))
     assert f.coeff(0).as_fraction() == F(1, 2)
+
+
+rationals = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+ff_elems = st.builds(
+    lambda num, den: KElem(YPoly(num), YPoly(den) if any(den) else YPoly.one()),
+    st.lists(rationals, max_size=3), st.lists(rationals, max_size=2),
+)
+p3_elems = st.builds(
+    lambda n, k, d: KElem.const(F(n) * F(3) ** k / d),
+    st.integers(-5, 5), st.integers(-2, 2), st.integers(1, 4),
+)
+
+
+@st.composite
+def poly_pairs(draw, elems):
+    """(f, g) with g nonzero; about half of the divisors monic."""
+    f = Poly(draw(st.lists(elems, max_size=6)))
+    body = draw(st.lists(elems, max_size=3))
+    lead = draw(st.one_of(st.just(KElem.one()), elems.filter(lambda c: not c.is_zero())))
+    return f, Poly(body + [lead])
+
+
+def _exact(p):
+    return all(type(v) in (int, Fraction) for c in p.coeffs for v in c.num.coeffs + c.den.coeffs)
+
+
+@pytest.mark.parametrize("elems", [ff_elems, p3_elems], ids=["function_field", "p_adic"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_divmod_property(elems, data):
+    f, g = data.draw(poly_pairs(elems))
+    q, r = poly_divmod(f, g)
+    assert q * g + r == f
+    assert r.degree < g.degree
+    assert _exact(q) and _exact(r)
