@@ -46,7 +46,7 @@ from .oracle import (
 from .parsing import parse_kelem, parse_poly, poly_text
 from .polynomials import ExtensionConfig, Poly, poly_divmod, poly_reduce
 from .rewrite import RewriteTrace, lower_expansion, raise_expansion
-from .series import InsufficientPrecision, Series, series_ord, series_sqrt
+from .series import Series, series_sqrt
 from .values import (
     INF,
     SubgroupGen,

@@ -32,7 +32,10 @@ def base_from_json(doc) -> BaseFieldConfig:
     if doc == "function_field":
         return BaseFieldConfig.function_field()
     if isinstance(doc, dict) and _is_integer(doc.get("p_adic")):
-        return BaseFieldConfig.p_adic(int(doc["p_adic"]))
+        try:
+            return BaseFieldConfig.p_adic(int(doc["p_adic"]))
+        except KeyvalError as exc:  # a composite p is malformed input too
+            raise ValueError(str(exc)) from exc
     raise ValueError("bad base field descriptor: %r" % (doc,))
 
 
@@ -77,6 +80,8 @@ def basis_from_json(doc: dict) -> WeightedBasis:
     steps = []
     for s in steps_doc:
         U, beta = _fields(s, "basis step", U=str, beta=(str, int, float))
+        if isinstance(beta, bool):
+            raise ValueError("basis step key 'beta' has the wrong type")
         if isinstance(beta, float) and not math.isfinite(beta):
             raise ValueError("basis step key 'beta' is not finite")
         steps.append((parse_poly(U, base), Fraction(beta)))

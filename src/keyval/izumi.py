@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .basefield import FUNCTION_FIELD, BaseFieldConfig, KElem, YPoly, base_valuation
+from .basefield import FUNCTION_FIELD, BaseFieldConfig, KElem, YPoly
 from .errors import (
     ConsistencyFailureError,
     EmptyEffectiveCorpusError,
@@ -19,7 +19,7 @@ from .errors import (
 )
 from .keybasis import WeightedBasis, weight
 from .polynomials import Poly
-from .values import INF, Value, is_finite
+from .values import Value, is_finite
 
 
 @dataclass(frozen=True)
@@ -35,19 +35,14 @@ class GaussValuation:
 
 
 def gauss_value(f: Poly, g: GaussValuation) -> Value:
-    if f.is_zero():
-        return INF
-    w = INF
-    for k, c in enumerate(f.coeffs):
-        if c.is_zero():
-            continue
-        t = base_valuation(c, g.base) + k * g.beta
-        if t < w:
-            w = t
-    return w
+    """min nu(c_k) + k beta: the level-1 weight of the one-key basis (x, beta)."""
+    return weight(f, 1, WeightedBasis(g.base, [(Poly.x(), g.beta)]))
 
 
 def _step_product(basis: WeightedBasis, j: int, i: int) -> int:
+    """m_j * ... * m_i, for levels 1 <= j < i+1 <= alpha."""
+    if not (1 <= j <= i < basis.alpha):
+        raise LevelOutOfRangeError("need 1 <= j < i+1 <= alpha")
     ms = [basis.m(k) for k in range(j, i + 1)]
     if any(m is None for m in ms):
         raise LevelOutOfRangeError("degree steps m_%d..m_%d are not all defined" % (j, i))
@@ -61,11 +56,10 @@ def key_power_weight(basis: WeightedBasis, i_plus_1: int, ell: int, j: int) -> V
     division-based weight; disagreement signals a basis violating the
     weighted-basis conditions.
     """
-    if not (1 <= j < i_plus_1 <= basis.alpha):
-        raise LevelOutOfRangeError("need 1 <= j < i+1 <= alpha")
+    steps = _step_product(basis, j, i_plus_1 - 1)
     if ell < 1:
         raise NonPositiveError("power must be >= 1")
-    formula = _step_product(basis, j, i_plus_1 - 1) * ell * basis.beta(j)
+    formula = steps * ell * basis.beta(j)
     direct = weight(basis.key(i_plus_1) ** ell, j, basis)
     if direct != formula:
         raise ConsistencyFailureError(
@@ -76,9 +70,8 @@ def key_power_weight(basis: WeightedBasis, i_plus_1: int, ell: int, j: int) -> V
 
 def izumi_step_constant(basis: WeightedBasis, i_plus_1: int, j: int) -> Fraction:
     """Exact constant comparing the level-(i+1) and level-j weight maps."""
-    if not (1 <= j < i_plus_1 <= basis.alpha):
-        raise LevelOutOfRangeError("need 1 <= j < i+1 <= alpha")
-    return basis.beta(i_plus_1) / (_step_product(basis, j, i_plus_1 - 1) * basis.beta(j))
+    steps = _step_product(basis, j, i_plus_1 - 1)
+    return basis.beta(i_plus_1) / (steps * basis.beta(j))
 
 
 def bracket_ratio(beta: Fraction, beta_prime: Fraction) -> Fraction:

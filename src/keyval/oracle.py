@@ -15,7 +15,7 @@ from fractions import Fraction
 from .basefield import FUNCTION_FIELD, BaseFieldConfig, KElem, YPoly
 from .errors import InsufficientPrecisionError, KeyvalError
 from .polynomials import Poly
-from .series import InsufficientPrecision, Series, series_div_unit, series_ord, series_sqrt
+from .series import Series, series_div_unit, series_sqrt
 
 
 @dataclass(frozen=True)
@@ -41,30 +41,25 @@ class PrecisionExhausted:
     bound: Fraction
 
 
-def _coeff_as_ypoly(c) -> YPoly:
-    if c.den.degree > 0:
-        raise KeyvalError("clear denominators before series evaluation")
-    return c.num * (Fraction(1) / c.den.coeffs[0])
+def _cleared(f: Poly) -> tuple[list[YPoly], int]:
+    """f's coefficients times their common K-denominator d, and ord(d).
 
-
-def _poly_series_eval(f: Poly, phi: Series, precision: int) -> tuple[Series, Fraction]:
-    """Evaluate f(phi(y), y) to the given precision, clearing K-denominators.
-
-    Returns (series, shift): series is d(y) * f(phi(y), y) for the common
-    denominator d of f's coefficients, and shift = ord(d), so the order of f
-    at phi is ord(series) - shift.
+    The cleared coefficients lie in Q[y]; at phi they evaluate to
+    d(y) * f(phi(y), y), whose order exceeds the order of f at phi by ord(d).
     """
-    den = YPoly.one()
+    d = YPoly.one()
     for c in f.coeffs:
         if c.den.degree > 0:
-            g = den.gcd(c.den)
-            den = den * c.den.divmod(g)[0] if g.degree > 0 else den * c.den
-    shift = den.order() if not den.is_zero() else 0
+            d = d * c.den.divmod(d.gcd(c.den))[0]  # lcm(d, c.den), as gcd is monic
+    return [c.num * (d.divmod(c.den)[0] if c.den.degree > 0 else d) for c in f.coeffs], d.order()
+
+
+def _horner(coeffs: list[YPoly], phi: Series, precision: int) -> Series:
+    """The polynomial with these Q[y] coefficients evaluated at phi."""
     total = Series.zero(precision)
-    for c in reversed(f.coeffs):
-        cleared = _coeff_as_ypoly(c * KElem(den))
-        total = total * phi + Series.from_ypoly(cleared, precision)
-    return total, Fraction(shift)
+    for c in reversed(coeffs):
+        total = total * phi + Series.from_ypoly(c, precision)
+    return total
 
 
 class Parametrization:
@@ -93,7 +88,9 @@ class Parametrization:
         self.defining = defining
         self.branch = branch
         self.policy = policy or PrecisionPolicy()
-        self._derivative = _derivative(defining)
+        # P and P' share one denominator, so the Newton correction is exactly P/P'
+        self._coeffs = _cleared(defining)[0]
+        self._derivative = [c * k for k, c in enumerate(self._coeffs)][1:]
         self._approx = branch  # agrees with the root below y**self._verified
         self._verified = 0
         self._work = 1  # working precision of the last Newton step
@@ -122,13 +119,13 @@ class Parametrization:
         while True:
             work = max(work, min(2 * work, precision + 2 * do))
             phi = Series.from_ypoly(approx, work)
-            dres, _ = _poly_series_eval(self._derivative, phi, work)
+            dres = _horner(self._derivative, phi, work)
             do = dres.known_order()
             if do > precision:
                 raise InsufficientPrecisionError("derivative vanishes on the branch")
             if do >= work:
                 continue  # the derivative's order is not visible yet
-            res, _ = _poly_series_eval(self.defining, phi, work)
+            res = _horner(self._coeffs, phi, work)
             ro = res.known_order()
             if ro >= precision + do:
                 self._approx, self._verified = approx, ro - do
@@ -143,10 +140,6 @@ class Parametrization:
             approx = approx - YPoly(correction.coeffs)
 
 
-def _derivative(f: Poly) -> Poly:
-    return Poly([c * k for k, c in enumerate(f.coeffs)][1:])
-
-
 def oracle_valuation(f: Poly, par: Parametrization):
     """ord_y of f evaluated on the parametrization, growing precision as needed.
 
@@ -156,14 +149,14 @@ def oracle_valuation(f: Poly, par: Parametrization):
     """
     policy = par.policy
     p = policy.initial
+    coeffs, shift = _cleared(f)
     while True:
-        phi = par.series_at(p)
-        s, shift = _poly_series_eval(f, phi, p)
-        o = series_ord(s)
-        if not isinstance(o, InsufficientPrecision):
-            return o - shift
+        s = _horner(coeffs, par.series_at(p), p)
+        o = s.known_order()
+        if o < s.precision:
+            return Fraction(o - shift)
         if p >= policy.maximum:
-            return PrecisionExhausted(Fraction(o.bound) - shift)
+            return PrecisionExhausted(Fraction(o - shift))
         p = min(p * policy.growth, policy.maximum)
 
 

@@ -16,18 +16,10 @@ only at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .basefield import YPoly
 from .errors import BadConstantTermError
-
-
-@dataclass(frozen=True)
-class InsufficientPrecision:
-    """All stored coefficients vanish: the order is only known to be >= bound."""
-
-    bound: int
 
 
 class Series:
@@ -102,14 +94,6 @@ class Series:
 
     def __repr__(self):
         return "Series(%r, precision=%d)" % (list(self.coeffs), self.precision)
-
-
-def series_ord(s: Series):
-    """Order of vanishing, or InsufficientPrecision when it is not visible."""
-    o = s.known_order()
-    if o >= s.precision:
-        return InsufficientPrecision(s.precision)
-    return Fraction(o)
 
 
 def series_div_unit(num: Series, den: Series) -> Series:

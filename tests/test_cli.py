@@ -123,6 +123,17 @@ def test_gauss(capsys):
     assert json.loads(out) == {"value": "3/2"}
 
 
+@pytest.mark.parametrize(
+    "base, message",
+    [("5", "bad base field descriptor: 5"), ('{"p_adic": 9}', "p must be prime, got 9")],
+)
+def test_gauss_bad_base_is_input_error(capsys, base, message):
+    code, out, err = run(capsys, "gauss", "--base", base, "--beta", "1", "--poly", "x")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: %s\n" % message
+
+
 def test_izumi_exact_and_bound(capsys, b2_path, b1_path):
     code, out, _ = run(
         capsys, "izumi-exact", "--basis", b2_path, "--upper", "3", "--lower", "1", "--json"
@@ -230,6 +241,10 @@ def test_oracle_rejects_degenerate_policy(capsys, tmp_path, policy):
         ({"base": 5, "steps": [{"U": "x", "beta": "1"}]}, "bad base field descriptor: 5"),
         ({"base": "bogus", "steps": [{"U": "x", "beta": "1"}]},
          "bad base field descriptor: 'bogus'"),
+        ({"base": "function_field", "steps": [{"U": "x", "beta": True}]},
+         "basis step key 'beta' has the wrong type"),
+        ({"base": {"p_adic": 9}, "steps": [{"U": "x", "beta": "1"}]},
+         "p must be prime, got 9"),
     ],
 )
 def test_malformed_basis_file_is_input_error(capsys, tmp_path, doc, message):

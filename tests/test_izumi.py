@@ -62,6 +62,15 @@ def test_key_power_weight_bounds(b1):
         key_power_weight(b1, 2, 0, 1)
 
 
+@pytest.mark.parametrize("upper, lower", [(3, 1), (2, 0), (2, 2), (1, 1), (5, 4)])
+def test_levels_checked_first(b1, upper, lower):
+    # a bad level is reported before a bad power and before any key is read
+    with pytest.raises(LevelOutOfRangeError, match="need 1 <= j < i\\+1 <= alpha"):
+        key_power_weight(b1, upper, 0, lower)
+    with pytest.raises(LevelOutOfRangeError, match="need 1 <= j < i\\+1 <= alpha"):
+        izumi_step_constant(b1, upper, lower)
+
+
 def test_step_constants(b1, b2):
     assert izumi_step_constant(b1, 2, 1) == F(3, 2)
     assert izumi_step_constant(b2, 3, 1) == F(11, 8)

@@ -12,12 +12,13 @@ from keyval import (
     truncated_keys_from_series,
     weight,
 )
+from keyval import oracle
 from keyval.basefield import YPoly
 from keyval.errors import InsufficientPrecisionError, KeyvalError
 from keyval.oracle import conic_branch_series, conic_defining
 from keyval.parsing import parse_poly
 from keyval.polynomials import ExtensionConfig
-from keyval.series import Series
+from keyval.series import Series, series_div_unit
 
 F = Fraction
 FF = BaseFieldConfig.function_field()
@@ -97,6 +98,37 @@ def test_other_branch_converges():
     par = Parametrization(conic_defining(), YPoly((0, 1)), PrecisionPolicy(initial=8))
     assert par.series_at(4).coeffs == (F(0), F(1), F(1, 2), F(-1, 8))
     assert par.series_at(100) == -conic_branch_series(100)
+
+
+def _newton_steps(monkeypatch, build):
+    """The result of build() and the unit divisions (Newton steps) it made."""
+    calls = []
+
+    def counting(num, den):
+        calls.append(num.precision)
+        return series_div_unit(num, den)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "series_div_unit", counting)
+        return build(), len(calls)
+
+
+def test_denominator_in_constant_term_converges_quadratically(monkeypatch):
+    # P's constant term has a denominator its other coefficients lack; P and
+    # P' must share one, or each Newton correction is off by a unit and the
+    # lift converges only linearly
+    branch = YPoly((0, -1))
+    fraction = Parametrization(p("x^2 - y^2/(1+y)"), branch)
+    cleared = Parametrization(p("(1+y)*x^2 - y^2"), branch)
+    series, steps = _newton_steps(monkeypatch, lambda: fraction.series_at(128))
+    expected, cleared_steps = _newton_steps(monkeypatch, lambda: cleared.series_at(128))
+    assert steps <= cleared_steps
+    assert series == expected
+    _, steps = _newton_steps(
+        monkeypatch,
+        lambda: Parametrization(p("x^2 - y^2/(1+y)"), branch, PrecisionPolicy(initial=256)),
+    )
+    assert steps <= 10
 
 
 def test_parametrizations_share_no_state():

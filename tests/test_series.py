@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 
 from keyval.basefield import YPoly
 from keyval.errors import BadConstantTermError
-from keyval.series import (
-    InsufficientPrecision,
-    Series,
-    series_div_unit,
-    series_ord,
-    series_sqrt,
-)
+from keyval.series import Series, series_div_unit, series_sqrt
 
 F = Fraction
 
@@ -140,16 +134,12 @@ def test_shift_negative_requires_order():
     assert out.precision == 2
 
 
-def test_series_ord():
-    assert series_ord(Series((0, 0, 0, 1, 0, -1), 8)) == 3
-    out = series_ord(Series.zero(4))
-    assert isinstance(out, InsufficientPrecision)
-    assert out.bound == 4
-
-
-def test_series_ord_from_evaluation():
-    s = Series((0, 0, F(-1, 2), F(1, 8)), 4)
-    assert series_ord(s) == 2
+def test_known_order():
+    assert Series((0, 0, 0, 1, 0, -1), 8).known_order() == 3
+    assert Series((0, 0, F(-1, 2), F(1, 8)), 4).known_order() == 2
+    # nothing nonzero is stored: the order is only known to be >= precision
+    assert Series.zero(4).known_order() == 4
+    assert Series((0, 0, 0, 5), 3).known_order() == 3
 
 
 def test_div_unit():
