@@ -134,12 +134,16 @@ def test_shift_negative_requires_order():
     assert out.precision == 2
 
 
-def test_known_order():
+def test_series_ord():
     assert Series((0, 0, 0, 1, 0, -1), 8).known_order() == 3
-    assert Series((0, 0, F(-1, 2), F(1, 8)), 4).known_order() == 2
     # nothing nonzero is stored: the order is only known to be >= precision
     assert Series.zero(4).known_order() == 4
     assert Series((0, 0, 0, 5), 3).known_order() == 3
+
+
+def test_series_ord_from_evaluation():
+    s = Series((0, 0, F(-1, 2), F(1, 8)), 4)
+    assert s.known_order() == 2
 
 
 def test_div_unit():
