@@ -35,21 +35,20 @@ def _is_prime(n: int) -> bool:
 class BaseFieldConfig:
     """Which valued field (K, nu) the computation runs over."""
 
-    __slots__ = ("kind", "variable", "p")
+    __slots__ = ("kind", "p")
 
-    def __init__(self, kind, variable="y", p=None):
+    def __init__(self, kind, p=None):
         if kind not in (FUNCTION_FIELD, P_ADIC):
             raise KeyvalError("unknown base field kind: %r" % (kind,))
         if kind == P_ADIC:
             if p is None or not _is_prime(p):
                 raise KeyvalError("p must be prime, got %r" % (p,))
         self.kind = kind
-        self.variable = variable
         self.p = p
 
     @classmethod
-    def function_field(cls, variable="y"):
-        return cls(FUNCTION_FIELD, variable=variable)
+    def function_field(cls):
+        return cls(FUNCTION_FIELD)
 
     @classmethod
     def p_adic(cls, p):
@@ -59,14 +58,13 @@ class BaseFieldConfig:
         return (
             isinstance(other, BaseFieldConfig)
             and self.kind == other.kind
-            and self.variable == other.variable
             and self.p == other.p
         )
 
     def __repr__(self):
         if self.kind == P_ADIC:
             return "BaseFieldConfig.p_adic(%d)" % self.p
-        return "BaseFieldConfig.function_field(%r)" % self.variable
+        return "BaseFieldConfig.function_field()"
 
 
 class DensePoly:

@@ -47,13 +47,6 @@ def _read_poly(args, base):
     return parse_poly(text, base)
 
 
-def _emit(args, doc, human):
-    if args.json:
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(human)
-
-
 def _value_text(v):
     """A value, or the lower bound an exhausted oracle run reached."""
     if isinstance(v, PrecisionExhausted):
@@ -61,9 +54,10 @@ def _value_text(v):
     return format_value(v)
 
 
-def _emit_value(args, key, v):
+def _value(key, v):
+    """A one-value result; exit 1 when the value is only a lower bound."""
     text = _value_text(v)
-    _emit(args, {key: text}, text)
+    return {key: text}, text, 1 if isinstance(v, PrecisionExhausted) else 0
 
 
 def _cmd_validate(args):
@@ -80,12 +74,11 @@ def _cmd_validate(args):
         "step %d condition (%s): %s" % (v.step, v.condition, v.message)
         for v in report.violations
     )
-    _emit(args, doc, human)
-    return 0 if report.ok else 1
+    return doc, human, 0 if report.ok else 1
 
 
 def _cmd_expansion(args, expansion, rewrite):
-    """expand, initial, raise and lower: print an expansion of the polynomial.
+    """expand, initial, raise and lower: an expansion of the polynomial.
 
     ``expansion`` maps (f, level, basis) to an expansion; ``rewrite``, when
     not None, moves that expansion to the adjacent level and yields a trace.
@@ -99,14 +92,12 @@ def _cmd_expansion(args, expansion, rewrite):
     if rewrite is not None and args.trace:
         doc["trace"] = kio.trace_to_json(trace, basis.base)
         lines.append("trace weights: " + " ".join(format_value(w) for w in trace.weights))
-    _emit(args, doc, "\n".join(lines) or "0")
-    return 0
+    return doc, "\n".join(lines) or "0", 0
 
 
 def _cmd_weight(args):
     basis = kio.load_basis(args.basis)
-    _emit_value(args, "weight", weight(_read_poly(args, basis.base), args.level, basis))
-    return 0
+    return _value("weight", weight(_read_poly(args, basis.base), args.level, basis))
 
 
 def _cmd_groups(args):
@@ -129,21 +120,18 @@ def _cmd_groups(args):
         % (e.i, format_value(e.phi.generator), e.n, e.p, e.condition_holds)
         for e in data.entries
     )
-    _emit(args, doc, human)
-    return 0
+    return doc, human, 0
 
 
 def _cmd_gauss(args):
     base = kio.base_from_json(json.loads(args.base) if args.base else "function_field")
     g = GaussValuation(base, Fraction(args.beta))
-    _emit_value(args, "value", gauss_value(_read_poly(args, base), g))
-    return 0
+    return _value("value", gauss_value(_read_poly(args, base), g))
 
 
 def _cmd_izumi_exact(args):
     basis = kio.load_basis(args.basis)
-    _emit_value(args, "constant", izumi_step_constant(basis, args.upper, args.lower))
-    return 0
+    return _value("constant", izumi_step_constant(basis, args.upper, args.lower))
 
 
 def _cmd_izumi_bound(args):
@@ -151,8 +139,7 @@ def _cmd_izumi_bound(args):
     b = extension_bound(
         basis, Fraction(args.mu_prime_x), Fraction(args.c_base), args.normalized
     )
-    _emit_value(args, "bound", b)
-    return 0
+    return _value("bound", b)
 
 
 def _cmd_izumi_search(args):
@@ -175,15 +162,12 @@ def _cmd_izumi_search(args):
         report.samples,
         report.skipped,
     )
-    _emit(args, doc, human)
-    return 0
+    return doc, human, 0
 
 
 def _cmd_oracle(args):
     par = kio.load_parametrization(args.param)
-    v = oracle_valuation(_read_poly(args, par.base), par)
-    _emit_value(args, "value", v)
-    return 1 if isinstance(v, PrecisionExhausted) else 0
+    return _value("value", oracle_valuation(_read_poly(args, par.base), par))
 
 
 def _cmd_example_conic(args):
@@ -209,16 +193,16 @@ def _cmd_example_conic(args):
     human = "\n".join(
         "i=%(i)d  U=%(U)s  beta=%(beta)s  oracle=%(oracle)s" % r for r in rows
     )
-    _emit(args, doc, human)
-    return 0
+    return doc, human, 0
 
 
 def build_parser():
     top = argparse.ArgumentParser(prog="keyval", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         return p
 
@@ -227,77 +211,64 @@ def build_parser():
         p.add_argument("--poly", required=True, help="polynomial text, or - for stdin")
         p.add_argument("--level", type=int, required=True)
 
-    p = add("validate", help="check the weighted-basis conditions")
+    p = add("validate", _cmd_validate, "check the weighted-basis conditions")
     p.add_argument("--basis", required=True)
 
-    p = add("expand", help="adic expansion of a polynomial")
+    p = add("expand", lambda a: _cmd_expansion(a, adic_expand, None),
+            "adic expansion of a polynomial")
     with_basis_poly(p)
 
-    p = add("raise", help="rewrite an expansion one level up")
+    p = add("raise", lambda a: _cmd_expansion(a, adic_expand, raise_expansion),
+            "rewrite an expansion one level up")
     with_basis_poly(p)
     p.add_argument("--trace", action="store_true")
 
-    p = add("lower", help="rewrite an expansion one level down")
+    p = add("lower", lambda a: _cmd_expansion(a, adic_expand, lower_expansion),
+            "rewrite an expansion one level down")
     with_basis_poly(p)
     p.add_argument("--trace", action="store_true")
 
-    p = add("weight", help="weight map value")
+    p = add("weight", _cmd_weight, "weight map value")
     with_basis_poly(p)
 
-    p = add("initial", help="initial form at a level")
+    p = add("initial", lambda a: _cmd_expansion(a, initial_form, None),
+            "initial form at a level")
     with_basis_poly(p)
 
-    p = add("groups", help="value-group chain and indices")
+    p = add("groups", _cmd_groups, "value-group chain and indices")
     p.add_argument("--basis", required=True)
 
-    p = add("gauss", help="Gauss valuation of a polynomial")
+    p = add("gauss", _cmd_gauss, "Gauss valuation of a polynomial")
     p.add_argument("--beta", required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--base", help='base field JSON, e.g. \'"function_field"\'')
 
-    p = add("izumi-exact", help="exact step constant between two levels")
+    p = add("izumi-exact", _cmd_izumi_exact, "exact step constant between two levels")
     p.add_argument("--basis", required=True)
     p.add_argument("--upper", type=int, required=True)
     p.add_argument("--lower", type=int, required=True)
 
-    p = add("izumi-bound", help="upper bound for an extension pair")
+    p = add("izumi-bound", _cmd_izumi_bound, "upper bound for an extension pair")
     p.add_argument("--basis", required=True)
     p.add_argument("--mu-prime-x", required=True)
     p.add_argument("--c-base", default="1")
     p.add_argument("--normalized", action="store_true")
 
-    p = add("izumi-search", help="seeded empirical sup-search")
+    p = add("izumi-search", _cmd_izumi_search, "seeded empirical sup-search")
     p.add_argument("--basis", required=True)
     p.add_argument("--upper", type=int, required=True)
     p.add_argument("--lower", type=int, required=True)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=int, default=10000)
 
-    p = add("oracle", help="series-parametrization valuation")
+    p = add("oracle", _cmd_oracle, "series-parametrization valuation")
     p.add_argument("--param", required=True, help="parametrization JSON file")
     p.add_argument("--poly", required=True)
 
-    p = add("example-conic", help="truncation keys of the conic-like branch")
+    p = add("example-conic", _cmd_example_conic, "truncation keys of the conic-like branch")
     p.add_argument("--depth", type=int, default=12)
 
     return top
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "expand": lambda a: _cmd_expansion(a, adic_expand, None),
-    "raise": lambda a: _cmd_expansion(a, adic_expand, raise_expansion),
-    "lower": lambda a: _cmd_expansion(a, adic_expand, lower_expansion),
-    "weight": _cmd_weight,
-    "initial": lambda a: _cmd_expansion(a, initial_form, None),
-    "groups": _cmd_groups,
-    "gauss": _cmd_gauss,
-    "izumi-exact": _cmd_izumi_exact,
-    "izumi-bound": _cmd_izumi_bound,
-    "izumi-search": _cmd_izumi_search,
-    "oracle": _cmd_oracle,
-    "example-conic": _cmd_example_conic,
-}
 
 
 def main(argv=None) -> int:
@@ -307,16 +278,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _HANDLERS[args.command](args)
+        doc, text, code = args.run(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
         return 2
     except KeyvalError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
+        print("input error: %s" % exc, file=sys.stderr)
+        return 2
+    print(json.dumps(doc, sort_keys=True) if args.json else text)
+    return code
 
 
 if __name__ == "__main__":

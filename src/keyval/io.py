@@ -96,7 +96,7 @@ def load_basis(path) -> WeightedBasis:
 def parametrization_to_json(par: Parametrization) -> dict:
     return {
         "defining": poly_text(par.defining, par.base),
-        "branch": ypoly_text(par.branch, par.base.variable),
+        "branch": ypoly_text(par.branch),
         "policy": {
             "initial": par.policy.initial,
             "growth": par.policy.growth,

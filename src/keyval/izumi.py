@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import prod
 
 from .basefield import FUNCTION_FIELD, BaseFieldConfig, KElem, YPoly
@@ -129,7 +130,6 @@ class CorpusConfig:
     seed: int
     samples: int = 1000
     max_degree: int = 4
-    max_coeff_valuation: int = 3
     positive_only: bool = True
 
     def __post_init__(self):
@@ -150,7 +150,7 @@ def random_corpus_poly(cfg: BaseFieldConfig, corpus: CorpusConfig, index: int) -
         if cfg.kind != FUNCTION_FIELD:
             unit = rng.randrange(1, cfg.p) * rng.choice([1, -1])
         lo = 1 if (k == 0 and corpus.positive_only) else 0
-        v = rng.randint(lo, max(lo, corpus.max_coeff_valuation))
+        v = rng.randint(lo, 3)
         if cfg.kind == FUNCTION_FIELD:
             coeffs.append(KElem(YPoly.const(unit).shift(v)))
         else:
@@ -186,11 +186,8 @@ def empirical_izumi(
     best = None
     best_witness = None
     skipped = 0
-    candidates = list(witnesses)
-    candidates.extend(
-        random_corpus_poly(base, corpus, j) for j in range(corpus.samples)
-    )
-    for f in candidates:
+    samples = (random_corpus_poly(base, corpus, j) for j in range(corpus.samples))
+    for f in chain(witnesses, samples):
         if f.is_zero():
             skipped += 1
             continue
@@ -232,10 +229,10 @@ def weight_map(basis: WeightedBasis, i: int):
     return lambda f: weight(f, i, basis)
 
 
-def canonical_witnesses(basis: WeightedBasis, max_power: int = 2):
-    """The keys and their small powers, the tight cases of the step constants."""
+def canonical_witnesses(basis: WeightedBasis):
+    """The keys and their squares, the tight cases of the step constants."""
     out = []
     for step in basis.steps:
-        for e in range(1, max_power + 1):
+        for e in (1, 2):
             out.append(step.U**e)
     return out

@@ -120,10 +120,6 @@ def adic_expand(f: Poly, i: int, basis: WeightedBasis) -> AdicExpansion:
 def _expand(f: Poly, level: int, basis: WeightedBasis) -> dict:
     if f.is_zero():
         return {}
-    if level == 0:
-        # remainder chains end in a constant because deg U_1 = 1
-        assert f.degree <= 0
-        return {(): f.coeff(0)}
     if level == 1:
         # U_1 = x, so the 1-adic expansion is the monomial expansion
         return {(k,): c for k, c in enumerate(f.coeffs) if not c.is_zero()}
@@ -320,7 +316,6 @@ def index_data(basis: WeightedBasis) -> IndexData:
 class TruncationResult:
     basis: WeightedBasis
     exact_root: Poly | None
-    exact_root_flag: bool
 
 
 def truncated_keys_from_series(
@@ -333,7 +328,7 @@ def truncated_keys_from_series(
 
     Emits a key at every order where the truncation changes, with weight the
     order of the remaining tail; stops after ``depth`` keys, or earlier with
-    the exact-root flag when the tail vanishes to the stored precision.
+    the exact root when the tail vanishes to the stored precision.
     """
     if phi.coeffs and phi.coeffs[0] != 0:
         raise NonzeroConstantTermError("series root must have zero constant term")
@@ -346,16 +341,14 @@ def truncated_keys_from_series(
     tail = list(phi.coeffs)
     steps = []
     exact_root = None
-    flag = False
     while len(steps) < depth:
         o = next((k for k, c in enumerate(tail) if c != 0), None)
         if o is None:
             exact_root = x - trunc
-            flag = True
             break
         steps.append((x - trunc, Fraction(o)))
         trunc = trunc + Poly.const(KElem(YPoly.const(tail[o]).shift(o)))
         tail[o] = Fraction(0)
     if not steps:
         raise InsufficientPrecisionError("series vanishes to stored precision")
-    return TruncationResult(WeightedBasis(base, steps, ext), exact_root, flag)
+    return TruncationResult(WeightedBasis(base, steps, ext), exact_root)

@@ -45,10 +45,9 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, cfg: BaseFieldConfig, var="x"):
+    def __init__(self, text, cfg: BaseFieldConfig):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.var = var
         self.cfg = cfg
 
     def peek(self):
@@ -98,7 +97,7 @@ class _Parser:
                     value = value * rhs
                 else:
                     if rhs.degree > 0:
-                        raise ParseError("cannot divide by a polynomial in %s" % self.var, at)
+                        raise ParseError("cannot divide by a polynomial in x", at)
                     if rhs.is_zero():
                         raise ParseError("division by zero", at)
                     inv = KElem.one() / rhs.coeff(0)
@@ -122,9 +121,9 @@ class _Parser:
         if kind == "num":
             return Poly.const(KElem.const(Fraction(val)))
         if kind == "name":
-            if val == self.var:
+            if val == "x":
                 return Poly.x()
-            if self.cfg.kind == "function_field" and val == self.cfg.variable:
+            if self.cfg.kind == "function_field" and val == "y":
                 return Poly.const(KElem.gen())
             raise ParseError("unknown variable %r" % val, at)
         if kind == "op" and val == "(":
@@ -134,8 +133,8 @@ class _Parser:
         raise ParseError("expected a number, variable, or parenthesis", at)
 
 
-def parse_poly(text: str, cfg: BaseFieldConfig, var: str = "x") -> Poly:
-    return _Parser(text, cfg, var).parse()
+def parse_poly(text: str, cfg: BaseFieldConfig) -> Poly:
+    return _Parser(text, cfg).parse()
 
 
 def parse_kelem(text: str, cfg: BaseFieldConfig) -> KElem:
@@ -177,25 +176,24 @@ def ypoly_text(p: YPoly, var: str = "y") -> str:
 
 
 def kelem_text(a: KElem, cfg: BaseFieldConfig) -> str:
-    var = cfg.variable
     if a.den.degree <= 0:
-        return ypoly_text(a.num, var)
-    return "(%s)/(%s)" % (ypoly_text(a.num, var), ypoly_text(a.den, var))
+        return ypoly_text(a.num)
+    return "(%s)/(%s)" % (ypoly_text(a.num), ypoly_text(a.den))
 
 
-def poly_text(f: Poly, cfg: BaseFieldConfig, var: str = "x") -> str:
+def poly_text(f: Poly, cfg: BaseFieldConfig) -> str:
     def term(c: KElem, xpow: list) -> tuple:
         if c.is_constant():
             return _rational_term(c.as_fraction(), xpow)
         if c.den.degree <= 0 and sum(1 for v in c.num.coeffs if v != 0) == 1:
             # single-monomial coefficient r*y^d: carry the sign, skip parens
             d = c.num.order()
-            return _rational_term(c.num.coeffs[d], [_power_text(cfg.variable, d)] + xpow)
+            return _rational_term(c.num.coeffs[d], [_power_text("y", d)] + xpow)
         return False, "*".join(["(%s)" % kelem_text(c, cfg)] + xpow)
 
-    return _dense_text(f.coeffs, var, term)
+    return _dense_text(f.coeffs, "x", term)
 
 
-def series_text(s, var: str = "y") -> str:
-    body = ypoly_text(YPoly(s.coeffs), var)
-    return "%s + O(%s^%d)" % (body, var, s.precision)
+def series_text(s) -> str:
+    body = ypoly_text(YPoly(s.coeffs))
+    return "%s + O(y^%d)" % (body, s.precision)

@@ -134,6 +134,22 @@ def test_gauss_bad_base_is_input_error(capsys, base, message):
     assert err == "input error: %s\n" % message
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauss", "--beta", "1/0", "--poly", "x"],
+        ["izumi-bound", "--basis", "{b1}", "--mu-prime-x", "1/0"],
+        ["izumi-bound", "--basis", "{b1}", "--mu-prime-x", "1", "--c-base", "1/0"],
+    ],
+    ids=["beta", "mu-prime-x", "c-base"],
+)
+def test_zero_denominator_flag_is_input_error(capsys, b1_path, argv):
+    code, out, err = run(capsys, *[a.format(b1=b1_path) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err == "input error: Fraction(1, 0)\n"
+
+
 def test_izumi_exact_and_bound(capsys, b2_path, b1_path):
     code, out, _ = run(
         capsys, "izumi-exact", "--basis", b2_path, "--upper", "3", "--lower", "1", "--json"
@@ -245,6 +261,8 @@ def test_oracle_rejects_degenerate_policy(capsys, tmp_path, policy):
          "basis step key 'beta' has the wrong type"),
         ({"base": {"p_adic": 9}, "steps": [{"U": "x", "beta": "1"}]},
          "p must be prime, got 9"),
+        ({"base": "function_field", "steps": [{"U": "x", "beta": "1/0"}]},
+         "Fraction(1, 0)"),
     ],
 )
 def test_malformed_basis_file_is_input_error(capsys, tmp_path, doc, message):
@@ -331,3 +349,133 @@ def test_math_error_exit_code(capsys, b1_path):
         capsys, "izumi-exact", "--basis", b1_path, "--upper", "1", "--lower", "1"
     )
     assert code == 1
+
+
+_PINNED = [
+    pytest.param(
+        ["validate", "--basis", "{b1}"], 0, "valid\n", '{"ok": true, "violations": []}\n',
+        id="validate",
+    ),
+    pytest.param(
+        ["validate", "--basis", "{violating}"], 1,
+        "step 1 condition (c): weight of recurrence coefficient at U_1^0 is 1, expected 2\n",
+        '{"ok": false, "violations": [{"condition": "c", "message": "weight of recurrence '
+        'coefficient at U_1^0 is 1, expected 2", "step": 1}]}\n',
+        id="validate-violation",
+    ),
+    pytest.param(
+        ["expand", "--basis", "{b1}", "--poly", "x^3 + y*x", "--level", "2"], 0,
+        "1,0 -> 2*y\n1,1 -> 1\n", '{"level": 2, "terms": {"1,0": "2*y", "1,1": "1"}}\n',
+        id="expand",
+    ),
+    pytest.param(
+        ["raise", "--basis", "{b1}", "--poly", "x^4", "--level", "1", "--trace"], 0,
+        "0,0 -> y^2\n0,1 -> 2*y\n0,2 -> 1\ntrace weights: 2 2 2\n",
+        '{"level": 2, "terms": {"0,0": "y^2", "0,1": "2*y", "0,2": "1"}, "trace": '
+        '[{"terms": {"4,0": "1"}, "weight": "2"}, {"terms": {"0,0": "y^2", "0,1": "2*y", '
+        '"0,2": "1"}, "weight": "2"}, {"terms": {"0,0": "y^2", "0,1": "2*y", "0,2": "1"}, '
+        '"weight": "2"}]}\n',
+        id="raise",
+    ),
+    pytest.param(
+        ["lower", "--basis", "{b1}", "--poly", "x^3 + y*x", "--level", "2", "--trace"], 0,
+        "1 -> y\n3 -> 1\ntrace weights: 3/2 3/2\n",
+        '{"level": 1, "terms": {"1": "y", "3": "1"}, "trace": [{"terms": {"1,0": "y", '
+        '"3,0": "1"}, "weight": "3/2"}, {"terms": {"1,0": "y", "3,0": "1"}, '
+        '"weight": "3/2"}]}\n',
+        id="lower",
+    ),
+    pytest.param(
+        ["weight", "--basis", "{b1}", "--poly", "x^3 + y*x", "--level", "2"], 0,
+        "3/2\n", '{"weight": "3/2"}\n',
+        id="weight",
+    ),
+    pytest.param(
+        ["initial", "--basis", "{b1}", "--poly", "x^3 + y*x", "--level", "2"], 0,
+        "1,0 -> 2*y\n", '{"level": 2, "terms": {"1,0": "2*y"}}\n',
+        id="initial",
+    ),
+    pytest.param(
+        ["groups", "--basis", "{b2}"], 0,
+        "i=1  Phi generated by 1/2  n=2  p=1  m=n holds: True\n"
+        "i=2  Phi generated by 1/4  n=2  p=1  m=n holds: True\n"
+        "i=3  Phi generated by 1/4  n=1  p=None  m=n holds: None\n",
+        '{"steps": [{"condition_holds": true, "i": 1, "n": 2, "p": 1, "phi": "1/2"}, '
+        '{"condition_holds": true, "i": 2, "n": 2, "p": 1, "phi": "1/4"}, '
+        '{"condition_holds": null, "i": 3, "n": 1, "p": null, "phi": "1/4"}]}\n',
+        id="groups",
+    ),
+    pytest.param(
+        ["gauss", "--beta", "1/2", "--poly", "x^3 + y*x"], 0,
+        "3/2\n", '{"value": "3/2"}\n',
+        id="gauss",
+    ),
+    pytest.param(
+        ["izumi-exact", "--basis", "{b2}", "--upper", "3", "--lower", "1"], 0,
+        "11/8\n", '{"constant": "11/8"}\n',
+        id="izumi-exact",
+    ),
+    pytest.param(
+        ["izumi-bound", "--basis", "{b1}", "--mu-prime-x", "1"], 0,
+        "3/2\n", '{"bound": "3/2"}\n',
+        id="izumi-bound",
+    ),
+    pytest.param(
+        ["izumi-search", "--basis", "{b1}", "--upper", "2", "--lower", "1", "--samples", "20"],
+        0,
+        "sup 3/2 at x^2 - y (theoretical 3/2, 20 samples, 0 skipped)\n",
+        '{"samples": 20, "seed": 42, "skipped": 0, "sup_found": "3/2", '
+        '"theoretical": "3/2", "witness": "x^2 - y"}\n',
+        id="izumi-search",
+    ),
+    pytest.param(
+        ["oracle", "--param", "{par}", "--poly", "x + y"], 0,
+        "2\n", '{"value": "2"}\n',
+        id="oracle",
+    ),
+    pytest.param(
+        ["oracle", "--param", "{par}", "--poly", "x^2 - y^2 - y^3"], 1,
+        ">= 64\n", '{"value": ">= 64"}\n',
+        id="oracle-exhausted",
+    ),
+    pytest.param(
+        ["example-conic", "--depth", "3"], 0,
+        "i=1  U=x  beta=1  oracle=1\ni=2  U=x + y  beta=2  oracle=2\n"
+        "i=3  U=x + (1/2*y^2 + y)  beta=3  oracle=3\n",
+        '{"steps": [{"U": "x", "beta": "1", "i": 1, "oracle": "1"}, '
+        '{"U": "x + y", "beta": "2", "i": 2, "oracle": "2"}, '
+        '{"U": "x + (1/2*y^2 + y)", "beta": "3", "i": 3, "oracle": "3"}]}\n',
+        id="example-conic",
+    ),
+    # Error exits print nothing to stdout, in either mode.
+    pytest.param(["no-such-command"], 2, "", "", id="usage-error"),
+    pytest.param(["weight", "--basis", "{b1}", "--poly", "x +", "--level", "1"], 2, "", "",
+                 id="parse-error"),
+    pytest.param(["validate", "--basis", "{b1}.missing"], 2, "", "", id="input-error"),
+    pytest.param(["izumi-exact", "--basis", "{b1}", "--upper", "1", "--lower", "1"], 1, "", "",
+                 id="math-error"),
+]
+
+
+@pytest.fixture()
+def cli_paths(tmp_path, b1_path, b2_path):
+    violating = tmp_path / "violating.json"
+    violating.write_text(json.dumps({
+        "base": "function_field",
+        "steps": [{"U": "x", "beta": "1"}, {"U": "x^2 - y", "beta": "3"}],
+    }))
+    par = tmp_path / "par.json"
+    par.write_text(json.dumps({
+        "defining": "x^2 - y^2 - y^3",
+        "branch": "-y",
+        "policy": {"initial": 8, "growth": 2, "max": 64},
+    }))
+    return {"b1": b1_path, "b2": b2_path, "violating": str(violating), "par": str(par)}
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv, code, text, doc", _PINNED)
+def test_cli_output_pinned(capsys, cli_paths, argv, code, text, doc, json_mode):
+    argv = [a.format(**cli_paths) for a in argv] + (["--json"] if json_mode else [])
+    assert run(capsys, *argv)[:2] == (code, doc if json_mode else text)
+

@@ -195,6 +195,24 @@ def test_empirical_unbounded_detection(b1):
         )
 
 
+def test_empirical_izumi_evaluates_each_sample_before_the_next(monkeypatch):
+    import keyval.izumi
+
+    log = []
+
+    def logged_sample(base, corpus, j):
+        log.append("generate %d" % j)
+        return Poly.x()
+
+    def logged_value(f):
+        log.append("evaluate")
+        return F(1)
+
+    monkeypatch.setattr(keyval.izumi, "random_corpus_poly", logged_sample)
+    empirical_izumi(logged_value, lambda f: F(1), FF, CorpusConfig(seed=0, samples=3))
+    assert log == ["generate 0", "evaluate", "generate 1", "evaluate", "generate 2", "evaluate"]
+
+
 def test_canonical_witnesses(b2):
     ws = canonical_witnesses(b2)
     assert b2.key(3) in ws

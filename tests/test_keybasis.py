@@ -223,7 +223,7 @@ def test_truncation_exact_root():
     keys = [s.U for s in result.basis.steps]
     assert keys == [p("x"), p("x - y")]
     assert betas == [F(1), F(2)]
-    assert result.exact_root_flag
+    assert result.exact_root is not None
     assert result.exact_root == p("x - y - y^2")
 
 
