@@ -22,7 +22,6 @@ from .izumi import (
 )
 from .keybasis import (
     AdicExpansion,
-    IndexData,
     KeyStep,
     TruncationResult,
     ValidationReport,
@@ -47,15 +46,7 @@ from .parsing import parse_kelem, parse_poly, poly_text
 from .polynomials import ExtensionConfig, Poly, poly_divmod, poly_reduce
 from .rewrite import RewriteTrace, lower_expansion, raise_expansion
 from .series import Series, series_sqrt
-from .values import (
-    INF,
-    SubgroupGen,
-    Value,
-    format_value,
-    parse_value,
-    subgroup_generator,
-    subgroup_index,
-)
+from .values import INF, Value, format_value, parse_value
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

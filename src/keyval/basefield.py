@@ -43,6 +43,8 @@ class BaseFieldConfig:
         if kind == P_ADIC:
             if p is None or not _is_prime(p):
                 raise KeyvalError("p must be prime, got %r" % (p,))
+        elif p is not None:
+            raise KeyvalError("the function field takes no p, got %r" % (p,))
         self.kind = kind
         self.p = p
 

@@ -47,6 +47,14 @@ def _read_poly(args, base):
     return parse_poly(text, base)
 
 
+def _rational(text):
+    """argparse type: an exact rational such as 3, 3/2 or 1.5."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("not a rational with nonzero denominator: %r" % text)
+
+
 def _value_text(v):
     """A value, or the lower bound an exhausted oracle run reached."""
     if isinstance(v, PrecisionExhausted):
@@ -87,10 +95,10 @@ def _cmd_expansion(args, expansion, rewrite):
     E = expansion(_read_poly(args, basis.base), args.level, basis)
     if rewrite is not None:
         E, trace = rewrite(E, basis)
-    doc = kio.expansion_to_json(E, basis.base)
+    doc = kio.expansion_to_json(E)
     lines = ["%s -> %s" % (k, v) for k, v in sorted(doc["terms"].items())]
     if rewrite is not None and args.trace:
-        doc["trace"] = kio.trace_to_json(trace, basis.base)
+        doc["trace"] = kio.trace_to_json(trace)
         lines.append("trace weights: " + " ".join(format_value(w) for w in trace.weights))
     return doc, "\n".join(lines) or "0", 0
 
@@ -102,30 +110,30 @@ def _cmd_weight(args):
 
 def _cmd_groups(args):
     basis = kio.load_basis(args.basis)
-    data = index_data(basis)
+    entries = index_data(basis)
     doc = {
         "steps": [
             {
                 "i": e.i,
-                "phi": format_value(e.phi.generator),
+                "phi": format_value(e.phi),
                 "n": e.n,
                 "p": e.p,
                 "condition_holds": e.condition_holds,
             }
-            for e in data.entries
+            for e in entries
         ]
     }
     human = "\n".join(
         "i=%d  Phi generated by %s  n=%d  p=%s  m=n holds: %s"
-        % (e.i, format_value(e.phi.generator), e.n, e.p, e.condition_holds)
-        for e in data.entries
+        % (e.i, format_value(e.phi), e.n, e.p, e.condition_holds)
+        for e in entries
     )
     return doc, human, 0
 
 
 def _cmd_gauss(args):
     base = kio.base_from_json(json.loads(args.base) if args.base else "function_field")
-    g = GaussValuation(base, Fraction(args.beta))
+    g = GaussValuation(base, args.beta)
     return _value("value", gauss_value(_read_poly(args, base), g))
 
 
@@ -136,10 +144,7 @@ def _cmd_izumi_exact(args):
 
 def _cmd_izumi_bound(args):
     basis = kio.load_basis(args.basis)
-    b = extension_bound(
-        basis, Fraction(args.mu_prime_x), Fraction(args.c_base), args.normalized
-    )
-    return _value("bound", b)
+    return _value("bound", extension_bound(basis, args.mu_prime_x, args.c_base, args.normalized))
 
 
 def _cmd_izumi_search(args):
@@ -154,7 +159,7 @@ def _cmd_izumi_search(args):
         theoretical=theoretical,
         witnesses=canonical_witnesses(basis),
     )
-    doc = kio.report_to_json(report, basis.base)
+    doc = kio.report_to_json(report)
     human = "sup %s at %s (theoretical %s, %d samples, %d skipped)" % (
         doc["sup_found"],
         doc["witness"],
@@ -184,7 +189,7 @@ def _cmd_example_conic(args):
         rows.append(
             {
                 "i": i,
-                "U": poly_text(step.U, base),
+                "U": poly_text(step.U),
                 "beta": format_value(step.beta),
                 "oracle": _value_text(oracle_valuation(step.U, par)),
             }
@@ -239,7 +244,7 @@ def build_parser():
     p.add_argument("--basis", required=True)
 
     p = add("gauss", _cmd_gauss, "Gauss valuation of a polynomial")
-    p.add_argument("--beta", required=True)
+    p.add_argument("--beta", type=_rational, required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--base", help='base field JSON, e.g. \'"function_field"\'')
 
@@ -250,8 +255,8 @@ def build_parser():
 
     p = add("izumi-bound", _cmd_izumi_bound, "upper bound for an extension pair")
     p.add_argument("--basis", required=True)
-    p.add_argument("--mu-prime-x", required=True)
-    p.add_argument("--c-base", default="1")
+    p.add_argument("--mu-prime-x", type=_rational, required=True)
+    p.add_argument("--c-base", type=_rational, default="1")
     p.add_argument("--normalized", action="store_true")
 
     p = add("izumi-search", _cmd_izumi_search, "seeded empirical sup-search")

@@ -5,18 +5,6 @@ class KeyvalError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EmptyInputError(KeyvalError):
-    pass
-
-
-class ZeroEntryError(KeyvalError):
-    pass
-
-
-class NotASubgroupError(KeyvalError):
-    pass
-
-
 class DivisorZeroError(KeyvalError, ZeroDivisionError):
     pass
 

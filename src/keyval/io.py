@@ -43,12 +43,12 @@ def basis_to_json(basis: WeightedBasis) -> dict:
     doc = {
         "base": base_to_json(basis.base),
         "steps": [
-            {"U": poly_text(s.U, basis.base), "beta": format_value(s.beta)}
+            {"U": poly_text(s.U), "beta": format_value(s.beta)}
             for s in basis.steps
         ],
     }
     if basis.ext.is_algebraic:
-        doc["ext"] = poly_text(basis.ext.minimal, basis.base)
+        doc["ext"] = poly_text(basis.ext.minimal)
     return doc
 
 
@@ -78,24 +78,29 @@ def basis_from_json(doc: dict) -> WeightedBasis:
         raise ValueError("basis key 'ext' has the wrong type")
     ext = ExtensionConfig.algebraic(parse_poly(ext_text, base)) if ext_text else None
     steps = []
-    for s in steps_doc:
-        U, beta = _fields(s, "basis step", U=str, beta=(str, int, float))
+    for i, s in enumerate(steps_doc, start=1):
+        U, beta = _fields(s, "basis step", U=str, beta=(str, int, float, Fraction))
         if isinstance(beta, bool):
             raise ValueError("basis step key 'beta' has the wrong type")
         if isinstance(beta, float) and not math.isfinite(beta):
             raise ValueError("basis step key 'beta' is not finite")
-        steps.append((parse_poly(U, base), Fraction(beta)))
+        try:
+            beta = Fraction(beta)
+        except ZeroDivisionError:
+            raise ValueError("basis step %d key 'beta' has a zero denominator" % i) from None
+        steps.append((parse_poly(U, base), beta))
     return WeightedBasis(base, steps, ext)
 
 
 def load_basis(path) -> WeightedBasis:
+    """Read a basis file; decimal numbers such as 0.1 are read exactly."""
     with open(path) as fh:
-        return basis_from_json(json.load(fh))
+        return basis_from_json(json.load(fh, parse_float=Fraction))
 
 
 def parametrization_to_json(par: Parametrization) -> dict:
     return {
-        "defining": poly_text(par.defining, par.base),
+        "defining": poly_text(par.defining),
         "branch": ypoly_text(par.branch),
         "policy": {
             "initial": par.policy.initial,
@@ -135,16 +140,16 @@ def load_parametrization(path) -> Parametrization:
         return parametrization_from_json(json.load(fh))
 
 
-def _terms_to_json(terms: dict, base: BaseFieldConfig) -> dict:
+def _terms_to_json(terms: dict) -> dict:
     """Comma-joined exponent vectors -> coefficient text, in sorted order."""
     return {
-        ",".join(str(e) for e in a): kelem_text(c, base)
+        ",".join(str(e) for e in a): kelem_text(c)
         for a, c in sorted(terms.items())
     }
 
 
-def expansion_to_json(E: AdicExpansion, base: BaseFieldConfig) -> dict:
-    return {"level": E.level, "terms": _terms_to_json(E.terms, base)}
+def expansion_to_json(E: AdicExpansion) -> dict:
+    return {"level": E.level, "terms": _terms_to_json(E.terms)}
 
 
 def expansion_from_json(doc: dict, base: BaseFieldConfig) -> AdicExpansion:
@@ -155,17 +160,17 @@ def expansion_from_json(doc: dict, base: BaseFieldConfig) -> AdicExpansion:
     return AdicExpansion(int(doc["level"]), terms)
 
 
-def trace_to_json(trace: RewriteTrace, base: BaseFieldConfig) -> list:
+def trace_to_json(trace: RewriteTrace) -> list:
     return [
-        {"terms": _terms_to_json(E.terms, base), "weight": format_value(w)}
+        {"terms": _terms_to_json(E.terms), "weight": format_value(w)}
         for E, w in trace.entries
     ]
 
 
-def report_to_json(report: IzumiReport, base: BaseFieldConfig) -> dict:
+def report_to_json(report: IzumiReport) -> dict:
     doc = {
         "sup_found": format_value(report.sup_found),
-        "witness": poly_text(report.witness, base),
+        "witness": poly_text(report.witness),
         "samples": report.samples,
         "skipped": report.skipped,
         "seed": report.seed,

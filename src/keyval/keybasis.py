@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .basefield import BaseFieldConfig, KElem, YPoly, base_valuation
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .polynomials import ExtensionConfig, Poly, poly_divmod, poly_reduce
 from .series import Series
-from .values import INF, SubgroupGen, Value, subgroup_generator, subgroup_index
+from .values import INF, Value
 
 
 @dataclass
@@ -45,6 +46,10 @@ class KeyStep:
     #: degree step deg U_{i+1} / deg U_i; None for the last step or when the
     #: degrees do not divide (reported by validate_basis).
     m: int | None = None
+    #: positive generator of the value group Phi_i = <1, beta_1, ..., beta_i>.
+    phi: Fraction | None = None
+    #: index n_i = [Phi_i : Phi_{i-1}].
+    n: int | None = None
     #: cached i-adic expansion of U_{i+1}, used by the rewriting algorithms.
     next_expansion: AdicExpansion | None = None
 
@@ -74,6 +79,15 @@ class WeightedBasis:
         self.base = base
         self.ext = ext
         self.steps = [KeyStep(U, beta) for U, beta in pairs]
+        phi = Fraction(1)  # nu(K) = Z for both base fields
+        for step in self.steps:
+            b = step.beta
+            step.phi = Fraction(
+                gcd(phi.numerator * b.denominator, b.numerator * phi.denominator),
+                phi.denominator * b.denominator,
+            )
+            step.n = (phi / step.phi).numerator
+            phi = step.phi
         for i in range(len(self.steps) - 1):
             d0 = self.steps[i].U.degree
             d1 = self.steps[i + 1].U.degree
@@ -218,7 +232,6 @@ def _recurrence_coefficients(basis: WeightedBasis, i: int):
 def validate_basis(basis: WeightedBasis) -> ValidationReport:
     """Check the weighted-basis conditions; collects all violations."""
     report = ValidationReport()
-    idx = _phi_chain(basis)
     for i in range(1, basis.alpha):
         step = basis.steps[i - 1]
         nxt = basis.steps[i]
@@ -239,14 +252,13 @@ def validate_basis(basis: WeightedBasis) -> ValidationReport:
         if nxt.beta <= target:
             report.add(i, "e", "beta_%d = %s is not > m_%d*beta_%d = %s"
                        % (i + 1, nxt.beta, i, i, target))
-        n_i = idx[i][1]
         for j in groups:
-            if j % n_i != 0:
+            if j % step.n != 0:
                 report.add(
                     i,
                     "shape",
                     "nonzero recurrence coefficient at exponent %d not divisible by n_%d = %d"
-                    % (j, i, n_i),
+                    % (j, i, step.n),
                 )
     if basis.ext.is_algebraic:
         for i, step in enumerate(basis.steps, start=1):
@@ -255,61 +267,32 @@ def validate_basis(basis: WeightedBasis) -> ValidationReport:
     return report
 
 
-def _phi_chain(basis: WeightedBasis):
-    """[(Phi_i generator, n_i)] for i = 0..alpha, with n_0 = 1."""
-    phi = SubgroupGen(Fraction(1))  # nu(K) = Z for both base fields
-    out = [(phi, 1)]
-    for step in basis.steps:
-        nxt = subgroup_generator([phi.generator, step.beta])
-        out.append((nxt, subgroup_index(phi, nxt)))
-        phi = nxt
-    return out
-
-
 @dataclass
 class StepIndexData:
     i: int
-    phi: SubgroupGen
+    phi: Fraction
     n: int
     p: int | None
     condition_holds: bool | None
 
 
-@dataclass
-class IndexData:
-    """Value-group chain data: Phi_i generators, indices n_i, cofactors p_i."""
-
-    entries: list
-
-    def all_conditions_hold(self, below: int | None = None) -> bool:
-        for e in self.entries:
-            if below is not None and e.i >= below:
-                continue
-            if e.condition_holds is False:
-                return False
-        return True
-
-
-def index_data(basis: WeightedBasis) -> IndexData:
-    """Compute the chain of value groups and the m_i = n_i * p_i split.
+def index_data(basis: WeightedBasis) -> list:
+    """The value-group chain Phi_i, n_i and the m_i = n_i * p_i split, per step.
 
     Raises IndexPowerViolationError when some n_i does not divide m_i: such
     a basis cannot support a valuation.
     """
-    chain = _phi_chain(basis)
     entries = []
-    for i in range(1, basis.alpha + 1):
-        phi, n = chain[i]
-        m = basis.m(i)
-        if m is None:
-            entries.append(StepIndexData(i, phi, n, None, None))
+    for i, step in enumerate(basis.steps, start=1):
+        if step.m is None:
+            entries.append(StepIndexData(i, step.phi, step.n, None, None))
             continue
-        if m % n != 0:
+        if step.m % step.n != 0:
             raise IndexPowerViolationError(
-                "m_%d = %d is not divisible by n_%d = %d" % (i, m, i, n)
+                "m_%d = %d is not divisible by n_%d = %d" % (i, step.m, i, step.n)
             )
-        entries.append(StepIndexData(i, phi, n, m // n, m == n))
-    return IndexData(entries)
+        entries.append(StepIndexData(i, step.phi, step.n, step.m // step.n, step.m == step.n))
+    return entries
 
 
 @dataclass

@@ -175,13 +175,13 @@ def ypoly_text(p: YPoly, var: str = "y") -> str:
     return _dense_text(p.coeffs, var, _rational_term)
 
 
-def kelem_text(a: KElem, cfg: BaseFieldConfig) -> str:
+def kelem_text(a: KElem) -> str:
     if a.den.degree <= 0:
         return ypoly_text(a.num)
     return "(%s)/(%s)" % (ypoly_text(a.num), ypoly_text(a.den))
 
 
-def poly_text(f: Poly, cfg: BaseFieldConfig) -> str:
+def poly_text(f: Poly) -> str:
     def term(c: KElem, xpow: list) -> tuple:
         if c.is_constant():
             return _rational_term(c.as_fraction(), xpow)
@@ -189,7 +189,7 @@ def poly_text(f: Poly, cfg: BaseFieldConfig) -> str:
             # single-monomial coefficient r*y^d: carry the sign, skip parens
             d = c.num.order()
             return _rational_term(c.num.coeffs[d], [_power_text("y", d)] + xpow)
-        return False, "*".join(["(%s)" % kelem_text(c, cfg)] + xpow)
+        return False, "*".join(["(%s)" % kelem_text(c)] + xpow)
 
     return _dense_text(f.coeffs, "x", term)
 

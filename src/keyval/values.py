@@ -1,19 +1,13 @@
-"""Exact rational values extended with +infinity, and value-group helpers.
+"""Exact rational values extended with +infinity.
 
 All values handled by the package live in the rationals, extended by a single
 point at infinity that absorbs addition and dominates every finite value.
-Finitely generated subgroups of (Q, +) are cyclic, so each one is represented
-by its unique positive generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Union
-
-from .errors import EmptyInputError, NotASubgroupError, ZeroEntryError
 
 
 class _Infinity:
@@ -71,38 +65,3 @@ def parse_value(text: str) -> Value:
         return INF
     return Fraction(text)
 
-
-@dataclass(frozen=True)
-class SubgroupGen:
-    """A finitely generated subgroup of (Q, +), by its positive generator."""
-
-    generator: Fraction
-
-    def contains(self, r: Fraction) -> bool:
-        return (r / self.generator).denominator == 1
-
-
-def subgroup_generator(values) -> SubgroupGen:
-    """Positive generator of the subgroup of Q generated by ``values``.
-
-    Put all inputs over their least common denominator D and take the gcd G
-    of the numerators; the generator is G/D.
-    """
-    values = [Fraction(v) for v in values]
-    if not values:
-        raise EmptyInputError("need at least one generator")
-    if any(v == 0 for v in values):
-        raise ZeroEntryError("generators must be nonzero")
-    d = lcm(*(v.denominator for v in values))
-    g = gcd(*(abs(v.numerator * (d // v.denominator)) for v in values))
-    return SubgroupGen(Fraction(g, d))
-
-
-def subgroup_index(sub: SubgroupGen, sup: SubgroupGen) -> int:
-    """Index [sup : sub] of ``sub`` inside the larger group ``sup``."""
-    ratio = sub.generator / sup.generator
-    if ratio.denominator != 1 or ratio <= 0:
-        raise NotASubgroupError(
-            "%s does not generate a subgroup of %s" % (sub.generator, sup.generator)
-        )
-    return ratio.numerator

@@ -19,6 +19,11 @@ def test_config_rejects_bad_kind():
         BaseFieldConfig("padic")
 
 
+def test_config_rejects_p_for_function_field():
+    with pytest.raises(KeyvalError):
+        BaseFieldConfig("function_field", p=5)
+
+
 def test_config_rejects_composite_p():
     with pytest.raises(KeyvalError):
         BaseFieldConfig.p_adic(9)

@@ -147,7 +147,22 @@ def test_zero_denominator_flag_is_input_error(capsys, b1_path, argv):
     code, out, err = run(capsys, *[a.format(b1=b1_path) for a in argv])
     assert code == 2
     assert out == ""
-    assert err == "input error: Fraction(1, 0)\n"
+    # argparse prints the usage, then one line naming the flag
+    assert err.startswith("usage: keyval %s " % argv[0])
+    assert err.endswith(
+        "\nkeyval %s: error: argument %s: not a rational with nonzero denominator: '1/0'\n"
+        % (argv[0], argv[argv.index("1/0") - 1])
+    )
+
+
+def test_decimal_beta_is_read_exactly(capsys, tmp_path, b1_path):
+    decimal = tmp_path / "decimal.json"
+    decimal.write_text(
+        '{"base": "function_field", "steps": [{"U": "x", "beta": 0.5}, '
+        '{"U": "x^2 - y", "beta": 1.5}]}'
+    )
+    argv = ["izumi-exact", "--upper", "2", "--lower", "1", "--basis"]
+    assert run(capsys, *argv, str(decimal)) == run(capsys, *argv, b1_path) == (0, "3/2\n", "")
 
 
 def test_izumi_exact_and_bound(capsys, b2_path, b1_path):
@@ -253,7 +268,7 @@ def test_oracle_rejects_degenerate_policy(capsys, tmp_path, policy):
         ({"base": {"p_adic": [3]}, "steps": [{"U": "x", "beta": "1"}]},
          "bad base field descriptor: {'p_adic': [3]}"),
         ({"base": {"p_adic": 3.7}, "steps": [{"U": "x", "beta": "1"}]},
-         "bad base field descriptor: {'p_adic': 3.7}"),
+         "bad base field descriptor: {'p_adic': Fraction(37, 10)}"),
         ({"base": 5, "steps": [{"U": "x", "beta": "1"}]}, "bad base field descriptor: 5"),
         ({"base": "bogus", "steps": [{"U": "x", "beta": "1"}]},
          "bad base field descriptor: 'bogus'"),
@@ -261,8 +276,9 @@ def test_oracle_rejects_degenerate_policy(capsys, tmp_path, policy):
          "basis step key 'beta' has the wrong type"),
         ({"base": {"p_adic": 9}, "steps": [{"U": "x", "beta": "1"}]},
          "p must be prime, got 9"),
-        ({"base": "function_field", "steps": [{"U": "x", "beta": "1/0"}]},
-         "Fraction(1, 0)"),
+        ({"base": "function_field",
+          "steps": [{"U": "x", "beta": "1/2"}, {"U": "x^2", "beta": "1/0"}]},
+         "basis step 2 key 'beta' has a zero denominator"),
     ],
 )
 def test_malformed_basis_file_is_input_error(capsys, tmp_path, doc, message):
@@ -479,3 +495,26 @@ def test_cli_output_pinned(capsys, cli_paths, argv, code, text, doc, json_mode):
     argv = [a.format(**cli_paths) for a in argv] + (["--json"] if json_mode else [])
     assert run(capsys, *argv)[:2] == (code, doc if json_mode else text)
 
+
+
+@pytest.mark.parametrize(
+    "command, text, doc",
+    [
+        ("groups",
+         "i=1  Phi generated by 1/3  n=3  p=1  m=n holds: True\n"
+         "i=2  Phi generated by 1/6  n=2  p=None  m=n holds: None\n",
+         '{"steps": [{"condition_holds": true, "i": 1, "n": 3, "p": 1, "phi": "1/3"}, '
+         '{"condition_holds": null, "i": 2, "n": 2, "p": null, "phi": "1/6"}]}\n'),
+        ("validate", "valid\n", '{"ok": true, "violations": []}\n'),
+    ],
+)
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_value_group_chain_pinned(capsys, tmp_path, command, text, doc, json_mode):
+    # coprime denominators: Phi_1 = <2/3> = <1/3>, Phi_2 = <1/3, 5/2> = <1/6>
+    path = tmp_path / "coprime.json"
+    path.write_text(json.dumps({
+        "base": "function_field",
+        "steps": [{"U": "x", "beta": "2/3"}, {"U": "x^3 - y^2", "beta": "5/2"}],
+    }))
+    argv = [command, "--basis", str(path)] + (["--json"] if json_mode else [])
+    assert run(capsys, *argv)[:2] == (0, doc if json_mode else text)

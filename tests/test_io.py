@@ -44,11 +44,17 @@ def test_basis_file_round_trip(tmp_path, b2):
     assert [s.U for s in again.steps] == [s.U for s in b2.steps]
 
 
+def test_decimal_beta_is_read_exactly(tmp_path):
+    path = tmp_path / "basis.json"
+    path.write_text('{"base": "function_field", "steps": [{"U": "x", "beta": 0.1}]}')
+    assert kio.load_basis(path).beta(1) == F(1, 10)
+
+
 def test_expansion_round_trip(b2):
     f = parse_poly("x^5 - y*x^2 + y^3", FF)
     for i in (1, 2, 3):
         E = adic_expand(f, i, b2)
-        doc = kio.expansion_to_json(E, FF)
+        doc = kio.expansion_to_json(E)
         assert kio.expansion_from_json(json.loads(json.dumps(doc)), FF) == E
 
 
@@ -66,7 +72,7 @@ def test_parametrization_round_trip(tmp_path):
 def test_trace_serialization(b1):
     E = adic_expand(parse_poly("x^4", FF), 1, b1)
     _, trace = raise_expansion(E, b1)
-    doc = kio.trace_to_json(trace, FF)
+    doc = kio.trace_to_json(trace)
     assert [entry["weight"] for entry in doc] == ["2", "2", "2"]
 
 
@@ -79,7 +85,7 @@ def test_report_serialization_deterministic(b1):
             CorpusConfig(seed=42, samples=100),
             witnesses=canonical_witnesses(b1),
         )
-        return json.dumps(kio.report_to_json(report, FF), sort_keys=True)
+        return json.dumps(kio.report_to_json(report), sort_keys=True)
 
     assert run() == run()
 

@@ -174,25 +174,31 @@ def test_expansion_weight_formal(b1):
 
 def test_index_data_b1(b1):
     data = index_data(b1)
-    assert [(e.n, e.p) for e in data.entries[:1]] == [(2, 1)]
-    assert data.entries[0].condition_holds
-    assert data.entries[0].phi.generator == F(1, 2)
+    assert [(e.n, e.p) for e in data[:1]] == [(2, 1)]
+    assert data[0].condition_holds
+    assert data[0].phi == F(1, 2)
 
 
 def test_index_data_b2(b2):
     data = index_data(b2)
-    assert [e.n for e in data.entries[:2]] == [2, 2]
-    assert [e.p for e in data.entries[:2]] == [1, 1]
-    assert data.all_conditions_hold(below=3)
-    gens = [e.phi.generator for e in data.entries]
+    assert [e.n for e in data[:2]] == [2, 2]
+    assert [e.p for e in data[:2]] == [1, 1]
+    assert all(e.condition_holds is not False for e in data[:2])
+    gens = [e.phi for e in data]
     assert gens[0] == F(1, 2) and gens[1] == F(1, 4)
 
 
 def test_index_data_b3(b3):
     data = index_data(b3)
-    assert data.entries[0].n == 1
-    assert data.entries[0].p == 2
-    assert data.entries[0].condition_holds is False
+    assert data[0].n == 1
+    assert data[0].p == 2
+    assert data[0].condition_holds is False
+
+
+def test_value_group_chain_is_built_with_the_basis(b2):
+    assert [(s.phi, s.n) for s in b2.steps] == [(F(1, 2), 2), (F(1, 4), 2), (F(1, 4), 1)]
+    coprime = WeightedBasis(FF, [(p("x"), F(2, 3)), (p("x^3 - y^2"), F(5, 2))])
+    assert [(s.phi, s.n) for s in coprime.steps] == [(F(1, 3), 3), (F(1, 6), 2)]
 
 
 def test_index_power_violation():

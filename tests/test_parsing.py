@@ -72,10 +72,10 @@ def test_padic_parse_rejects_y():
 
 
 def test_print_examples():
-    assert poly_text(parse_poly("x^2 - y", FF), FF) == "x^2 - y"
-    assert poly_text(Poly.zero(), FF) == "0"
+    assert poly_text(parse_poly("x^2 - y", FF)) == "x^2 - y"
+    assert poly_text(Poly.zero()) == "0"
     assert ypoly_text(YPoly((-1, 0, F(1, 2)))) == "1/2*y^2 - 1"
-    assert kelem_text(KElem(YPoly((1,)), YPoly((0, 1))), FF) == "(1)/(y)"
+    assert kelem_text(KElem(YPoly((1,)), YPoly((0, 1)))) == "(1)/(y)"
 
 
 
@@ -138,7 +138,7 @@ def test_ypoly_text_branches(coeffs, var, text):
     ],
 )
 def test_poly_text_branches(source, base, text):
-    assert poly_text(parse_poly(source, base), base) == text
+    assert poly_text(parse_poly(source, base)) == text
 
 def test_series_text():
     assert series_text(Series((0, -1, F(-1, 2)), 3)) == "-1/2*y^2 - y + O(y^3)"
@@ -148,9 +148,9 @@ def test_round_trip_random_polys():
     corpus = CorpusConfig(seed=31, samples=150, max_degree=6, positive_only=False)
     for j in range(corpus.samples):
         f = random_corpus_poly(FF, corpus, j)
-        assert parse_poly(poly_text(f, FF), FF) == f
+        assert parse_poly(poly_text(f), FF) == f
 
 
 def test_round_trip_fixture_keys(b2):
     for step in b2.steps:
-        assert parse_poly(poly_text(step.U, FF), FF) == step.U
+        assert parse_poly(poly_text(step.U), FF) == step.U

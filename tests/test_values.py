@@ -1,17 +1,6 @@
 from fractions import Fraction
 
-import pytest
-
-from keyval.errors import EmptyInputError, NotASubgroupError, ZeroEntryError
-from keyval.values import (
-    INF,
-    SubgroupGen,
-    format_value,
-    is_finite,
-    parse_value,
-    subgroup_generator,
-    subgroup_index,
-)
+from keyval.values import INF, format_value, is_finite, parse_value
 
 F = Fraction
 
@@ -42,43 +31,3 @@ def test_format_parse_round_trip():
     assert format_value(F(3, 2)) == "3/2"
     assert format_value(INF) == "inf"
 
-
-def test_subgroup_generator_multiples():
-    assert subgroup_generator([F(1), F(1, 2), F(3, 2)]).generator == F(1, 2)
-
-
-def test_subgroup_generator_identity():
-    assert subgroup_generator([F(1)]).generator == F(1)
-
-
-def test_subgroup_generator_coprime_denominators():
-    # over denominator 6 the numerators are 4 and 3, with gcd 1
-    assert subgroup_generator([F(2, 3), F(1, 2)]).generator == F(1, 6)
-
-
-def test_subgroup_generator_negative_input():
-    assert subgroup_generator([F(-1, 2)]).generator == F(1, 2)
-
-
-def test_subgroup_generator_errors():
-    with pytest.raises(EmptyInputError):
-        subgroup_generator([])
-    with pytest.raises(ZeroEntryError):
-        subgroup_generator([F(1), F(0)])
-
-
-def test_subgroup_index():
-    assert subgroup_index(SubgroupGen(F(1)), SubgroupGen(F(1, 2))) == 2
-    assert subgroup_index(SubgroupGen(F(1, 2)), SubgroupGen(F(1, 4))) == 2
-    assert subgroup_index(SubgroupGen(F(3, 4)), SubgroupGen(F(3, 4))) == 1
-
-
-def test_subgroup_index_rejects_non_subgroup():
-    with pytest.raises(NotASubgroupError):
-        subgroup_index(SubgroupGen(F(1, 2)), SubgroupGen(F(1, 3)))
-
-
-def test_subgroup_contains():
-    g = SubgroupGen(F(1, 2))
-    assert g.contains(F(3, 2))
-    assert not g.contains(F(1, 3))
