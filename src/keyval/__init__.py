@@ -24,12 +24,10 @@ from .keybasis import (
     AdicExpansion,
     KeyStep,
     TruncationResult,
-    ValidationReport,
     WeightedBasis,
     adic_expand,
     expansion_eval,
     expansion_weight,
-    index_data,
     initial_form,
     truncated_keys_from_series,
     validate_basis,
@@ -43,7 +41,7 @@ from .oracle import (
     oracle_valuation,
 )
 from .parsing import parse_kelem, parse_poly, poly_text
-from .polynomials import ExtensionConfig, Poly, poly_divmod, poly_reduce
+from .polynomials import Poly, poly_divmod, poly_reduce
 from .rewrite import RewriteTrace, lower_expansion, raise_expansion
 from .series import Series, series_sqrt
 from .values import INF, Value, format_value, parse_value

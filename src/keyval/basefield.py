@@ -17,6 +17,9 @@ from .values import INF, Value
 NEG_INF = float("-inf")
 FUNCTION_FIELD = "function_field"
 P_ADIC = "p_adic"
+#: p-adic bases need p below this bound, so that the trial-division primality
+#: test stays under 25k steps.
+MAX_P = 2**31
 
 
 def _is_prime(n: int) -> bool:
@@ -41,6 +44,8 @@ class BaseFieldConfig:
         if kind not in (FUNCTION_FIELD, P_ADIC):
             raise KeyvalError("unknown base field kind: %r" % (kind,))
         if kind == P_ADIC:
+            if p is not None and p >= MAX_P:
+                raise KeyvalError("p must be below 2^31, got %r" % (p,))
             if p is None or not _is_prime(p):
                 raise KeyvalError("p must be prime, got %r" % (p,))
         elif p is not None:

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from . import io as kio
-from .errors import KeyvalError, ParseError
+from .errors import IndexPowerViolationError, KeyvalError, ParseError
 from .izumi import (
     CorpusConfig,
     GaussValuation,
@@ -24,7 +24,6 @@ from .izumi import (
 )
 from .keybasis import (
     adic_expand,
-    index_data,
     initial_form,
     truncated_keys_from_series,
     validate_basis,
@@ -37,7 +36,6 @@ from .oracle import (
     oracle_valuation,
 )
 from .parsing import parse_poly, poly_text
-from .polynomials import ExtensionConfig
 from .rewrite import lower_expansion, raise_expansion
 from .values import format_value
 
@@ -70,19 +68,19 @@ def _value(key, v):
 
 def _cmd_validate(args):
     basis = kio.load_basis(args.basis)
-    report = validate_basis(basis)
+    violations = validate_basis(basis)
     doc = {
-        "ok": report.ok,
+        "ok": not violations,
         "violations": [
             {"step": v.step, "condition": v.condition, "message": v.message}
-            for v in report.violations
+            for v in violations
         ],
     }
-    human = "valid" if report.ok else "\n".join(
+    human = "\n".join(
         "step %d condition (%s): %s" % (v.step, v.condition, v.message)
-        for v in report.violations
-    )
-    return doc, human, 0 if report.ok else 1
+        for v in violations
+    ) or "valid"
+    return doc, human, 1 if violations else 0
 
 
 def _cmd_expansion(args, expansion, rewrite):
@@ -110,25 +108,24 @@ def _cmd_weight(args):
 
 def _cmd_groups(args):
     basis = kio.load_basis(args.basis)
-    entries = index_data(basis)
-    doc = {
-        "steps": [
-            {
-                "i": e.i,
-                "phi": format_value(e.phi),
-                "n": e.n,
-                "p": e.p,
-                "condition_holds": e.condition_holds,
-            }
-            for e in entries
-        ]
-    }
+    for v in validate_basis(basis):
+        if v.condition == "index":
+            raise IndexPowerViolationError(v.message)
+    rows = [
+        {
+            "i": i,
+            "phi": format_value(s.phi),
+            "n": s.n,
+            "p": None if s.m is None else s.m // s.n,
+            "condition_holds": None if s.m is None else s.m == s.n,
+        }
+        for i, s in enumerate(basis.steps, start=1)
+    ]
     human = "\n".join(
-        "i=%d  Phi generated by %s  n=%d  p=%s  m=n holds: %s"
-        % (e.i, format_value(e.phi), e.n, e.p, e.condition_holds)
-        for e in entries
+        "i=%(i)d  Phi generated by %(phi)s  n=%(n)d  p=%(p)s  m=n holds: %(condition_holds)s" % r
+        for r in rows
     )
-    return doc, human, 0
+    return {"steps": rows}, human, 0
 
 
 def _cmd_gauss(args):
@@ -179,11 +176,8 @@ def _cmd_example_conic(args):
     if args.depth < 1:
         raise ValueError("--depth must be at least 1, got %d" % args.depth)
     par = conic_parametrization()
-    base = par.base
     phi = par.series_at(args.depth + 2)
-    result = truncated_keys_from_series(
-        phi, args.depth, base, ExtensionConfig.algebraic(conic_defining())
-    )
+    result = truncated_keys_from_series(phi, args.depth, par.base, conic_defining())
     rows = []
     for i, step in enumerate(result.basis.steps, start=1):
         rows.append(

@@ -12,7 +12,6 @@ from .izumi import IzumiReport
 from .keybasis import AdicExpansion, WeightedBasis
 from .oracle import Parametrization, PrecisionPolicy
 from .parsing import kelem_text, parse_kelem, parse_poly, poly_text, ypoly_text
-from .polynomials import ExtensionConfig
 from .rewrite import RewriteTrace
 from .values import format_value
 
@@ -36,7 +35,7 @@ def base_from_json(doc) -> BaseFieldConfig:
             return BaseFieldConfig.p_adic(int(doc["p_adic"]))
         except KeyvalError as exc:  # a composite p is malformed input too
             raise ValueError(str(exc)) from exc
-    raise ValueError("bad base field descriptor: %r" % (doc,))
+    raise ValueError("bad base field descriptor: %s" % json.dumps(doc, default=str))
 
 
 def basis_to_json(basis: WeightedBasis) -> dict:
@@ -47,8 +46,8 @@ def basis_to_json(basis: WeightedBasis) -> dict:
             for s in basis.steps
         ],
     }
-    if basis.ext.is_algebraic:
-        doc["ext"] = poly_text(basis.ext.minimal)
+    if basis.minimal is not None:
+        doc["ext"] = poly_text(basis.minimal)
     return doc
 
 
@@ -76,7 +75,7 @@ def basis_from_json(doc: dict) -> WeightedBasis:
     ext_text = doc.get("ext", "")
     if not isinstance(ext_text, str):
         raise ValueError("basis key 'ext' has the wrong type")
-    ext = ExtensionConfig.algebraic(parse_poly(ext_text, base)) if ext_text else None
+    minimal = parse_poly(ext_text, base) if ext_text else None
     steps = []
     for i, s in enumerate(steps_doc, start=1):
         U, beta = _fields(s, "basis step", U=str, beta=(str, int, float, Fraction))
@@ -89,7 +88,7 @@ def basis_from_json(doc: dict) -> WeightedBasis:
         except ZeroDivisionError:
             raise ValueError("basis step %d key 'beta' has a zero denominator" % i) from None
         steps.append((parse_poly(U, base), beta))
-    return WeightedBasis(base, steps, ext)
+    return WeightedBasis(base, steps, minimal)
 
 
 def load_basis(path) -> WeightedBasis:

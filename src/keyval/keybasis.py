@@ -9,20 +9,20 @@ coefficient valuations plus weighted exponents over that expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .basefield import BaseFieldConfig, KElem, YPoly, base_valuation
 from .errors import (
-    IndexPowerViolationError,
     InsufficientPrecisionError,
     KeyvalError,
     LevelOutOfRangeError,
     NonzeroConstantTermError,
+    NotAlgebraicError,
     ZeroInputError,
 )
-from .polynomials import ExtensionConfig, Poly, poly_divmod, poly_reduce
+from .polynomials import Poly, poly_divmod, poly_reduce
 from .series import Series
 from .values import INF, Value
 
@@ -57,15 +57,17 @@ class KeyStep:
 class WeightedBasis:
     """An ordered sequence of key steps over a configured base field.
 
-    Construction enforces the structural requirements (first key is x, all
-    keys monic, weights finite and positive); the mathematical conditions of
-    a weighted basis are checked by :func:`validate_basis`, which reports
-    violations instead of raising.
+    ``minimal`` is the monic minimal polynomial of an algebraic-type
+    extension, or None for the transcendental type.  Construction enforces
+    the structural requirements (first key is x, all keys monic, weights
+    finite and positive); the mathematical conditions of a weighted basis are
+    checked by :func:`validate_basis`, which reports violations instead of
+    raising.
     """
 
-    def __init__(self, base: BaseFieldConfig, steps, ext: ExtensionConfig | None = None):
-        if ext is None:
-            ext = ExtensionConfig.transcendental()
+    def __init__(self, base: BaseFieldConfig, steps, minimal: Poly | None = None):
+        if minimal is not None and (minimal.degree < 1 or not minimal.is_monic()):
+            raise NotAlgebraicError("minimal polynomial must be monic of degree >= 1")
         pairs = [(U, Fraction(beta)) for U, beta in steps]
         if not pairs:
             raise KeyvalError("a weighted basis needs at least one key")
@@ -77,7 +79,7 @@ class WeightedBasis:
             if beta <= 0:
                 raise KeyvalError("key weights must be positive")
         self.base = base
-        self.ext = ext
+        self.minimal = minimal
         self.steps = [KeyStep(U, beta) for U, beta in pairs]
         phi = Fraction(1)  # nu(K) = Z for both base fields
         for step in self.steps:
@@ -126,8 +128,8 @@ class WeightedBasis:
 def adic_expand(f: Poly, i: int, basis: WeightedBasis) -> AdicExpansion:
     """The i-adic expansion of f, by successive Euclidean division."""
     basis._check_level(i)
-    if basis.ext.is_algebraic and f.degree >= basis.ext.bound:
-        f = poly_reduce(f, basis.ext)
+    if basis.minimal is not None and f.degree >= basis.minimal.degree:
+        f = poly_reduce(f, basis.minimal)
     return AdicExpansion(i, _expand(f, i, basis))
 
 
@@ -201,18 +203,6 @@ class Violation:
     message: str
 
 
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def add(self, step, condition, message):
-        self.violations.append(Violation(step, condition, message))
-
-
 def _recurrence_coefficients(basis: WeightedBasis, i: int):
     """Group the cached expansion of U_{i+1} by the exponent of U_i.
 
@@ -229,70 +219,46 @@ def _recurrence_coefficients(basis: WeightedBasis, i: int):
     return groups
 
 
-def validate_basis(basis: WeightedBasis) -> ValidationReport:
-    """Check the weighted-basis conditions; collects all violations."""
-    report = ValidationReport()
+def validate_basis(basis: WeightedBasis) -> list:
+    """Check the weighted-basis conditions; returns every Violation found."""
+    out = []
     for i in range(1, basis.alpha):
         step = basis.steps[i - 1]
         nxt = basis.steps[i]
         if step.m is None:
-            report.add(i, "a", "deg U_%d is not a multiple of deg U_%d" % (i + 1, i))
+            out.append(Violation(i, "a", "deg U_%d is not a multiple of deg U_%d" % (i + 1, i)))
             continue
+        if step.m % step.n != 0:
+            out.append(Violation(
+                i, "index", "m_%d = %d is not divisible by n_%d = %d" % (i, step.m, i, step.n)
+            ))
         groups = _recurrence_coefficients(basis, i)
         target = step.m * step.beta
         for j, terms in groups.items():
             w = expansion_weight(AdicExpansion(i - 1, terms), basis)
             if w + j * step.beta != target:
-                report.add(
+                out.append(Violation(
                     i,
                     "c",
                     "weight of recurrence coefficient at U_%d^%d is %s, expected %s"
                     % (i, j, w, target - j * step.beta),
-                )
+                ))
         if nxt.beta <= target:
-            report.add(i, "e", "beta_%d = %s is not > m_%d*beta_%d = %s"
-                       % (i + 1, nxt.beta, i, i, target))
+            out.append(Violation(i, "e", "beta_%d = %s is not > m_%d*beta_%d = %s"
+                                 % (i + 1, nxt.beta, i, i, target)))
         for j in groups:
             if j % step.n != 0:
-                report.add(
+                out.append(Violation(
                     i,
                     "shape",
                     "nonzero recurrence coefficient at exponent %d not divisible by n_%d = %d"
                     % (j, i, step.n),
-                )
-    if basis.ext.is_algebraic:
+                ))
+    if basis.minimal is not None:
         for i, step in enumerate(basis.steps, start=1):
-            if step.U.degree > basis.ext.bound:
-                report.add(i, "deg", "deg U_%d exceeds the extension degree" % i)
-    return report
-
-
-@dataclass
-class StepIndexData:
-    i: int
-    phi: Fraction
-    n: int
-    p: int | None
-    condition_holds: bool | None
-
-
-def index_data(basis: WeightedBasis) -> list:
-    """The value-group chain Phi_i, n_i and the m_i = n_i * p_i split, per step.
-
-    Raises IndexPowerViolationError when some n_i does not divide m_i: such
-    a basis cannot support a valuation.
-    """
-    entries = []
-    for i, step in enumerate(basis.steps, start=1):
-        if step.m is None:
-            entries.append(StepIndexData(i, step.phi, step.n, None, None))
-            continue
-        if step.m % step.n != 0:
-            raise IndexPowerViolationError(
-                "m_%d = %d is not divisible by n_%d = %d" % (i, step.m, i, step.n)
-            )
-        entries.append(StepIndexData(i, step.phi, step.n, step.m // step.n, step.m == step.n))
-    return entries
+            if step.U.degree > basis.minimal.degree:
+                out.append(Violation(i, "deg", "deg U_%d exceeds the extension degree" % i))
+    return out
 
 
 @dataclass
@@ -305,7 +271,7 @@ def truncated_keys_from_series(
     phi: Series,
     depth: int,
     base: BaseFieldConfig,
-    ext: ExtensionConfig | None = None,
+    minimal: Poly | None = None,
 ) -> TruncationResult:
     """Key truncations x - (phi below order d) for a series root phi.
 
@@ -334,4 +300,4 @@ def truncated_keys_from_series(
         tail[o] = Fraction(0)
     if not steps:
         raise InsufficientPrecisionError("series vanishes to stored precision")
-    return TruncationResult(WeightedBasis(base, steps, ext), exact_root)
+    return TruncationResult(WeightedBasis(base, steps, minimal), exact_root)

@@ -9,6 +9,7 @@ Grammar (explicit multiplication only):
 
 Division is accepted wherever the divisor contains no x, which covers both
 rational literals ("1/2") and base-field fractions ("(y^2+1)/(2*y)").
+Parentheses may nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from fractions import Fraction
 from .basefield import BaseFieldConfig, KElem, YPoly
 from .errors import ParseError
 from .polynomials import Poly
+
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^()]))")
 
@@ -48,6 +51,7 @@ class _Parser:
     def __init__(self, text, cfg: BaseFieldConfig):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.cfg = cfg
 
     def peek(self):
@@ -127,8 +131,12 @@ class _Parser:
                 return Poly.const(KElem.gen())
             raise ParseError("unknown variable %r" % val, at)
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d" % MAX_NESTING, at)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         raise ParseError("expected a number, variable, or parenthesis", at)
 

@@ -29,5 +29,10 @@ def b2(base):
 
 
 @pytest.fixture(scope="session")
+def q3():
+    return _mk(BaseFieldConfig.p_adic(3), [("x", "1/2"), ("x^2 - 3", "3/2")])
+
+
+@pytest.fixture(scope="session")
 def b3(base):
     return _mk(base, [("x", "1"), ("x^2 - y^2", "3")])

@@ -29,7 +29,6 @@ from keyval import (
 from keyval.izumi import canonical_witnesses, random_corpus_poly, weight_map
 from keyval.oracle import conic_defining, conic_parametrization
 from keyval.parsing import parse_poly, poly_text
-from keyval.polynomials import ExtensionConfig
 
 F = Fraction
 FF = BaseFieldConfig.function_field()
@@ -58,7 +57,7 @@ def test_01_conic_reproduction():
         assert oracle_valuation(parse_poly("x + y", FF), par) == 2
         phi = par.series_at(14)
         result = truncated_keys_from_series(
-            phi, 12, FF, ExtensionConfig.algebraic(conic_defining())
+            phi, 12, FF, conic_defining()
         )
         assert result.basis.alpha == 12
         for i, step in enumerate(result.basis.steps, start=1):
@@ -150,7 +149,7 @@ def test_07_extension_bounds(b1):
             assert weight(f, 2, b1) <= bound * gauss_value(f, lo)
         par = conic_parametrization()
         result = truncated_keys_from_series(
-            par.series_at(5), 3, FF, ExtensionConfig.algebraic(conic_defining())
+            par.series_at(5), 3, FF, conic_defining()
         )
         nbound = extension_bound(result.basis, F(1), F(1), normalized=True)
         assert nbound == 3

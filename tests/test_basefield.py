@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyval.basefield import BaseFieldConfig, KElem, YPoly, base_valuation
+from keyval.basefield import MAX_P, BaseFieldConfig, KElem, YPoly, base_valuation
 from keyval.errors import DivisorZeroError, KeyvalError
 from keyval.values import INF
 
@@ -29,6 +30,17 @@ def test_config_rejects_composite_p():
         BaseFieldConfig.p_adic(9)
     with pytest.raises(KeyvalError):
         BaseFieldConfig.p_adic(1)
+
+
+def test_config_rejects_large_p_at_once():
+    start = time.perf_counter()
+    with pytest.raises(KeyvalError, match=r"p must be below 2\^31, got 2305843009213693951"):
+        BaseFieldConfig.p_adic(2**61 - 1)
+    with pytest.raises(KeyvalError, match=r"p must be below 2\^31"):
+        BaseFieldConfig.p_adic(MAX_P)
+    assert time.perf_counter() - start < 1
+    primes = (2, 3, 5, 7, MAX_P - 1)  # 2^31 - 1 is prime
+    assert [BaseFieldConfig.p_adic(p).p for p in primes] == list(primes)
 
 
 def test_ypoly_normalizes_trailing_zeros():

@@ -117,6 +117,25 @@ def test_groups(capsys, b2_path):
     assert steps[0]["condition_holds"] is True
 
 
+def test_index_not_dividing_degree_step(capsys, tmp_path):
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps({
+        "base": "function_field",
+        "steps": [{"U": "x", "beta": "1/2"}, {"U": "x^3", "beta": "2"}],
+    }))
+    message = "m_1 = 3 is not divisible by n_1 = 2"
+    assert run(capsys, "validate", "--basis", str(path)) == (
+        1, "step 1 condition (index): %s\n" % message, "")
+    assert run(capsys, "groups", "--basis", str(path)) == (1, "", "error: %s\n" % message)
+
+
+def test_deep_nesting_is_parse_error(capsys):
+    poly = "(" * 1000 + "x" + ")" * 1000
+    code, out, err = run(capsys, "gauss", "--beta", "1", "--poly", poly)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
+
+
 def test_gauss(capsys):
     code, out, _ = run(capsys, "gauss", "--beta", "1/2", "--poly", "x^3 + y*x", "--json")
     assert code == 0
@@ -125,7 +144,12 @@ def test_gauss(capsys):
 
 @pytest.mark.parametrize(
     "base, message",
-    [("5", "bad base field descriptor: 5"), ('{"p_adic": 9}', "p must be prime, got 9")],
+    [
+        ("5", "bad base field descriptor: 5"),
+        ('"bogus"', 'bad base field descriptor: "bogus"'),
+        ('{"p_adic": 9}', "p must be prime, got 9"),
+        ('{"p_adic": 2305843009213693951}', "p must be below 2^31, got 2305843009213693951"),
+    ],
 )
 def test_gauss_bad_base_is_input_error(capsys, base, message):
     code, out, err = run(capsys, "gauss", "--base", base, "--beta", "1", "--poly", "x")
@@ -265,13 +289,13 @@ def test_oracle_rejects_degenerate_policy(capsys, tmp_path, policy):
          "basis key 'ext' has the wrong type"),
         ({"base": "function_field", "steps": [{"U": "x", "beta": float("inf")}]},
          "basis step key 'beta' is not finite"),
-        ({"base": {"p_adic": [3]}, "steps": [{"U": "x", "beta": "1"}]},
-         "bad base field descriptor: {'p_adic': [3]}"),
-        ({"base": {"p_adic": 3.7}, "steps": [{"U": "x", "beta": "1"}]},
-         "bad base field descriptor: {'p_adic': Fraction(37, 10)}"),
+        pytest.param({"base": {"p_adic": [3]}, "steps": [{"U": "x", "beta": "1"}]},
+                     'bad base field descriptor: {"p_adic": [3]}', id="doc7-p_adic-list"),
+        pytest.param({"base": {"p_adic": 3.7}, "steps": [{"U": "x", "beta": "1"}]},
+                     'bad base field descriptor: {"p_adic": "37/10"}', id="doc8-p_adic-decimal"),
         ({"base": 5, "steps": [{"U": "x", "beta": "1"}]}, "bad base field descriptor: 5"),
         ({"base": "bogus", "steps": [{"U": "x", "beta": "1"}]},
-         "bad base field descriptor: 'bogus'"),
+         'bad base field descriptor: "bogus"'),
         ({"base": "function_field", "steps": [{"U": "x", "beta": True}]},
          "basis step key 'beta' has the wrong type"),
         ({"base": {"p_adic": 9}, "steps": [{"U": "x", "beta": "1"}]},
@@ -279,6 +303,8 @@ def test_oracle_rejects_degenerate_policy(capsys, tmp_path, policy):
         ({"base": "function_field",
           "steps": [{"U": "x", "beta": "1/2"}, {"U": "x^2", "beta": "1/0"}]},
          "basis step 2 key 'beta' has a zero denominator"),
+        ({"base": {"p_adic": 2305843009213693951}, "steps": [{"U": "x", "beta": "1"}]},
+         "p must be below 2^31, got 2305843009213693951"),
     ],
 )
 def test_malformed_basis_file_is_input_error(capsys, tmp_path, doc, message):

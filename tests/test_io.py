@@ -93,14 +93,12 @@ def test_report_serialization_deterministic(b1):
 def test_ext_round_trips():
     from keyval.keybasis import WeightedBasis
     from keyval.oracle import conic_defining
-    from keyval.polynomials import ExtensionConfig
-
     basis = WeightedBasis(
         FF,
         [(parse_poly("x", FF), F(1))],
-        ExtensionConfig.algebraic(conic_defining()),
+        conic_defining(),
     )
     doc = kio.basis_to_json(basis)
     assert "ext" in doc
     again = kio.basis_from_json(doc)
-    assert again.ext == basis.ext
+    assert again.minimal == basis.minimal

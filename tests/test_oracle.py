@@ -17,7 +17,6 @@ from keyval.basefield import YPoly
 from keyval.errors import InsufficientPrecisionError, KeyvalError
 from keyval.oracle import conic_branch_series, conic_defining
 from keyval.parsing import parse_poly
-from keyval.polynomials import ExtensionConfig
 from keyval.series import Series, series_div_unit
 
 F = Fraction
@@ -179,7 +178,7 @@ def test_padic_base_rejected():
 def test_truncation_keys_match_example(par):
     phi = par.series_at(6)
     result = truncated_keys_from_series(
-        phi, 4, FF, ExtensionConfig.algebraic(conic_defining())
+        phi, 4, FF, conic_defining()
     )
     keys = [s.U for s in result.basis.steps]
     assert keys == [
@@ -194,7 +193,7 @@ def test_truncation_keys_match_example(par):
 def test_truncation_weights_dominated_by_oracle(par):
     phi = par.series_at(8)
     result = truncated_keys_from_series(
-        phi, 5, FF, ExtensionConfig.algebraic(conic_defining())
+        phi, 5, FF, conic_defining()
     )
     basis = result.basis
     for text in ("x + y", "x - y", "x + y^3", "y^2*x + y"):

@@ -6,6 +6,7 @@ from keyval.basefield import BaseFieldConfig, KElem, YPoly
 from keyval.errors import ParseError
 from keyval.izumi import CorpusConfig, random_corpus_poly
 from keyval.parsing import (
+    MAX_NESTING,
     kelem_text,
     parse_kelem,
     parse_poly,
@@ -58,6 +59,12 @@ def test_parse_errors_carry_position():
         parse_poly("x^(2)", FF)
     with pytest.raises(ParseError):
         parse_poly("z + 1", FF)
+
+
+def test_parse_nesting_cap():
+    assert parse_poly("(" * 100 + "x" + ")" * 100, FF) == Poly.x()
+    with pytest.raises(ParseError, match="nested deeper than %d" % MAX_NESTING):
+        parse_poly("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), FF)
 
 
 def test_parse_kelem_rejects_x():

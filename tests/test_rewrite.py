@@ -82,11 +82,11 @@ def test_lower_level_bounds(b1):
         lower_expansion(adic_expand(p("x"), 1, b1), b1)
 
 
-def test_round_trip_small(b1, b2):
+def test_round_trip_small(b1, b2, q3):
     corpus = CorpusConfig(seed=23, samples=40, max_degree=6, positive_only=False)
-    for basis in (b1, b2):
+    for basis in (b1, b2, q3):
         for j in range(corpus.samples):
-            f = random_corpus_poly(FF, corpus, j)
+            f = random_corpus_poly(basis.base, corpus, j)
             for i in range(1, basis.alpha):
                 low = adic_expand(f, i, basis)
                 high = adic_expand(f, i + 1, basis)
@@ -96,11 +96,11 @@ def test_round_trip_small(b1, b2):
                 assert down == low
 
 
-def test_traces_monotone_and_land_on_weight(b1, b2):
+def test_traces_monotone_and_land_on_weight(b1, b2, q3):
     corpus = CorpusConfig(seed=29, samples=30, max_degree=6, positive_only=False)
-    for basis in (b1, b2):
+    for basis in (b1, b2, q3):
         for j in range(corpus.samples):
-            f = random_corpus_poly(FF, corpus, j)
+            f = random_corpus_poly(basis.base, corpus, j)
             for i in range(1, basis.alpha):
                 _, tr_up = raise_expansion(adic_expand(f, i, basis), basis)
                 _, tr_dn = lower_expansion(adic_expand(f, i + 1, basis), basis)
