@@ -44,7 +44,7 @@ from .parsing import parse_kelem, parse_poly, poly_text
 from .polynomials import Poly, poly_divmod, poly_reduce
 from .rewrite import RewriteTrace, lower_expansion, raise_expansion
 from .series import Series, series_sqrt
-from .values import INF, Value, format_value, parse_value
+from .values import INF, Value
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

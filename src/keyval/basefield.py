@@ -15,8 +15,6 @@ from .errors import DivisorZeroError, KeyvalError
 from .values import INF, Value
 
 NEG_INF = float("-inf")
-FUNCTION_FIELD = "function_field"
-P_ADIC = "p_adic"
 #: p-adic bases need p below this bound, so that the trial-division primality
 #: test stays under 25k steps.
 MAX_P = 2**31
@@ -36,42 +34,36 @@ def _is_prime(n: int) -> bool:
 
 
 class BaseFieldConfig:
-    """Which valued field (K, nu) the computation runs over."""
+    """Which valued field (K, nu) the computation runs over.
 
-    __slots__ = ("kind", "p")
+    ``p=None`` is Q(y) with ord_y; a prime ``p`` is Q with v_p.
+    """
 
-    def __init__(self, kind, p=None):
-        if kind not in (FUNCTION_FIELD, P_ADIC):
-            raise KeyvalError("unknown base field kind: %r" % (kind,))
-        if kind == P_ADIC:
-            if p is not None and p >= MAX_P:
+    __slots__ = ("p",)
+
+    def __init__(self, p=None):
+        if p is not None:
+            if p >= MAX_P:
                 raise KeyvalError("p must be below 2^31, got %r" % (p,))
-            if p is None or not _is_prime(p):
+            if not _is_prime(p):
                 raise KeyvalError("p must be prime, got %r" % (p,))
-        elif p is not None:
-            raise KeyvalError("the function field takes no p, got %r" % (p,))
-        self.kind = kind
         self.p = p
 
     @classmethod
     def function_field(cls):
-        return cls(FUNCTION_FIELD)
+        return cls()
 
     @classmethod
     def p_adic(cls, p):
-        return cls(P_ADIC, p=p)
+        return cls(p)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BaseFieldConfig)
-            and self.kind == other.kind
-            and self.p == other.p
-        )
+        return isinstance(other, BaseFieldConfig) and self.p == other.p
 
     def __repr__(self):
-        if self.kind == P_ADIC:
-            return "BaseFieldConfig.p_adic(%d)" % self.p
-        return "BaseFieldConfig.function_field()"
+        if self.p is None:
+            return "BaseFieldConfig.function_field()"
+        return "BaseFieldConfig.p_adic(%d)" % self.p
 
 
 class DensePoly:
@@ -346,9 +338,7 @@ class KElem:
         return "KElem(%r, %r)" % (self.num, self.den)
 
 
-def _padic_val(r: Fraction, p: int) -> Value:
-    if r == 0:
-        return INF
+def _padic_val(r: Fraction, p: int) -> Fraction:
     v = 0
     n = r.numerator
     while n % p == 0:
@@ -365,6 +355,6 @@ def base_valuation(a: KElem, cfg: BaseFieldConfig) -> Value:
     """nu(a): order at the variable for function fields, v_p for p-adic."""
     if a.is_zero():
         return INF
-    if cfg.kind == FUNCTION_FIELD:
+    if cfg.p is None:
         return Fraction(a.num.order() - a.den.order())
     return _padic_val(a.as_fraction(), cfg.p)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 mathematical violation, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -31,13 +32,16 @@ from .keybasis import (
 )
 from .oracle import (
     PrecisionExhausted,
+    PrecisionPolicy,
     conic_defining,
     conic_parametrization,
     oracle_valuation,
 )
 from .parsing import parse_poly, poly_text
 from .rewrite import lower_expansion, raise_expansion
-from .values import format_value
+
+#: izumi-search takes at most this many samples, 100 times the default.
+MAX_SAMPLES = 10**6
 
 
 def _read_poly(args, base):
@@ -57,7 +61,7 @@ def _value_text(v):
     """A value, or the lower bound an exhausted oracle run reached."""
     if isinstance(v, PrecisionExhausted):
         return ">= %s" % v.bound
-    return format_value(v)
+    return str(v)
 
 
 def _value(key, v):
@@ -69,13 +73,7 @@ def _value(key, v):
 def _cmd_validate(args):
     basis = kio.load_basis(args.basis)
     violations = validate_basis(basis)
-    doc = {
-        "ok": not violations,
-        "violations": [
-            {"step": v.step, "condition": v.condition, "message": v.message}
-            for v in violations
-        ],
-    }
+    doc = {"ok": not violations, "violations": [dataclasses.asdict(v) for v in violations]}
     human = "\n".join(
         "step %d condition (%s): %s" % (v.step, v.condition, v.message)
         for v in violations
@@ -97,7 +95,7 @@ def _cmd_expansion(args, expansion, rewrite):
     lines = ["%s -> %s" % (k, v) for k, v in sorted(doc["terms"].items())]
     if rewrite is not None and args.trace:
         doc["trace"] = kio.trace_to_json(trace)
-        lines.append("trace weights: " + " ".join(format_value(w) for w in trace.weights))
+        lines.append("trace weights: " + " ".join(str(w) for w in trace.weights))
     return doc, "\n".join(lines) or "0", 0
 
 
@@ -114,7 +112,7 @@ def _cmd_groups(args):
     rows = [
         {
             "i": i,
-            "phi": format_value(s.phi),
+            "phi": str(s.phi),
             "n": s.n,
             "p": None if s.m is None else s.m // s.n,
             "condition_holds": None if s.m is None else s.m == s.n,
@@ -145,6 +143,8 @@ def _cmd_izumi_bound(args):
 
 
 def _cmd_izumi_search(args):
+    if args.samples > MAX_SAMPLES:
+        raise ValueError("--samples %d exceeds the cap %d" % (args.samples, MAX_SAMPLES))
     basis = kio.load_basis(args.basis)
     corpus = CorpusConfig(seed=args.seed, samples=args.samples)
     theoretical = izumi_step_constant(basis, args.upper, args.lower)
@@ -175,6 +175,10 @@ def _cmd_oracle(args):
 def _cmd_example_conic(args):
     if args.depth < 1:
         raise ValueError("--depth must be at least 1, got %d" % args.depth)
+    # keys up to order depth stay visible below the default precision cap
+    cap = PrecisionPolicy.maximum - 2
+    if args.depth > cap:
+        raise ValueError("--depth %d exceeds the cap %d" % (args.depth, cap))
     par = conic_parametrization()
     phi = par.series_at(args.depth + 2)
     result = truncated_keys_from_series(phi, args.depth, par.base, conic_defining())
@@ -184,7 +188,7 @@ def _cmd_example_conic(args):
             {
                 "i": i,
                 "U": poly_text(step.U),
-                "beta": format_value(step.beta),
+                "beta": str(step.beta),
                 "oracle": _value_text(oracle_valuation(step.U, par)),
             }
         )

@@ -13,13 +13,12 @@ from .keybasis import AdicExpansion, WeightedBasis
 from .oracle import Parametrization, PrecisionPolicy
 from .parsing import kelem_text, parse_kelem, parse_poly, poly_text, ypoly_text
 from .rewrite import RewriteTrace
-from .values import format_value
 
 
 def base_to_json(base: BaseFieldConfig):
-    if base.kind == "p_adic":
-        return {"p_adic": base.p}
-    return "function_field"
+    if base.p is None:
+        return "function_field"
+    return {"p_adic": base.p}
 
 
 def _is_integer(value) -> bool:
@@ -42,7 +41,7 @@ def basis_to_json(basis: WeightedBasis) -> dict:
     doc = {
         "base": base_to_json(basis.base),
         "steps": [
-            {"U": poly_text(s.U), "beta": format_value(s.beta)}
+            {"U": poly_text(s.U), "beta": str(s.beta)}
             for s in basis.steps
         ],
     }
@@ -127,9 +126,9 @@ def parametrization_from_json(doc: dict) -> Parametrization:
     if not isinstance(pol, dict):
         raise ValueError("parametrization policy must be a JSON object")
     policy = PrecisionPolicy(
-        initial=_policy_int(pol, "initial", 16),
-        growth=_policy_int(pol, "growth", 2),
-        maximum=_policy_int(pol, "max", 512),
+        initial=_policy_int(pol, "initial", PrecisionPolicy.initial),
+        growth=_policy_int(pol, "growth", PrecisionPolicy.growth),
+        maximum=_policy_int(pol, "max", PrecisionPolicy.maximum),
     )
     return Parametrization(defining, branch.num, policy=policy, base=base)
 
@@ -161,19 +160,19 @@ def expansion_from_json(doc: dict, base: BaseFieldConfig) -> AdicExpansion:
 
 def trace_to_json(trace: RewriteTrace) -> list:
     return [
-        {"terms": _terms_to_json(E.terms), "weight": format_value(w)}
+        {"terms": _terms_to_json(E.terms), "weight": str(w)}
         for E, w in trace.entries
     ]
 
 
 def report_to_json(report: IzumiReport) -> dict:
     doc = {
-        "sup_found": format_value(report.sup_found),
+        "sup_found": str(report.sup_found),
         "witness": poly_text(report.witness),
         "samples": report.samples,
         "skipped": report.skipped,
         "seed": report.seed,
     }
     if report.theoretical is not None:
-        doc["theoretical"] = format_value(report.theoretical)
+        doc["theoretical"] = str(report.theoretical)
     return doc

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import chain
 from math import prod
 
-from .basefield import FUNCTION_FIELD, BaseFieldConfig, KElem, YPoly
+from .basefield import BaseFieldConfig, KElem, YPoly
 from .errors import (
     ConsistencyFailureError,
     EmptyEffectiveCorpusError,
@@ -147,11 +147,11 @@ def random_corpus_poly(cfg: BaseFieldConfig, corpus: CorpusConfig, index: int) -
             coeffs.append(KElem.zero())
             continue
         unit = rng.choice([1, 2, 3, -1, -2, -3])
-        if cfg.kind != FUNCTION_FIELD:
+        if cfg.p is not None:
             unit = rng.randrange(1, cfg.p) * rng.choice([1, -1])
         lo = 1 if (k == 0 and corpus.positive_only) else 0
         v = rng.randint(lo, 3)
-        if cfg.kind == FUNCTION_FIELD:
+        if cfg.p is None:
             coeffs.append(KElem(YPoly.const(unit).shift(v)))
         else:
             coeffs.append(KElem.const(Fraction(unit * cfg.p**v)))

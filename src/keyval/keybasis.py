@@ -59,10 +59,10 @@ class WeightedBasis:
 
     ``minimal`` is the monic minimal polynomial of an algebraic-type
     extension, or None for the transcendental type.  Construction enforces
-    the structural requirements (first key is x, all keys monic, weights
-    finite and positive); the mathematical conditions of a weighted basis are
-    checked by :func:`validate_basis`, which reports violations instead of
-    raising.
+    the structural requirements (first key is x, all keys monic of degree
+    >= 1, weights finite and positive); the mathematical conditions of a
+    weighted basis are checked by :func:`validate_basis`, which reports
+    violations instead of raising.
     """
 
     def __init__(self, base: BaseFieldConfig, steps, minimal: Poly | None = None):
@@ -76,6 +76,8 @@ class WeightedBasis:
         for U, beta in pairs:
             if not U.is_monic():
                 raise KeyvalError("key polynomials must be monic in x")
+            if U.degree < 1:
+                raise KeyvalError("key polynomials must have degree >= 1")
             if beta <= 0:
                 raise KeyvalError("key weights must be positive")
         self.base = base
@@ -110,11 +112,8 @@ class WeightedBasis:
     def m(self, i: int) -> int | None:
         return self.steps[i - 1].m
 
-    def nu(self, c: KElem) -> Value:
-        return base_valuation(c, self.base)
-
     def term_weight(self, exponents, c: KElem) -> Value:
-        w = self.nu(c)
+        w = base_valuation(c, self.base)
         for a, step in zip(exponents, self.steps):
             if a:
                 w = w + a * step.beta

@@ -12,10 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basefield import FUNCTION_FIELD, BaseFieldConfig, KElem, YPoly
+from .basefield import BaseFieldConfig, KElem, YPoly
 from .errors import InsufficientPrecisionError, KeyvalError
 from .polynomials import Poly
 from .series import Series, series_div_unit, series_sqrt
+
+#: A policy may grow the precision to at most this; a request that exhausts
+#: 1024 already takes several seconds.
+MAX_PRECISION = 1024
 
 
 @dataclass(frozen=True)
@@ -32,6 +36,9 @@ class PrecisionPolicy:
                 "precision policy needs initial >= 1, growth >= 2 and max >= initial,"
                 " got initial=%d, growth=%d, max=%d" % (self.initial, self.growth, self.maximum)
             )
+        if self.maximum > MAX_PRECISION:
+            raise ValueError("precision policy max %d exceeds the cap %d"
+                             % (self.maximum, MAX_PRECISION))
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,7 @@ class Parametrization:
     ):
         if base is None:
             base = BaseFieldConfig.function_field()
-        if base.kind != FUNCTION_FIELD:
+        if base.p is not None:
             raise KeyvalError("the oracle supports function-field bases only")
         self.base = base
         self.defining = defining
@@ -168,17 +175,10 @@ def conic_defining() -> Poly:
 
 def conic_parametrization(policy: PrecisionPolicy | None = None) -> Parametrization:
     """The branch x = -y*sqrt(1+y) of the conic-like curve."""
-    return Parametrization(
-        conic_defining(),
-        YPoly((0, -1)),
-        policy=policy or PrecisionPolicy(initial=16, growth=2, maximum=512),
-    )
+    return Parametrization(conic_defining(), YPoly((0, -1)), policy=policy)
 
 
 def conic_branch_series(precision: int) -> Series:
     """-y*sqrt(1+y) directly from the square-root expansion."""
-    return series_sqrt(Series.from_ypoly(YPoly((1, 1)), precision)) * -1 * _y(precision)
-
-
-def _y(precision: int) -> Series:
-    return Series.from_ypoly(YPoly.gen(), precision)
+    y = Series.from_ypoly(YPoly.gen(), precision)
+    return series_sqrt(Series.from_ypoly(YPoly((1, 1)), precision)) * -1 * y

@@ -127,7 +127,7 @@ class _Parser:
         if kind == "name":
             if val == "x":
                 return Poly.x()
-            if self.cfg.kind == "function_field" and val == "y":
+            if self.cfg.p is None and val == "y":
                 return Poly.const(KElem.gen())
             raise ParseError("unknown variable %r" % val, at)
         if kind == "op" and val == "(":

@@ -18,7 +18,6 @@ from .keybasis import AdicExpansion, WeightedBasis, expansion_weight
 
 @dataclass
 class RewriteTrace:
-    direction: str  # "raise" or "lower"
     entries: list = field(default_factory=list)
 
     @property
@@ -112,13 +111,15 @@ def _substitute(terms: dict, pos: int, m: int, repl: dict, width: int) -> dict:
     return out
 
 
-def _reduce_bounded(terms, basis, width, top, trace, fuel, rewrote):
+def _reduce_bounded(terms, basis, width, top, trace, rewrote):
     """Rewrite passes: smallest violating index first, all occurrences at once.
 
     Exponents at 1-based positions 1..top are bounded by their m's; positions
-    above ``top`` are free.  The trace gets the starting terms and every pass;
-    when ``rewrote`` or some pass ran, the canonical result closes it.
+    above ``top`` are free.  At most ``_default_fuel`` passes run.  The trace
+    gets the starting terms and every pass; when ``rewrote`` or some pass ran,
+    the canonical result closes it.
     """
+    fuel = _default_fuel(terms, basis)
     trace.record(terms, width, basis)
     passes = 0
     while True:
@@ -142,34 +143,30 @@ def _reduce_bounded(terms, basis, width, top, trace, fuel, rewrote):
         trace.record(terms, width, basis)
 
 
-def raise_expansion(E: AdicExpansion, basis: WeightedBasis, fuel: int | None = None):
+def raise_expansion(E: AdicExpansion, basis: WeightedBasis):
     """Convert an i-adic expansion to the (i+1)-adic expansion by rewriting."""
     i = E.level
     if i >= basis.alpha:
         raise LevelOutOfRangeError("cannot raise past the last level")
     width = i + 1
     terms = {a + (0,): c for a, c in E.terms.items()}
-    if fuel is None:
-        fuel = _default_fuel(terms, basis)
-    trace = RewriteTrace("raise")
-    terms = _reduce_bounded(terms, basis, width, i, trace, fuel, False)
+    trace = RewriteTrace()
+    terms = _reduce_bounded(terms, basis, width, i, trace, False)
     return AdicExpansion(width, terms), trace
 
 
-def lower_expansion(E: AdicExpansion, basis: WeightedBasis, fuel: int | None = None):
+def lower_expansion(E: AdicExpansion, basis: WeightedBasis):
     """Convert an (i+1)-adic expansion to the i-adic expansion by rewriting."""
     lvl = E.level
     if lvl < 2 or lvl > basis.alpha:
         raise LevelOutOfRangeError("lowering needs a level between 2 and alpha")
     i = lvl - 1
-    if fuel is None:
-        fuel = _default_fuel(E.terms, basis)
-    trace = RewriteTrace("lower")
+    trace = RewriteTrace()
     rewrote = any(a[-1] for a in E.terms)
     # substitute the recurrence for every occurrence of the top key first;
     # recording the input expansion would break trace monotonicity.
     sub = {_pad(a, lvl): c for a, c in basis.steps[i - 1].next_expansion.terms.items()}
     terms = _substitute(E.terms, lvl - 1, 1, sub, lvl)
-    terms = _reduce_bounded(terms, basis, lvl, i - 1, trace, fuel, rewrote)
+    terms = _reduce_bounded(terms, basis, lvl, i - 1, trace, rewrote)
     assert all(a[-1] == 0 for a in terms)
     return AdicExpansion(i, {a[:-1]: c for a, c in terms.items()}), trace

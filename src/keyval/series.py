@@ -62,9 +62,6 @@ class Series:
     def __neg__(self):
         return Series([-c for c in self.coeffs], self.precision)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return Series([c * other for c in self.coeffs], self.precision)

@@ -50,18 +50,3 @@ Value = Union[Fraction, _Infinity]
 
 def is_finite(v: Value) -> bool:
     return v is not INF
-
-
-def format_value(v: Value) -> str:
-    """Render a value as "a/b", "a", or "inf"."""
-    if v is INF:
-        return "inf"
-    return str(v)
-
-
-def parse_value(text: str) -> Value:
-    text = text.strip()
-    if text == "inf":
-        return INF
-    return Fraction(text)
-

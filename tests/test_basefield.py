@@ -15,16 +15,6 @@ FF = BaseFieldConfig.function_field()
 P3 = BaseFieldConfig.p_adic(3)
 
 
-def test_config_rejects_bad_kind():
-    with pytest.raises(KeyvalError):
-        BaseFieldConfig("padic")
-
-
-def test_config_rejects_p_for_function_field():
-    with pytest.raises(KeyvalError):
-        BaseFieldConfig("function_field", p=5)
-
-
 def test_config_rejects_composite_p():
     with pytest.raises(KeyvalError):
         BaseFieldConfig.p_adic(9)
@@ -197,7 +187,7 @@ def test_ypoly_divmod_property(f, g):
 
 def kelems(base):
     """Elements of K: fractions of small YPolys over Q(y), constants over Q_3."""
-    if base.kind == "p_adic":
+    if base.p is not None:
         return st.builds(
             lambda n, k, d: KElem.const(F(n) * F(3) ** k / d),
             st.integers(-5, 5), st.integers(-2, 2), st.integers(1, 4),

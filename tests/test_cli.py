@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from keyval import io as kio
-from keyval.cli import main
+from keyval.cli import MAX_SAMPLES, main
+from keyval.oracle import MAX_PRECISION, PrecisionPolicy
 
 
 @pytest.fixture()
@@ -391,6 +393,70 @@ def test_math_error_exit_code(capsys, b1_path):
         capsys, "izumi-exact", "--basis", b1_path, "--upper", "1", "--lower", "1"
     )
     assert code == 1
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [["x", "1"], ["x", "1", "x"]],
+    ids=["constant-last", "constant-middle"],
+)
+def test_constant_key_is_refused(capsys, tmp_path, keys):
+    steps = [{"U": U, "beta": str(beta)} for beta, U in enumerate(keys, start=1)]
+    path = _write(tmp_path, {"base": "function_field", "steps": steps})
+    for json_mode in ([], ["--json"]):
+        code, out, err = run(capsys, "validate", "--basis", path, *json_mode)
+        assert (code, out, err) == (1, "", "error: key polynomials must have degree >= 1\n")
+
+
+@pytest.mark.parametrize(
+    "doc, text",
+    [
+        ({"base": "function_field", "steps": [
+            {"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "3/2"}, {"U": "x^3", "beta": "5"}]},
+         "step 2 condition (a): deg U_3 is not a multiple of deg U_2\n"),
+        ({"base": "function_field", "ext": "x^2 - y", "steps": [
+            {"U": "x", "beta": "1/2"}, {"U": "x^4 - y^2", "beta": "5"}]},
+         "step 2 condition (deg): deg U_2 exceeds the extension degree\n"),
+    ],
+    ids=["a", "deg"],
+)
+def test_validate_degree_conditions(capsys, tmp_path, doc, text):
+    assert run(capsys, "validate", "--basis", _write(tmp_path, doc))[:2] == (1, text)
+
+
+def test_oracle_rejects_rational_branch(capsys, tmp_path):
+    path = _write(tmp_path, {"defining": "x^2 - y^2 - y^3", "branch": "1/y"})
+    code, out, err = run(capsys, "oracle", "--param", path, "--poly", "x")
+    assert (code, out, err) == (1, "", "error: branch segment must be polynomial\n")
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["izumi-search", "--basis", "{b1}", "--upper", "2", "--lower", "1",
+          "--samples", str(MAX_SAMPLES + 1)],
+         "--samples %d exceeds the cap %d" % (MAX_SAMPLES + 1, MAX_SAMPLES)),
+        (["example-conic", "--depth", str(PrecisionPolicy.maximum - 1)],
+         "--depth 511 exceeds the cap 510"),
+        (["oracle", "--param", "{par}", "--poly", "x"],
+         "precision policy max %d exceeds the cap %d" % (MAX_PRECISION + 1, MAX_PRECISION)),
+    ],
+    ids=["samples", "depth", "policy-max"],
+)
+def test_over_budget_input_fails_fast(capsys, tmp_path, b1_path, command, message):
+    par = _write(tmp_path, {"defining": "x^2 - y^2 - y^3", "branch": "-y",
+                            "policy": {"max": MAX_PRECISION + 1}})
+    argv = [a.format(b1=b1_path, par=par) for a in command]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "input error: %s\n" % message)
 
 
 _PINNED = [

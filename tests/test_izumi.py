@@ -17,6 +17,8 @@ from keyval import (
     ord_comparison_bound,
 )
 from keyval.errors import (
+    ConsistencyFailureError,
+    EmptyEffectiveCorpusError,
     LevelOutOfRangeError,
     NonPositiveError,
     NormalizationViolationError,
@@ -53,6 +55,13 @@ def test_key_power_weight_examples(b1, b2):
     assert key_power_weight(b1, 2, 1, 1) == 1
     assert key_power_weight(b2, 3, 1, 1) == 2
     assert key_power_weight(b2, 3, 2, 2) == 5
+
+
+def test_key_power_weight_detects_inconsistent_basis():
+    # closed form m_1 * beta_1 = 2, but x^2 - y has level-1 weight ord(y) = 1
+    basis = WeightedBasis(FF, [(p("x"), F(1)), (p("x^2 - y"), F(3, 2))])
+    with pytest.raises(ConsistencyFailureError, match="closed form 2 != division-based weight 1"):
+        key_power_weight(basis, 2, 1, 1)
 
 
 def test_key_power_weight_bounds(b1):
@@ -192,6 +201,35 @@ def test_empirical_unbounded_detection(b1):
             FF,
             CorpusConfig(seed=2, samples=1),
             witnesses=report_input,
+        )
+
+
+def test_empirical_skips_zero_witness_and_zero_denominator():
+    x = Poly.x()  # a witness on which both maps vanish
+
+    def value(f):
+        return F(0) if f is x else F(1)
+
+    report = empirical_izumi(
+        value, value, FF, CorpusConfig(seed=0, samples=3), witnesses=[Poly.zero(), x]
+    )
+    assert (report.sup_found, report.samples, report.skipped) == (1, 3, 2)
+
+
+def test_empirical_infinite_numerator():
+    with pytest.raises(UnboundedRatioError, match="infinite numerator"):
+        empirical_izumi(lambda f: INF, lambda f: F(1), FF, CorpusConfig(seed=0, samples=1))
+
+
+def test_empirical_all_skipped():
+    with pytest.raises(EmptyEffectiveCorpusError):
+        empirical_izumi(lambda f: F(0), lambda f: F(0), FF, CorpusConfig(seed=0, samples=2))
+
+
+def test_empirical_sup_above_theoretical():
+    with pytest.raises(ConsistencyFailureError, match="sup 2 exceeds theoretical constant 1"):
+        empirical_izumi(
+            lambda f: F(2), lambda f: F(1), FF, CorpusConfig(seed=0, samples=1), theoretical=F(1)
         )
 
 

@@ -161,6 +161,12 @@ def test_degenerate_policy_rejected(initial, growth, maximum):
         PrecisionPolicy(initial=initial, growth=growth, maximum=maximum)
 
 
+def test_policy_max_capped():
+    assert PrecisionPolicy(maximum=oracle.MAX_PRECISION).maximum == 1024
+    with pytest.raises(ValueError, match="max 1025 exceeds the cap 1024"):
+        PrecisionPolicy(maximum=oracle.MAX_PRECISION + 1)
+
+
 def test_smallest_policy_accepted():
     par = conic_parametrization(PrecisionPolicy(initial=1, growth=2, maximum=1))
     assert par.series_at(1) == conic_branch_series(1)

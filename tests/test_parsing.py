@@ -59,6 +59,10 @@ def test_parse_errors_carry_position():
         parse_poly("x^(2)", FF)
     with pytest.raises(ParseError):
         parse_poly("z + 1", FF)
+    with pytest.raises(ParseError, match=r"^expected '\)' \(at position 6\)$"):
+        parse_poly("x + (y", FF)
+    with pytest.raises(ParseError, match=r"^trailing input \(at position 2\)$"):
+        parse_poly("x y", FF)
 
 
 def test_parse_nesting_cap():

@@ -129,10 +129,11 @@ def test_rewrite_rejects_undivided_degree_step():
     assert zero == AdicExpansion(3, {})
 
 
-def test_fuel_exhaustion(b1):
+def test_fuel_exhaustion(b1, monkeypatch):
+    monkeypatch.setattr("keyval.rewrite._default_fuel", lambda terms, basis: 0)
     E = adic_expand(p("x^9"), 1, b1)
     with pytest.raises(FuelExhaustedError):
-        raise_expansion(E, b1, fuel=0)
+        raise_expansion(E, b1)
 
 
 def test_lower_trace_entries_pinned(b2):

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from keyval.values import INF, format_value, is_finite, parse_value
+from keyval.values import INF, is_finite
 
 F = Fraction
 
@@ -26,8 +26,5 @@ def test_is_finite():
 
 
 def test_format_parse_round_trip():
-    for v in (F(3, 2), F(-5), F(0), INF):
-        assert parse_value(format_value(v)) == v
-    assert format_value(F(3, 2)) == "3/2"
-    assert format_value(INF) == "inf"
+    assert [str(v) for v in (F(3, 2), F(-5), F(0), INF)] == ["3/2", "-5", "0", "inf"]
 
