@@ -9,7 +9,6 @@ independent truncated-power-series valuation oracle.
 from .basefield import BaseFieldConfig, KElem, YPoly, base_valuation
 from .izumi import (
     CorpusConfig,
-    GaussValuation,
     IzumiReport,
     bracket_ratio,
     chain_bound,
@@ -41,7 +40,7 @@ from .oracle import (
     oracle_valuation,
 )
 from .parsing import parse_kelem, parse_poly, poly_text
-from .polynomials import Poly, poly_divmod, poly_reduce
+from .polynomials import Poly, poly_divmod
 from .rewrite import RewriteTrace, lower_expansion, raise_expansion
 from .series import Series, series_sqrt
 from .values import INF, Value

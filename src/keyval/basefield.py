@@ -232,8 +232,6 @@ class YPoly(DensePoly):
 
     def shift(self, k):
         """Multiply by variable**k."""
-        if self.is_zero():
-            return self
         return self._make(list((0,) * k + self.coeffs))
 
 
@@ -315,8 +313,6 @@ class KElem:
         return KElem(-self.num, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return KElem(self.num * other, self.den)
         if self.den is other.den is _Y_ONE:
             return KElem(self.num * other.num)
         return KElem(self.num * other.num, self.den * other.den)

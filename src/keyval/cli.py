@@ -15,7 +15,6 @@ from . import io as kio
 from .errors import IndexPowerViolationError, KeyvalError, ParseError
 from .izumi import (
     CorpusConfig,
-    GaussValuation,
     canonical_witnesses,
     empirical_izumi,
     extension_bound,
@@ -128,8 +127,7 @@ def _cmd_groups(args):
 
 def _cmd_gauss(args):
     base = kio.base_from_json(json.loads(args.base) if args.base else "function_field")
-    g = GaussValuation(base, args.beta)
-    return _value("value", gauss_value(_read_poly(args, base), g))
+    return _value("value", gauss_value(_read_poly(args, base), base, args.beta))
 
 
 def _cmd_izumi_exact(args):
@@ -288,7 +286,7 @@ def main(argv=None) -> int:
     except KeyvalError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, ZeroDivisionError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     print(json.dumps(doc, sort_keys=True) if args.json else text)

@@ -23,21 +23,11 @@ from .polynomials import Poly
 from .values import Value, is_finite
 
 
-@dataclass(frozen=True)
-class GaussValuation:
-    """ord_{nu,beta}: the monomial valuation giving x the weight beta."""
-
-    base: BaseFieldConfig
-    beta: Fraction
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise NonPositiveError("Gauss weight must be positive")
-
-
-def gauss_value(f: Poly, g: GaussValuation) -> Value:
-    """min nu(c_k) + k beta: the level-1 weight of the one-key basis (x, beta)."""
-    return weight(f, 1, WeightedBasis(g.base, [(Poly.x(), g.beta)]))
+def gauss_value(f: Poly, base: BaseFieldConfig, beta: Fraction) -> Value:
+    """ord_{nu,beta}(f) = min nu(c_k) + k beta, the weight of the one-key basis (x, beta)."""
+    if beta <= 0:
+        raise NonPositiveError("Gauss weight must be positive")
+    return weight(f, 1, WeightedBasis(base, [(Poly.x(), beta)]))
 
 
 def _step_product(basis: WeightedBasis, j: int, i: int) -> int:

@@ -22,7 +22,7 @@ from .errors import (
     NotAlgebraicError,
     ZeroInputError,
 )
-from .polynomials import Poly, poly_divmod, poly_reduce
+from .polynomials import Poly, poly_divmod
 from .series import Series
 from .values import INF, Value
 
@@ -128,7 +128,7 @@ def adic_expand(f: Poly, i: int, basis: WeightedBasis) -> AdicExpansion:
     """The i-adic expansion of f, by successive Euclidean division."""
     basis._check_level(i)
     if basis.minimal is not None and f.degree >= basis.minimal.degree:
-        f = poly_reduce(f, basis.minimal)
+        f = poly_divmod(f, basis.minimal)[1]
     return AdicExpansion(i, _expand(f, i, basis))
 
 
@@ -202,7 +202,7 @@ class Violation:
     message: str
 
 
-def _recurrence_coefficients(basis: WeightedBasis, i: int):
+def recurrence_coefficients(basis: WeightedBasis, i: int):
     """Group the cached expansion of U_{i+1} by the exponent of U_i.
 
     Returns {j: expansion terms of f_{i,j} at level i-1}, excluding the
@@ -231,7 +231,7 @@ def validate_basis(basis: WeightedBasis) -> list:
             out.append(Violation(
                 i, "index", "m_%d = %d is not divisible by n_%d = %d" % (i, step.m, i, step.n)
             ))
-        groups = _recurrence_coefficients(basis, i)
+        groups = recurrence_coefficients(basis, i)
         target = step.m * step.beta
         for j, terms in groups.items():
             w = expansion_weight(AdicExpansion(i - 1, terms), basis)

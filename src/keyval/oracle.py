@@ -61,11 +61,11 @@ def _cleared(f: Poly) -> tuple[list[YPoly], int]:
     return [c.num * (d.divmod(c.den)[0] if c.den.degree > 0 else d) for c in f.coeffs], d.order()
 
 
-def _horner(coeffs: list[YPoly], phi: Series, precision: int) -> Series:
+def _horner(coeffs: list[YPoly], phi: Series) -> Series:
     """The polynomial with these Q[y] coefficients evaluated at phi."""
-    total = Series.zero(precision)
+    total = Series.zero(phi.precision)
     for c in reversed(coeffs):
-        total = total * phi + Series.from_ypoly(c, precision)
+        total = total * phi + Series.from_ypoly(c, phi.precision)
     return total
 
 
@@ -126,13 +126,13 @@ class Parametrization:
         while True:
             work = max(work, min(2 * work, precision + 2 * do))
             phi = Series.from_ypoly(approx, work)
-            dres = _horner(self._derivative, phi, work)
+            dres = _horner(self._derivative, phi)
             do = dres.known_order()
             if do > precision:
                 raise InsufficientPrecisionError("derivative vanishes on the branch")
             if do >= work:
                 continue  # the derivative's order is not visible yet
-            res = _horner(self._coeffs, phi, work)
+            res = _horner(self._coeffs, phi)
             ro = res.known_order()
             if ro >= precision + do:
                 self._approx, self._verified = approx, ro - do
@@ -158,7 +158,7 @@ def oracle_valuation(f: Poly, par: Parametrization):
     p = policy.initial
     coeffs, shift = _cleared(f)
     while True:
-        s = _horner(coeffs, par.series_at(p), p)
+        s = _horner(coeffs, par.series_at(p))
         o = s.known_order()
         if o < s.precision:
             return Fraction(o - shift)

@@ -27,8 +27,3 @@ class Poly(DensePoly):
 def poly_divmod(f: Poly, g: Poly):
     """Quotient and remainder of f by the nonzero polynomial g."""
     return f.divmod(g)
-
-
-def poly_reduce(f: Poly, minimal: Poly) -> Poly:
-    """The representative of f modulo the minimal polynomial, degree < N."""
-    return poly_divmod(f, minimal)[1]

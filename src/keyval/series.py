@@ -25,10 +25,8 @@ from .errors import BadConstantTermError
 class Series:
     __slots__ = ("coeffs", "precision")
 
-    def __init__(self, coeffs, precision=None):
+    def __init__(self, coeffs, precision):
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if precision is None:
-            precision = len(coeffs)
         if len(coeffs) < precision:
             coeffs += [Fraction(0)] * (precision - len(coeffs))
         else:
@@ -76,10 +74,8 @@ class Series:
     __rmul__ = __mul__
 
     def shift(self, k):
-        """Multiply by variable**k (k may be negative if the order allows)."""
-        if k >= 0:
-            return Series((Fraction(0),) * k + self.coeffs, self.precision + k)
-        assert self.known_order() >= -k
+        """Divide by variable**-k, for 0 <= -k <= the known order."""
+        assert k <= 0 and self.known_order() >= -k
         return Series(self.coeffs[-k:], self.precision + k)
 
     def __eq__(self, other):

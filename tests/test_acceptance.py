@@ -12,7 +12,6 @@ from keyval import io as kio
 from keyval import (
     BaseFieldConfig,
     CorpusConfig,
-    GaussValuation,
     adic_expand,
     chain_bound,
     empirical_izumi,
@@ -132,21 +131,20 @@ def test_05_weight_additivity(b1, b2, b3):
 
 def test_06_gauss_comparison():
     with criterion(6, "Gauss valuation comparison bound"):
-        hi = GaussValuation(FF, F(3, 2))
-        lo = GaussValuation(FF, F(1, 2))
+        hi, lo = F(3, 2), F(1, 2)
         for f in corpus_polys(seed=303, count=10**3, positive_only=False):
-            assert gauss_value(f, hi) <= 3 * gauss_value(f, lo)
+            assert gauss_value(f, FF, hi) <= 3 * gauss_value(f, FF, lo)
         x = parse_poly("x", FF)
-        assert gauss_value(x, hi) == 3 * gauss_value(x, lo)
+        assert gauss_value(x, FF, hi) == 3 * gauss_value(x, FF, lo)
 
 
 def test_07_extension_bounds(b1):
     with criterion(7, "extension comparison bounds dominate"):
         bound = extension_bound(b1, F(1), F(1))
         assert bound == F(3, 2)
-        lo = GaussValuation(FF, F(1))
+        lo = F(1)
         for f in corpus_polys(seed=404, count=10**3):
-            assert weight(f, 2, b1) <= bound * gauss_value(f, lo)
+            assert weight(f, 2, b1) <= bound * gauss_value(f, FF, lo)
         par = conic_parametrization()
         result = truncated_keys_from_series(
             par.series_at(5), 3, FF, conic_defining()
@@ -155,7 +153,7 @@ def test_07_extension_bounds(b1):
         assert nbound == 3
         checked = 0
         for f in corpus_polys(seed=505, count=10**3):
-            denom = gauss_value(f, lo)
+            denom = gauss_value(f, FF, lo)
             if denom <= 0:
                 continue
             mu = oracle_valuation(f, par)

@@ -610,3 +610,34 @@ def test_value_group_chain_pinned(capsys, tmp_path, command, text, doc, json_mod
     }))
     argv = [command, "--basis", str(path)] + (["--json"] if json_mode else [])
     assert run(capsys, *argv)[:2] == (0, doc if json_mode else text)
+
+
+def test_validate_shape_condition(capsys, tmp_path):
+    # U_2 = x^2 + y*x - y has an f_{1,1} term, but n_1 = [<1/2> : <1>] = 2
+    path = _write(tmp_path, {"base": "function_field", "steps": [
+        {"U": "x", "beta": "1/2"}, {"U": "x^2 + y*x - y", "beta": "3/2"}]})
+    c = "weight of recurrence coefficient at U_1^1 is 1, expected 1/2"
+    shape = "nonzero recurrence coefficient at exponent 1 not divisible by n_1 = 2"
+    assert run(capsys, "validate", "--basis", path) == (
+        1, "step 1 condition (c): %s\nstep 1 condition (shape): %s\n" % (c, shape), "")
+    code, out, err = run(capsys, "validate", "--basis", path, "--json")
+    assert (code, err) == (1, "")
+    assert out == json.dumps({"ok": False, "violations": [
+        {"condition": "c", "message": c, "step": 1},
+        {"condition": "shape", "message": shape, "step": 1},
+    ]}, sort_keys=True) + "\n"
+
+
+def test_izumi_exact_undefined_degree_step(capsys, tmp_path):
+    path = _write(tmp_path, {"base": "function_field", "steps": [
+        {"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "3/2"}, {"U": "x^3 - y^2", "beta": "5"}]})
+    assert run(capsys, "izumi-exact", "--basis", path, "--upper", "3", "--lower", "1") == (
+        1, "", "error: degree steps m_1..m_2 are not all defined\n")
+
+
+def test_gauss_input_checks(capsys):
+    # the polynomial is parsed before the weight is checked, as in every command
+    assert run(capsys, "gauss", "--beta", "0", "--poly", "x") == (
+        1, "", "error: Gauss weight must be positive\n")
+    assert run(capsys, "gauss", "--beta", "0", "--poly", "x +") == (
+        2, "", "parse error: expected a number, variable, or parenthesis (at position 3)\n")

@@ -5,7 +5,6 @@ import pytest
 from keyval import (
     BaseFieldConfig,
     CorpusConfig,
-    GaussValuation,
     WeightedBasis,
     bracket_ratio,
     chain_bound,
@@ -39,16 +38,16 @@ def p(text):
 
 
 def test_gauss_value_examples():
-    assert gauss_value(p("x^3 + y*x"), GaussValuation(FF, F(1, 2))) == F(3, 2)
-    assert gauss_value(p("x + y"), GaussValuation(FF, F(2))) == 1
+    assert gauss_value(p("x^3 + y*x"), FF, F(1, 2)) == F(3, 2)
+    assert gauss_value(p("x + y"), FF, F(2)) == 1
     f = parse_poly("9*x^2 + 3*x + 27", P3)
-    assert gauss_value(f, GaussValuation(P3, F(1))) == 2
-    assert gauss_value(Poly.zero(), GaussValuation(FF, F(1))) is INF
+    assert gauss_value(f, P3, F(1)) == 2
+    assert gauss_value(Poly.zero(), FF, F(1)) is INF
 
 
 def test_gauss_weight_must_be_positive():
     with pytest.raises(NonPositiveError):
-        GaussValuation(FF, F(0))
+        gauss_value(p("x"), FF, F(0))
 
 
 def test_key_power_weight_examples(b1, b2):
@@ -102,11 +101,10 @@ def test_ord_comparison_bound():
 
 
 def test_ord_comparison_bound_tight_at_x():
-    hi = GaussValuation(FF, F(3, 2))
-    lo = GaussValuation(FF, F(1, 2))
-    c = ord_comparison_bound(hi.beta, lo.beta, F(1))
+    hi, lo = F(3, 2), F(1, 2)
+    c = ord_comparison_bound(hi, lo, F(1))
     f = p("x")
-    assert gauss_value(f, hi) == c * gauss_value(f, lo)
+    assert gauss_value(f, FF, hi) == c * gauss_value(f, FF, lo)
 
 
 def test_chain_bound():
@@ -256,3 +254,25 @@ def test_canonical_witnesses(b2):
     assert b2.key(3) in ws
     assert b2.key(1) ** 2 in ws
     assert len(ws) == 6
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda b: extension_bound(b, F(0), F(1)),
+         NonPositiveError, "bound inputs must be positive"),
+        (lambda b: extension_bound(b, F(1, 2), F(1), normalized=True),
+         NormalizationViolationError, "mu'(x) must be >= 1 when normalized"),
+        (lambda b: CorpusConfig(seed=1, samples=0),
+         NonPositiveError, "need at least one sample"),
+        (lambda b: ord_comparison_bound(F(1), F(1), F(0)),
+         NonPositiveError, "base constant must be positive"),
+        (lambda b: chain_bound(F(0), F(1)),
+         NonPositiveError, "comparison constants must be positive"),
+    ],
+    ids=["mu-prime-zero", "normalized-mu-prime", "no-samples", "c-base-zero", "chain-zero"],
+)
+def test_bounds_reject_bad_inputs(b1, call, error, message):
+    with pytest.raises(error) as exc:
+        call(b1)
+    assert (exc.type, str(exc.value)) == (error, message)

@@ -252,3 +252,15 @@ def test_algebraic_reduction_in_expand():
     basis = WeightedBasis(FF, [(p("x"), F(1))], p("x^2 - y^2 - y^3"))
     E = adic_expand(p("x^3"), 1, basis)
     assert E.terms == {(1,): k("y^2 + y^3")}
+
+
+def test_expansion_eval_level_above_alpha(b1):
+    with pytest.raises(LevelOutOfRangeError) as exc:
+        expansion_eval(AdicExpansion(b1.alpha + 1, {}), b1)
+    assert str(exc.value) == "expansion level exceeds basis length"
+
+
+def test_construction_requires_monic_keys():
+    with pytest.raises(KeyvalError) as exc:
+        WeightedBasis(FF, [(p("x"), F(1)), (p("2*x^2"), F(2))])
+    assert (exc.type, str(exc.value)) == (KeyvalError, "key polynomials must be monic in x")

@@ -17,7 +17,7 @@ from keyval.basefield import YPoly
 from keyval.errors import InsufficientPrecisionError, KeyvalError
 from keyval.oracle import conic_branch_series, conic_defining
 from keyval.parsing import parse_poly
-from keyval.series import Series, series_div_unit
+from keyval.series import Series, series_div_unit, series_sqrt
 
 F = Fraction
 FF = BaseFieldConfig.function_field()
@@ -208,3 +208,13 @@ def test_truncation_weights_dominated_by_oracle(par):
         ws = [weight(f, i, basis) for i in range(1, basis.alpha + 1)]
         assert all(a <= b for a, b in zip(ws, ws[1:]))
         assert all(w <= mu for w in ws)
+
+
+def test_branch_with_unit_derivative():
+    # x = sqrt(1 + y): P' = 2x is a unit on the branch, so ord P'(phi) = 0
+    par = Parametrization(p("x^2 - 1 - y"), YPoly((1,)))
+    for prec in range(1, 129):
+        assert par.series_at(prec) == series_sqrt(Series((1, 1), prec))
+    assert oracle_valuation(p("x - 1"), par) == 1
+    assert oracle_valuation(p("x - 1 - y/2"), par) == 2
+    assert oracle_valuation(p("x + 1"), par) == 0
