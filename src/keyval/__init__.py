@@ -42,7 +42,7 @@ from .oracle import (
 from .parsing import parse_kelem, parse_poly, poly_text
 from .polynomials import Poly, poly_divmod
 from .rewrite import RewriteTrace, lower_expansion, raise_expansion
-from .series import Series, series_sqrt
+from .series import Series
 from .values import INF, Value
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -72,7 +72,8 @@ class DensePoly:
     A subclass names its coefficient ring's ``_zero`` and ``_one``, and
     ``_unit``, the one that leading coefficients are inverted against.  The
     inversion must stay exact, so over Q ``_unit`` is ``Fraction(1)`` while
-    ``_one`` stays the int 1.  A coefficient is zero exactly when it is falsy.
+    ``_one`` stays the int 1.  A coefficient or a polynomial is zero exactly when
+    it is falsy.
     """
 
     __slots__ = ("coeffs",)
@@ -108,8 +109,8 @@ class DensePoly:
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
-    def is_zero(self):
-        return not self.coeffs
+    def __bool__(self):
+        return bool(self.coeffs)
 
     @property
     def leading(self):
@@ -165,7 +166,7 @@ class DensePoly:
 
     def divmod(self, other):
         """Quotient and remainder by the nonzero polynomial other."""
-        if other.is_zero():
+        if not other:
             raise DivisorZeroError("division by the zero polynomial")
         rem = list(self.coeffs)
         dd, dv = len(rem) - 1, other.degree
@@ -224,9 +225,9 @@ class YPoly(DensePoly):
 
     def gcd(self, other):
         a, b = self, other
-        while not b.is_zero():
+        while b:
             a, b = b, a.divmod(b)[1]
-        if a.is_zero():
+        if not a:
             return a
         return a * (_F1 / a.leading)
 
@@ -250,9 +251,9 @@ class KElem:
             self.num = num
             self.den = _Y_ONE
             return
-        if den.is_zero():
+        if not den:
             raise DivisorZeroError("zero denominator")
-        if num.is_zero():
+        if not num:
             num, den = _Y_ZERO, _Y_ONE
         else:
             g = num.gcd(den)
@@ -283,9 +284,6 @@ class KElem:
     def gen(cls):
         return cls(YPoly.gen())
 
-    def is_zero(self):
-        return self.num.is_zero()
-
     def __bool__(self):
         return bool(self.num.coeffs)
 
@@ -295,7 +293,7 @@ class KElem:
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise KeyvalError("element is not a constant")
-        if self.is_zero():
+        if not self:
             return Fraction(0)
         return Fraction(self.num.coeffs[0]) / self.den.coeffs[0]
 
@@ -320,7 +318,7 @@ class KElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if other.is_zero():
+        if not other:
             raise DivisorZeroError("division by zero in K")
         return KElem(self.num * other.den, self.den * other.num)
 
@@ -349,7 +347,7 @@ def _padic_val(r: Fraction, p: int) -> Fraction:
 
 def base_valuation(a: KElem, cfg: BaseFieldConfig) -> Value:
     """nu(a): order at the variable for function fields, v_p for p-adic."""
-    if a.is_zero():
+    if not a:
         return INF
     if cfg.p is None:
         return Fraction(a.num.order() - a.den.order())

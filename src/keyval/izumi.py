@@ -178,7 +178,7 @@ def empirical_izumi(
     skipped = 0
     samples = (random_corpus_poly(base, corpus, j) for j in range(corpus.samples))
     for f in chain(witnesses, samples):
-        if f.is_zero():
+        if not f:
             skipped += 1
             continue
         a = val_num(f)

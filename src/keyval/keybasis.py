@@ -50,7 +50,7 @@ class KeyStep:
     phi: Fraction | None = None
     #: index n_i = [Phi_i : Phi_{i-1}].
     n: int | None = None
-    #: cached i-adic expansion of U_{i+1}, used by the rewriting algorithms.
+    #: cached i-adic expansion of U_{i+1} in K[x], for rewriting and validation.
     next_expansion: AdicExpansion | None = None
 
 
@@ -97,7 +97,8 @@ class WeightedBasis:
             d1 = self.steps[i + 1].U.degree
             if d1 % d0 == 0:
                 self.steps[i].m = d1 // d0
-            self.steps[i].next_expansion = adic_expand(self.steps[i + 1].U, i + 1, self)
+            U = self.steps[i + 1].U
+            self.steps[i].next_expansion = AdicExpansion(i + 1, _expand(U, i + 1, self))
 
     @property
     def alpha(self) -> int:
@@ -125,7 +126,7 @@ class WeightedBasis:
 
 
 def adic_expand(f: Poly, i: int, basis: WeightedBasis) -> AdicExpansion:
-    """The i-adic expansion of f, by successive Euclidean division."""
+    """The i-adic expansion of f modulo the minimal polynomial, by division."""
     basis._check_level(i)
     if basis.minimal is not None and f.degree >= basis.minimal.degree:
         f = poly_divmod(f, basis.minimal)[1]
@@ -133,20 +134,20 @@ def adic_expand(f: Poly, i: int, basis: WeightedBasis) -> AdicExpansion:
 
 
 def _expand(f: Poly, level: int, basis: WeightedBasis) -> dict:
-    if f.is_zero():
+    if not f:
         return {}
     if level == 1:
         # U_1 = x, so the 1-adic expansion is the monomial expansion
-        return {(k,): c for k, c in enumerate(f.coeffs) if not c.is_zero()}
+        return {(k,): c for k, c in enumerate(f.coeffs) if c}
     U = basis.key(level)
     remainders = []
     g = f
-    while not g.is_zero():
+    while g:
         g, r = poly_divmod(g, U)
         remainders.append(r)
     out = {}
     for j, r in enumerate(remainders):
-        if r.is_zero():
+        if not r:
             continue
         for a, c in _expand(r, level - 1, basis).items():
             out[a + (j,)] = c
@@ -181,14 +182,14 @@ def expansion_weight(E: AdicExpansion, basis: WeightedBasis) -> Value:
 
 def weight(f: Poly, i: int, basis: WeightedBasis) -> Value:
     """The i-th weight map: min of nu(c) + sum a_j beta_j over the expansion."""
-    if f.is_zero():
+    if not f:
         return INF
     return expansion_weight(adic_expand(f, i, basis), basis)
 
 
 def initial_form(f: Poly, i: int, basis: WeightedBasis) -> AdicExpansion:
     """The sub-expansion of the terms attaining the i-th weight of f."""
-    if f.is_zero():
+    if not f:
         raise ZeroInputError("the zero polynomial has no initial form")
     E = adic_expand(f, i, basis)
     w = expansion_weight(E, basis)

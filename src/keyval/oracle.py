@@ -15,7 +15,7 @@ from fractions import Fraction
 from .basefield import BaseFieldConfig, KElem, YPoly
 from .errors import InsufficientPrecisionError, KeyvalError
 from .polynomials import Poly
-from .series import Series, series_div_unit, series_sqrt
+from .series import Series, series_div_unit
 
 #: A policy may grow the precision to at most this; a request that exhausts
 #: 1024 already takes several seconds.
@@ -176,9 +176,3 @@ def conic_defining() -> Poly:
 def conic_parametrization(policy: PrecisionPolicy | None = None) -> Parametrization:
     """The branch x = -y*sqrt(1+y) of the conic-like curve."""
     return Parametrization(conic_defining(), YPoly((0, -1)), policy=policy)
-
-
-def conic_branch_series(precision: int) -> Series:
-    """-y*sqrt(1+y) directly from the square-root expansion."""
-    y = Series.from_ypoly(YPoly.gen(), precision)
-    return series_sqrt(Series.from_ypoly(YPoly((1, 1)), precision)) * -1 * y

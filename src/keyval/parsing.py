@@ -102,7 +102,7 @@ class _Parser:
                 else:
                     if rhs.degree > 0:
                         raise ParseError("cannot divide by a polynomial in x", at)
-                    if rhs.is_zero():
+                    if not rhs:
                         raise ParseError("division by zero", at)
                     inv = KElem.one() / rhs.coeff(0)
                     value = value * inv

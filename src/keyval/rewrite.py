@@ -35,7 +35,7 @@ def _combine(into: dict, exponents, coeff):
         into[exponents] = coeff
     else:
         s = prev + coeff
-        if s.is_zero():
+        if not s:
             del into[exponents]
         else:
             into[exponents] = s

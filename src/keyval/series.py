@@ -57,12 +57,7 @@ class Series:
             p,
         )
 
-    def __neg__(self):
-        return Series([-c for c in self.coeffs], self.precision)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Series([c * other for c in self.coeffs], self.precision)
         p = min(
             self.precision + other.known_order(),
             other.precision + self.known_order(),
@@ -99,19 +94,6 @@ def series_div_unit(num: Series, den: Series) -> Series:
     # num/den = (a/da) / (b/db) = a * (g/c) * db / da
     g, c = _inverse_ints(b, p)
     return Series(_fractions(_mul_ints(a, g, p), da * c, db), p)
-
-
-def series_sqrt(s: Series) -> Series:
-    """Square root of a series with constant term 1, to the same precision."""
-    if not s.coeffs or s.coeffs[0] != 1:
-        raise BadConstantTermError("square root requires constant term 1")
-    out = [Fraction(1)]
-    for n in range(1, s.precision):
-        acc = s.coeffs[n]
-        for i in range(1, n):
-            acc -= out[i] * out[n - i]
-        out.append(acc / 2)
-    return Series(out, s.precision)
 
 
 # ------------------------------------------------------------ integer kernels

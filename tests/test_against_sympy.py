@@ -36,7 +36,7 @@ def _pairs(count, seed=2008):
         if n % 3 == 0:
             common = _random_ypoly(rng, 2)
             a, b = a * common, b * common
-        if b.is_zero():
+        if not b:
             b = YPoly.one()
         yield a, b
 

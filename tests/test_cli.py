@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import keyval
 from keyval import io as kio
 from keyval.cli import MAX_SAMPLES, main
 from keyval.oracle import MAX_PRECISION, PrecisionPolicy
@@ -430,6 +435,25 @@ def test_validate_degree_conditions(capsys, tmp_path, doc, text):
     assert run(capsys, "validate", "--basis", _write(tmp_path, doc))[:2] == (1, text)
 
 
+@pytest.mark.parametrize(
+    "beta, code, text, doc",
+    [
+        ("2", 0, "valid\n", '{"ok": true, "violations": []}\n'),
+        ("1", 1, "step 1 condition (e): beta_2 = 1 is not > m_1*beta_1 = 1\n",
+         '{"ok": false, "violations": [{"condition": "e", '
+         '"message": "beta_2 = 1 is not > m_1*beta_1 = 1", "step": 1}]}\n'),
+    ],
+    ids=["valid", "e"],
+)
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_validate_key_of_extension_degree(capsys, tmp_path, beta, code, text, doc, json_mode):
+    # U_2 = U_1^2 - y holds in K[x]; reduced modulo ext, U_2 would read y^2
+    path = _write(tmp_path, {"base": "function_field", "ext": "x^2 - y - y^2", "steps": [
+        {"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": beta}]})
+    argv = ["validate", "--basis", path] + (["--json"] if json_mode else [])
+    assert run(capsys, *argv) == (code, doc if json_mode else text, "")
+
+
 def test_oracle_rejects_rational_branch(capsys, tmp_path):
     path = _write(tmp_path, {"defining": "x^2 - y^2 - y^3", "branch": "1/y"})
     code, out, err = run(capsys, "oracle", "--param", path, "--poly", "x")
@@ -641,3 +665,22 @@ def test_gauss_input_checks(capsys):
         1, "", "error: Gauss weight must be positive\n")
     assert run(capsys, "gauss", "--beta", "0", "--poly", "x +") == (
         2, "", "parse error: expected a number, variable, or parenthesis (at position 3)\n")
+
+
+def test_runtime_imports_only_the_standard_library():
+    # site hooks may preload third-party modules, so only modules that
+    # importing keyval adds are checked
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import keyval\n"
+        "for m in pkgutil.iter_modules(keyval.__path__):\n"
+        "    importlib.import_module('keyval.' + m.name)\n"
+        "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'keyval'}))\n"
+    )
+    src = str(Path(keyval.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

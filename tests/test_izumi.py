@@ -152,7 +152,7 @@ def test_corpus_padic_samples():
         f = random_corpus_poly(P3, corpus, j)
         assert 1 <= f.degree <= corpus.max_degree
         for c in f.coeffs:
-            assert c.is_zero() or c.is_constant()
+            assert not c or c.is_constant()
 
 
 def test_empirical_b1(b1):

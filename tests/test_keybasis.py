@@ -20,7 +20,7 @@ from keyval.errors import (
     NonzeroConstantTermError,
     ZeroInputError,
 )
-from keyval.keybasis import expansion_weight
+from keyval.keybasis import expansion_weight, recurrence_coefficients
 from keyval.parsing import parse_kelem, parse_poly
 from keyval.polynomials import Poly
 from keyval.series import Series
@@ -116,7 +116,7 @@ def test_expansion_eval_round_trip(b1, b2, q3):
 def test_expansion_eval_examples(b1):
     E = AdicExpansion(2, {(1, 1): k("1"), (1, 0): k("2*y")})
     assert expansion_eval(E, b1) == p("x^3 + y*x")
-    assert expansion_eval(AdicExpansion(2, {}), b1).is_zero()
+    assert not expansion_eval(AdicExpansion(2, {}), b1)
     assert expansion_eval(AdicExpansion(1, {(0,): k("y")}), b1) == p("y")
 
 
@@ -211,13 +211,24 @@ def test_non_additivity_counterexample(b3):
     assert weight(f, 2, b3) + weight(g, 2, b3) == 2
 
 
-def test_additivity_when_index_matches(b1, b2):
+def test_additivity_when_index_matches(b1, b2, q3):
     corpus = CorpusConfig(seed=17, samples=30, max_degree=4, positive_only=False)
-    for basis in (b1, b2):
-        polys = [random_corpus_poly(FF, corpus, j) for j in range(corpus.samples)]
+    for basis in (b1, b2, q3):
+        polys = [random_corpus_poly(basis.base, corpus, j) for j in range(corpus.samples)]
         for f, g in zip(polys[::2], polys[1::2]):
             for i in range(1, basis.alpha + 1):
                 assert weight(f * g, i, basis) == weight(f, i, basis) + weight(g, i, basis)
+
+
+@pytest.mark.parametrize("name, ext", [("b1", "x^2 - y - y^2"), ("b2", "x^4 - y^3")])
+def test_recurrence_coefficients_ignore_ext(request, name, ext):
+    # the key recurrence holds in K[x]; modulo an ext of its degree the top key
+    # would reduce to a polynomial of lower degree
+    basis = request.getfixturevalue(name)
+    steps = [(s.U, s.beta) for s in basis.steps]
+    with_ext = WeightedBasis(basis.base, steps, parse_poly(ext, basis.base))
+    for i in range(1, basis.alpha):
+        assert recurrence_coefficients(with_ext, i) == recurrence_coefficients(basis, i)
 
 
 def test_truncation_exact_root():
