@@ -332,23 +332,25 @@ class KElem:
         return "KElem(%r, %r)" % (self.num, self.den)
 
 
-def _padic_val(r: Fraction, p: int) -> Fraction:
+def base_order(a: KElem, cfg: BaseFieldConfig) -> int:
+    """nu(a) of the nonzero a as an int: ord num - ord den, or v_p of the constant."""
+    p = cfg.p
+    if p is None:
+        return a.num.order() - a.den.order()
+    r = a.as_fraction()
+    n, d = r.numerator, r.denominator
     v = 0
-    n = r.numerator
     while n % p == 0:
         n //= p
         v += 1
-    d = r.denominator
     while d % p == 0:
         d //= p
         v -= 1
-    return Fraction(v)
+    return v
 
 
 def base_valuation(a: KElem, cfg: BaseFieldConfig) -> Value:
     """nu(a): order at the variable for function fields, v_p for p-adic."""
     if not a:
         return INF
-    if cfg.p is None:
-        return Fraction(a.num.order() - a.den.order())
-    return _padic_val(a.as_fraction(), cfg.p)
+    return Fraction(base_order(a, cfg))

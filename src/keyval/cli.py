@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -197,7 +198,9 @@ def _cmd_example_conic(args):
     return doc, human, 0
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser, built on the first call and reused after it."""
     top = argparse.ArgumentParser(prog="keyval", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -273,9 +276,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

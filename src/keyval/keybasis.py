@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
-from .basefield import BaseFieldConfig, KElem, YPoly, base_valuation
+from .basefield import BaseFieldConfig, KElem, YPoly, base_order
 from .errors import (
     InsufficientPrecisionError,
     KeyvalError,
@@ -92,6 +93,10 @@ class WeightedBasis:
             )
             step.n = (phi / step.phi).numerator
             phi = step.phi
+        # Phi_alpha = (1/N)Z holds every weight, so weights are computed as
+        # int counts of 1/N; beta_units[i] is beta_{i+1} * N.
+        self.N = phi.denominator
+        self.beta_units = tuple((s.beta * self.N).numerator for s in self.steps)
         for i in range(len(self.steps) - 1):
             d0 = self.steps[i].U.degree
             d1 = self.steps[i + 1].U.degree
@@ -113,12 +118,9 @@ class WeightedBasis:
     def m(self, i: int) -> int | None:
         return self.steps[i - 1].m
 
-    def term_weight(self, exponents, c: KElem) -> Value:
-        w = base_valuation(c, self.base)
-        for a, step in zip(exponents, self.steps):
-            if a:
-                w = w + a * step.beta
-        return w
+    def term_weight(self, exponents, c: KElem) -> int:
+        """N times the weight nu(c) + sum a_j beta_j of the term c*U^a, c nonzero."""
+        return base_order(c, self.base) * self.N + sum(map(mul, exponents, self.beta_units))
 
     def _check_level(self, i: int):
         if not 1 <= i <= self.alpha:
@@ -172,12 +174,8 @@ def expansion_weight(E: AdicExpansion, basis: WeightedBasis) -> Value:
     """Gauss weight: min of nu(c) + sum a_j beta_j, Infinity when empty."""
     if E.level > basis.alpha:
         raise LevelOutOfRangeError("expansion level exceeds basis length")
-    w = INF
-    for a, c in E.terms.items():
-        t = basis.term_weight(a, c)
-        if t < w:
-            w = t
-    return w
+    k = min((basis.term_weight(a, c) for a, c in E.terms.items() if c), default=None)
+    return INF if k is None else Fraction(k, basis.N)
 
 
 def weight(f: Poly, i: int, basis: WeightedBasis) -> Value:
@@ -189,11 +187,12 @@ def weight(f: Poly, i: int, basis: WeightedBasis) -> Value:
 
 def initial_form(f: Poly, i: int, basis: WeightedBasis) -> AdicExpansion:
     """The sub-expansion of the terms attaining the i-th weight of f."""
-    if not f:
-        raise ZeroInputError("the zero polynomial has no initial form")
     E = adic_expand(f, i, basis)
-    w = expansion_weight(E, basis)
-    return AdicExpansion(i, {a: c for a, c in E.terms.items() if basis.term_weight(a, c) == w})
+    units = {a: basis.term_weight(a, c) for a, c in E.terms.items()}
+    if not units:  # f is zero, or zero modulo the minimal polynomial
+        raise ZeroInputError("the zero polynomial has no initial form")
+    k = min(units.values())
+    return AdicExpansion(i, {a: c for a, c in E.terms.items() if units[a] == k})
 
 
 @dataclass

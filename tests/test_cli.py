@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import keyval
+from keyval import cli
 from keyval import io as kio
 from keyval.cli import MAX_SAMPLES, main
 from keyval.oracle import MAX_PRECISION, PrecisionPolicy
@@ -229,6 +230,32 @@ def test_izumi_search_reproducible(capsys, b1_path):
     doc = json.loads(out1)
     assert doc["sup_found"] == "3/2"
     assert doc["witness"] == "x^2 - y"
+
+
+@pytest.fixture()
+def q3_path(tmp_path, q3):
+    path = tmp_path / "q3.json"
+    path.write_text(json.dumps(kio.basis_to_json(q3)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "basis, upper, lower, sup, witness",
+    [
+        ("b2", 3, 2, "11/10", "x^4 - 2*y*x^2 + y^2*x + y^2"),
+        ("b2", 3, 1, "11/8", "x^4 - 2*y*x^2 + y^2*x + y^2"),
+        ("q3", 2, 1, "3/2", "x^2 - 3"),
+    ],
+)
+def test_izumi_search_pinned(capsys, b2_path, q3_path, basis, upper, lower, sup, witness):
+    path = {"b2": b2_path, "q3": q3_path}[basis]
+    code, out, _ = run(
+        capsys, "izumi-search", "--basis", path, "--upper", str(upper), "--lower", str(lower),
+        "--samples", "500", "--json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["sup_found"], doc["witness"], doc["skipped"]) == (sup, witness, 0)
 
 
 def test_oracle(capsys, tmp_path):
@@ -611,6 +638,30 @@ def test_cli_output_pinned(capsys, cli_paths, argv, code, text, doc, json_mode):
     argv = [a.format(**cli_paths) for a in argv] + (["--json"] if json_mode else [])
     assert run(capsys, *argv)[:2] == (code, doc if json_mode else text)
 
+
+
+def test_parser_is_built_once_and_reused(capsys, cli_paths):
+    cli.build_parser.cache_clear()
+    pinned = {p.id: p.values for p in _PINNED}
+    for name, json_mode in [("usage-error", False), ("parse-error", False), ("weight", False),
+                            ("raise", True), ("groups", False)]:
+        argv, code, text, doc = pinned[name]
+        argv = [a.format(**cli_paths) for a in argv] + (["--json"] if json_mode else [])
+        assert run(capsys, *argv)[:2] == (code, doc if json_mode else text)
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_initial_of_zero_modulo_ext_is_refused(capsys, tmp_path, json_mode):
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps({
+        "base": "function_field",
+        "ext": "x^2 - y - y^2",
+        "steps": [{"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "2"}],
+    }))
+    argv = ["initial", "--basis", str(path), "--poly", "x^2-y-y^2", "--level", "2"]
+    expected = (1, "", "error: the zero polynomial has no initial form\n")
+    assert run(capsys, *argv + (["--json"] if json_mode else [])) == expected
 
 
 @pytest.mark.parametrize(
