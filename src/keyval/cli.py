@@ -142,6 +142,8 @@ def _cmd_izumi_bound(args):
 
 
 def _cmd_izumi_search(args):
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1, got %d" % args.samples)
     if args.samples > MAX_SAMPLES:
         raise ValueError("--samples %d exceeds the cap %d" % (args.samples, MAX_SAMPLES))
     basis = kio.load_basis(args.basis)

@@ -156,17 +156,29 @@ def _expand(f: Poly, level: int, basis: WeightedBasis) -> dict:
     return out
 
 
+def _by_top_key(terms: dict) -> dict:
+    """Split expansion terms by the exponent j of the top key: {j: lower terms}."""
+    groups = {}
+    for a, c in terms.items():
+        groups.setdefault(a[-1], {})[a[:-1]] = c
+    return groups
+
+
 def expansion_eval(E: AdicExpansion, basis: WeightedBasis) -> Poly:
-    """Substitute the keys back into an expansion; exact inverse of expand."""
+    """Substitute the keys back by Horner's rule in each key; exact inverse of expand."""
     if E.level > basis.alpha:
         raise LevelOutOfRangeError("expansion level exceeds basis length")
+    return _eval(E.terms, E.level, basis)
+
+
+def _eval(terms: dict, level: int, basis: WeightedBasis) -> Poly:
+    if level == 0:
+        return Poly.const(terms.get((), KElem.zero()))
+    U = basis.key(level)
+    parts = _by_top_key(terms)
     total = Poly.zero()
-    for a, c in E.terms.items():
-        term = Poly.const(c)
-        for j, e in enumerate(a):
-            if e:
-                term = term * basis.key(j + 1) ** e
-        total = total + term
+    for j in range(max(parts, default=-1), -1, -1):
+        total = total * U + _eval(parts.get(j, {}), level - 1, basis)
     return total
 
 
@@ -180,8 +192,6 @@ def expansion_weight(E: AdicExpansion, basis: WeightedBasis) -> Value:
 
 def weight(f: Poly, i: int, basis: WeightedBasis) -> Value:
     """The i-th weight map: min of nu(c) + sum a_j beta_j over the expansion."""
-    if not f:
-        return INF
     return expansion_weight(adic_expand(f, i, basis), basis)
 
 
@@ -203,18 +213,9 @@ class Violation:
 
 
 def recurrence_coefficients(basis: WeightedBasis, i: int):
-    """Group the cached expansion of U_{i+1} by the exponent of U_i.
-
-    Returns {j: expansion terms of f_{i,j} at level i-1}, excluding the
-    leading monomial U_i^{m_i}.
-    """
-    step = basis.steps[i - 1]
-    lead = (0,) * (i - 1) + (step.m,)
-    groups = {}
-    for a, c in step.next_expansion.terms.items():
-        if a == lead:
-            continue
-        groups.setdefault(a[-1], {})[a[:-1]] = c
+    """The f_{i,j} of U_{i+1} = U_i^{m_i} + sum_j f_{i,j} U_i^j, as {j: level i-1 terms}."""
+    groups = _by_top_key(basis.steps[i - 1].next_expansion.terms)
+    groups.pop(basis.m(i), None)  # U_{i+1} is monic of degree m_i deg U_i: this is U_i^{m_i}
     return groups
 
 

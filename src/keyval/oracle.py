@@ -16,6 +16,7 @@ from .basefield import BaseFieldConfig, KElem, YPoly
 from .errors import InsufficientPrecisionError, KeyvalError
 from .polynomials import Poly
 from .series import Series, series_div_unit
+from .values import INF
 
 #: A policy may grow the precision to at most this; a request that exhausts
 #: 1024 already takes several seconds.
@@ -154,6 +155,8 @@ def oracle_valuation(f: Poly, par: Parametrization):
     the maximum precision (f is then likely a multiple of the defining
     polynomial, i.e. zero in L).
     """
+    if not f:
+        return INF
     policy = par.policy
     p = policy.initial
     coeffs, shift = _cleared(f)

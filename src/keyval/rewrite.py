@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .basefield import KElem
 from .errors import FuelExhaustedError, KeyvalError, LevelOutOfRangeError
-from .keybasis import AdicExpansion, WeightedBasis, expansion_weight, recurrence_coefficients
+from .keybasis import AdicExpansion, WeightedBasis, expansion_weight
 
 
 @dataclass
@@ -66,13 +66,9 @@ def _pad(a, width):
 
 def _key_power_replacement(basis: WeightedBasis, j: int, width: int) -> dict:
     """U_j^{m_j} as an expansion at vector width: U_{j+1} - sum_k f_{jk} U_j^k."""
-    out = {}
-    for k, terms in recurrence_coefficients(basis, j).items():
-        for a, c in terms.items():
-            out[_pad(a + (k,), width)] = -c
-    unit = [0] * width
-    unit[j] = 1  # index j is the 1-based level j+1
-    _combine(out, tuple(unit), KElem.one())
+    step = basis.steps[j - 1]
+    out = {_pad(a, width): -c for a, c in step.next_expansion.terms.items() if a[-1] < step.m}
+    out[_pad((0,) * j + (1,), width)] = KElem.one()  # U_{j+1}
     return out
 
 

@@ -493,12 +493,16 @@ def test_oracle_rejects_rational_branch(capsys, tmp_path):
         (["izumi-search", "--basis", "{b1}", "--upper", "2", "--lower", "1",
           "--samples", str(MAX_SAMPLES + 1)],
          "--samples %d exceeds the cap %d" % (MAX_SAMPLES + 1, MAX_SAMPLES)),
+        (["izumi-search", "--basis", "{b1}", "--upper", "2", "--lower", "1", "--samples", "0"],
+         "--samples must be at least 1, got 0"),
+        (["izumi-search", "--basis", "{b1}", "--upper", "2", "--lower", "1", "--samples", "-5"],
+         "--samples must be at least 1, got -5"),
         (["example-conic", "--depth", str(PrecisionPolicy.maximum - 1)],
          "--depth 511 exceeds the cap 510"),
         (["oracle", "--param", "{par}", "--poly", "x"],
          "precision policy max %d exceeds the cap %d" % (MAX_PRECISION + 1, MAX_PRECISION)),
     ],
-    ids=["samples", "depth", "policy-max"],
+    ids=["samples", "samples-zero", "samples-negative", "depth", "policy-max"],
 )
 def test_over_budget_input_fails_fast(capsys, tmp_path, b1_path, command, message):
     par = _write(tmp_path, {"defining": "x^2 - y^2 - y^3", "branch": "-y",
@@ -508,6 +512,27 @@ def test_over_budget_input_fails_fast(capsys, tmp_path, b1_path, command, messag
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", "input error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "command, code, text, doc, err",
+    [
+        (["weight", "--basis", "{b1}", "--poly", "0", "--level", "1"],
+         0, "inf\n", '{"weight": "inf"}\n', ""),
+        (["weight", "--basis", "{b1}", "--poly", "0", "--level", "9"],
+         1, "", "", "error: level 9 not in 1..2\n"),
+        (["weight", "--basis", "{b1}", "--poly", "0", "--level", "0"],
+         1, "", "", "error: level 0 not in 1..2\n"),
+        (["oracle", "--param", "{par}", "--poly", "0"],
+         0, "inf\n", '{"value": "inf"}\n', ""),
+    ],
+    ids=["weight", "weight-level-9", "weight-level-0", "oracle"],
+)
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_zero_polynomial(capsys, tmp_path, b1_path, command, code, text, doc, err, json_mode):
+    par = _write(tmp_path, {"defining": "x^2 - y^2 - y^3", "branch": "-y"})
+    argv = [a.format(b1=b1_path, par=par) for a in command] + (["--json"] if json_mode else [])
+    assert run(capsys, *argv) == (code, doc if json_mode else text, err)
 
 
 _PINNED = [

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from keyval import (
+    INF,
     BaseFieldConfig,
     Parametrization,
+    Poly,
     PrecisionExhausted,
     PrecisionPolicy,
     conic_parametrization,
@@ -63,6 +65,13 @@ def test_defining_polynomial_vanishes(par):
     out = oracle_valuation(conic_defining(), par)
     assert isinstance(out, PrecisionExhausted)
     assert out.bound >= 512
+
+
+def test_zero_is_infinite_without_lifting():
+    par = conic_parametrization()
+    verified = par._verified
+    assert oracle_valuation(Poly.zero(), par) is INF
+    assert par._verified == verified
 
 
 def test_multiple_of_defining_vanishes(par):

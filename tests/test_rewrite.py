@@ -108,6 +108,7 @@ def test_traces_monotone_and_land_on_weight(b1, b2, q3):
                     ws = tr.weights
                     assert all(a <= b for a, b in zip(ws, ws[1:]))
                     assert ws[-1] == weight(f, lvl, basis)
+                    assert all(expansion_eval(E, basis) == f for E, _ in tr.entries)
 
 
 def test_rewrite_preserves_polynomial(b2):
