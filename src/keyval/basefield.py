@@ -130,7 +130,10 @@ class DensePoly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
+            if c:
+                o = out[i]
+                # a zero slot takes the term as it is: 0 + c is a full addition
+                out[i] = o + c if o else c
         return self._make(out)
 
     def __neg__(self):
@@ -144,17 +147,27 @@ class DensePoly:
             return self._make([c * other for c in self.coeffs])
         if not self.coeffs or not other.coeffs:
             return self._make([])
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [self._zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            for j, b in terms:
+                t = a * b
+                o = out[i + j]
+                out[i + j] = o + t if o else t
         return self._make(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative exponent %d" % n)
+        terms = [(k, c) for k, c in enumerate(self.coeffs) if c]
+        if n and len(terms) == 1:
+            # (c t^k)^n = c^n t^(kn), without the repeated squaring
+            k, c = terms[0]
+            return self._make([self._zero] * (k * n) + [c**n])
         result = self.one()
         base = self
         while n:
@@ -316,6 +329,13 @@ class KElem:
         return KElem(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        # powers of a coprime pair with a monic denominator are such a pair
+        out = KElem(self.num**n)
+        if self.den is not _Y_ONE:
+            out.den = self.den**n
+        return out
 
     def __truediv__(self, other):
         if not other:

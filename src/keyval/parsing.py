@@ -9,7 +9,8 @@ Grammar (explicit multiplication only):
 
 Division is accepted wherever the divisor contains no x, which covers both
 rational literals ("1/2") and base-field fractions ("(y^2+1)/(2*y)").
-Parentheses may nest at most MAX_NESTING deep.
+Parentheses may nest at most MAX_NESTING deep, and a power may have degree
+at most MAX_DEGREE in x or in y.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .errors import ParseError
 from .polynomials import Poly
 
 MAX_NESTING = 100
+#: A power whose degree in x or y would exceed this is refused before it is taken.
+MAX_DEGREE = 10**6
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^()]))")
 
@@ -117,6 +120,12 @@ class _Parser:
             kind, exp, at = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a natural number", at)
+            degree = exp * max(
+                [value.degree, 0] + [q.degree for c in value.coeffs for q in (c.num, c.den)]
+            )
+            if degree > MAX_DEGREE:
+                raise ParseError(
+                    "power of degree %d exceeds the cap %d" % (degree, MAX_DEGREE), at)
             value = value**exp
         return value
 

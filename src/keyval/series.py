@@ -5,12 +5,13 @@ variable and represents an element known modulo O(y^P).  Arithmetic
 propagates the precision: sums keep the smaller precision, and products
 shift it by the known order of the other factor.
 
-Products and quotients run on integers: each operand is cleared to integer
-numerators over one common denominator, the numerators are packed into one
-big integer per operand (Kronecker substitution), and a single big-integer
-product yields every coefficient.  Division inverts the denominator by
-Newton iteration on those integers.  Coefficients become Fractions again
-only at the end.
+The coefficients are stored as integer numerators over one denominator:
+``nums`` holds exactly ``precision`` integers, ``den`` is positive, and
+``gcd(den, *nums) == 1``, so equal series have equal fields.  Products pack
+the numerators into one big integer per operand (Kronecker substitution), and
+a single big-integer product yields every coefficient.  Division inverts the
+denominator by Newton iteration on the same integers.  No operation builds
+Fractions; ``coeffs`` does, for readers of single coefficients.
 """
 
 from __future__ import annotations
@@ -22,17 +23,34 @@ from .basefield import YPoly
 from .errors import BadConstantTermError
 
 
+_ZERO = Fraction(0)
+
+
 class Series:
-    __slots__ = ("coeffs", "precision")
+    __slots__ = ("nums", "den", "precision")
 
     def __init__(self, coeffs, precision):
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        if len(coeffs) < precision:
-            coeffs += [Fraction(0)] * (precision - len(coeffs))
-        else:
-            del coeffs[precision:]
-        self.coeffs = tuple(coeffs)
+        """The series with these int or Fraction coefficients, modulo y**precision."""
+        coeffs = list(coeffs)[:precision]
+        # the least common denominator of reduced fractions leaves no content
+        den = math.lcm(*[c.denominator for c in coeffs])
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        self.nums = nums + [0] * (precision - len(nums))
+        self.den = den
         self.precision = precision
+
+    @classmethod
+    def _make(cls, nums, den, precision):
+        """The series nums / den, for a nonzero den and len(nums) == precision."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        s = cls.__new__(cls)
+        s.nums, s.den, s.precision = nums, den, precision
+        return s
 
     @classmethod
     def zero(cls, precision):
@@ -42,42 +60,47 @@ class Series:
     def from_ypoly(cls, p: YPoly, precision):
         return cls(p.coeffs, precision)
 
+    @property
+    def coeffs(self):
+        """The precision coefficients as Fractions, lowest first."""
+        den = self.den
+        return tuple(Fraction(n, den) if n else _ZERO for n in self.nums)
+
     def known_order(self):
         """Index of the first nonzero stored coefficient, or the precision."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, n in enumerate(self.nums):
+            if n:
                 return i
         return self.precision
 
     def __add__(self, other):
         p = min(self.precision, other.precision)
-        # skipping zero terms matters: Horner steps add short polynomials
-        return Series(
-            [a + b if a and b else a or b for a, b in zip(self.coeffs[:p], other.coeffs[:p])],
-            p,
-        )
+        da, db = self.den, other.den
+        den = da // math.gcd(da, db) * db
+        sa, sb = den // da, den // db
+        nums = [x * sa + z * sb for x, z in zip(self.nums, other.nums)]
+        return Series._make(nums, den, p)
 
     def __mul__(self, other):
         p = min(
             self.precision + other.known_order(),
             other.precision + self.known_order(),
         )
-        a, da = _clear(self.coeffs[:p])
-        b, db = _clear(other.coeffs[:p])
-        return Series(_fractions(_mul_ints(a, b, p), da * db), p)
+        return Series._make(_mul_ints(self.nums, other.nums, p), self.den * other.den, p)
 
     __rmul__ = __mul__
 
     def shift(self, k):
         """Divide by variable**-k, for 0 <= -k <= the known order."""
         assert k <= 0 and self.known_order() >= -k
-        return Series(self.coeffs[-k:], self.precision + k)
+        return Series._make(self.nums[-k:], self.den, self.precision + k)
 
     def __eq__(self, other):
         return (
             isinstance(other, Series)
-            and self.coeffs == other.coeffs
             and self.precision == other.precision
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __repr__(self):
@@ -86,33 +109,19 @@ class Series:
 
 def series_div_unit(num: Series, den: Series) -> Series:
     """num / den for a unit denominator (nonzero constant term)."""
-    if den.coeffs[0] == 0:
+    if den.nums[0] == 0:
         raise BadConstantTermError("denominator is not a unit")
     p = min(num.precision, den.precision)
-    a, da = _clear(num.coeffs[:p])
-    b, db = _clear(den.coeffs[: max(p, 1)])
-    # num/den = (a/da) / (b/db) = a * (g/c) * db / da
-    g, c = _inverse_ints(b, p)
-    return Series(_fractions(_mul_ints(a, g, p), da * c, db), p)
+    # with num = a/da, den = b/db and g/c = 1/b: num/den = a * g * db / (da * c)
+    g, c = _inverse_ints(den.nums, p)
+    prod = _mul_ints(num.nums, g, p)
+    db = den.den
+    if db != 1:
+        prod = [x * db for x in prod]
+    return Series._make(prod, num.den * c, p)
 
 
 # ------------------------------------------------------------ integer kernels
-
-
-def _clear(coeffs):
-    """Integer numerators over one common denominator: (numerators, den)."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-_ZERO = Fraction(0)
-
-
-def _fractions(nums, den, scale=1):
-    """The Fractions n * scale / den for the integers n in nums."""
-    return [Fraction(n * scale, den) if n else _ZERO for n in nums]
 
 
 def _mul_ints(a, b, n):

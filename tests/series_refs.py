@@ -8,11 +8,12 @@ from keyval.series import Series
 
 def series_sqrt(s: Series) -> Series:
     """Square root of a series with constant term 1, to the same precision."""
-    if not s.coeffs or s.coeffs[0] != 1:
+    coeffs = s.coeffs
+    if not coeffs or coeffs[0] != 1:
         raise BadConstantTermError("square root requires constant term 1")
     out = [Fraction(1)]
     for n in range(1, s.precision):
-        acc = s.coeffs[n]
+        acc = coeffs[n]
         for i in range(1, n):
             acc -= out[i] * out[n - i]
         out.append(acc / 2)

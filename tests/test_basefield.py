@@ -63,6 +63,25 @@ def test_ypoly_arithmetic():
     assert y * 0 == YPoly.zero()
 
 
+def test_powers():
+    y = YPoly.gen()
+    assert (y + YPoly.one()) ** 3 == YPoly((1, 3, 3, 1))
+    assert YPoly((0, 0, F(-2, 3))) ** 3 == YPoly((0,) * 6 + (F(-8, 27),))
+    assert y**0 == YPoly.one() and YPoly.zero() ** 0 == YPoly.one()
+    assert YPoly.zero() ** 5 == YPoly.zero()
+    # a one-term coefficient in K with a denominator stays reduced and monic
+    c = KElem(YPoly((0, 2)), YPoly((1, 0, 1)))
+    x = Poly((Poly._zero, c))
+    assert x**3 == x * x * x
+    assert (x**3).leading.den == YPoly((1, 0, 1)) ** 3
+
+
+def test_negative_power_is_refused():
+    for p in (YPoly.gen(), YPoly((1, 1)), YPoly.zero(), Poly.x()):
+        with pytest.raises(ValueError, match="negative exponent -1"):
+            p**-1
+
+
 def test_ypoly_divmod_round_trip():
     rng = random.Random(7)
     for _ in range(50):

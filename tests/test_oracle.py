@@ -15,7 +15,7 @@ from keyval import (
     weight,
 )
 from keyval import oracle
-from keyval.basefield import YPoly
+from keyval.basefield import KElem, YPoly
 from keyval.errors import InsufficientPrecisionError, KeyvalError
 from keyval.oracle import conic_defining
 from keyval.parsing import parse_poly
@@ -82,6 +82,26 @@ def test_multiple_of_defining_vanishes(par):
 def test_oracle_with_fractional_coefficients(par):
     f = p("(1/(y^2))*x + 1")
     assert oracle_valuation(f, par) == -1
+
+
+def _key_text(phi, k):
+    """Text of x - (phi below order k), one signed monomial per nonzero coefficient."""
+    text = "x"
+    for m, c in enumerate(phi.coeffs[:k]):
+        if c:
+            text += (" + " if c < 0 else " - ") + "%s*y^%d" % (abs(c), m)
+    return text
+
+
+def test_long_keys_parse_and_evaluate(par):
+    # keys as the benchmark sends them: long sums of Fraction monomials
+    phi = conic_branch_series(150)
+    for k in (40, 60, 150):
+        direct = Poly.x() - Poly.const(KElem(YPoly(phi.coeffs[:k])))
+        assert p(_key_text(phi, k)) == direct
+    key40, key60 = p(_key_text(phi, 40)), p(_key_text(phi, 60))
+    assert oracle_valuation(key40, par) == 40
+    assert oracle_valuation(key40 * key60, par) == 100
 
 
 def test_lift_matches_closed_form_to_512(par):

@@ -6,6 +6,7 @@ from keyval.basefield import BaseFieldConfig, KElem, YPoly
 from keyval.errors import ParseError
 from keyval.izumi import CorpusConfig, random_corpus_poly
 from keyval.parsing import (
+    MAX_DEGREE,
     MAX_NESTING,
     kelem_text,
     parse_kelem,
@@ -69,6 +70,29 @@ def test_parse_nesting_cap():
     assert parse_poly("(" * 100 + "x" + ")" * 100, FF) == Poly.x()
     with pytest.raises(ParseError, match="nested deeper than %d" % MAX_NESTING):
         parse_poly("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), FF)
+
+
+def test_parse_degree_cap():
+    # at the cap a power is still taken, as one term
+    assert parse_poly("x^1000000", FF).degree == MAX_DEGREE
+    assert parse_poly("((x^100)^100)^100", FF).degree == MAX_DEGREE
+    assert parse_poly("y^1000000", FF).coeff(0).num.degree == MAX_DEGREE
+    # above it the power is refused before any coefficient list is built
+    for text, degree, at in [
+        ("x^1000001", 10**6 + 1, 2),
+        ("x^1000000000", 10**9, 2),
+        ("(x^1000)^1001", 1001000, 9),
+        ("(2*x + y)^1000001", 10**6 + 1, 10),
+        ("y^1000001", 10**6 + 1, 2),
+        ("(1/y)^1000001", 10**6 + 1, 6),
+        ("(x/(1+y^3))^400000", 1200000, 12),
+    ]:
+        message = r"^power of degree %d exceeds the cap %d \(at position %d\)$" % (
+            degree, MAX_DEGREE, at)
+        with pytest.raises(ParseError, match=message):
+            parse_poly(text, FF)
+    with pytest.raises(ParseError, match="exceeds the cap"):
+        parse_kelem("y^1000000000", FF)
 
 
 def test_parse_kelem_rejects_x():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,11 @@ F = Fraction
 def reference_mul(a: Series, b: Series) -> Series:
     p = min(a.precision + b.known_order(), b.precision + a.known_order())
     out = [F(0)] * p
+    b_coeffs = b.coeffs
     for i, x in enumerate(a.coeffs):
         if x == 0 or i >= p:
             continue
-        for j, z in enumerate(b.coeffs):
+        for j, z in enumerate(b_coeffs):
             if i + j >= p:
                 break
             if z != 0:
@@ -33,13 +35,14 @@ def reference_mul(a: Series, b: Series) -> Series:
 
 def reference_div_unit(num: Series, den: Series) -> Series:
     p = min(num.precision, den.precision)
-    inv0 = 1 / den.coeffs[0]
+    num_coeffs, den_coeffs = num.coeffs, den.coeffs
+    inv0 = 1 / den_coeffs[0]
     out = []
     for n in range(p):
-        acc = num.coeffs[n]
+        acc = num_coeffs[n]
         for i in range(1, n + 1):
-            if i < len(den.coeffs) and den.coeffs[i] != 0:
-                acc -= den.coeffs[i] * out[n - i]
+            if i < len(den_coeffs) and den_coeffs[i] != 0:
+                acc -= den_coeffs[i] * out[n - i]
         out.append(acc * inv0)
     return Series(out, p)
 
@@ -67,18 +70,31 @@ def series(draw, unit=False):
     return Series(coeffs + draw(st.lists(coefficients, max_size=40)), precision)
 
 
+def assert_canonical(s: Series):
+    """The stored form is unique: positive den, no common content, precision numerators."""
+    assert s.den > 0
+    assert math.gcd(s.den, *s.nums) == 1
+    assert len(s.nums) == s.precision
+    coeffs = s.coeffs
+    assert type(coeffs) is tuple and len(coeffs) == s.precision
+    assert all(type(c) is F for c in coeffs)
+    assert s == Series(coeffs, s.precision)
+
+
 @settings(max_examples=200, deadline=None)
 @given(series(), series())
 def test_mul_matches_reference(a, b):
     prod = a * b
     assert prod == reference_mul(a, b)
-    assert all(type(c) is F for c in prod.coeffs)
+    assert_canonical(prod)
 
 
 @settings(max_examples=200, deadline=None)
 @given(series(), series(unit=True))
 def test_div_unit_matches_reference(num, den):
-    assert series_div_unit(num, den) == reference_div_unit(num, den)
+    quo = series_div_unit(num, den)
+    assert quo == reference_div_unit(num, den)
+    assert_canonical(quo)
 
 
 def test_mul_extremal_coefficients():
