@@ -9,6 +9,7 @@ variable; p-adic elements are the constant fractions.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import DivisorZeroError, KeyvalError
@@ -31,6 +32,17 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def power(x, n: int, mul):
+    """x**n for n >= 1 under the product ``mul``, reading n from its top bit down:
+    floor(log2 n) squarings and popcount(n) - 1 products by x (Knuth, TAOCP 2, 4.6.3)."""
+    out = x
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
 
 
 class BaseFieldConfig:
@@ -163,19 +175,14 @@ class DensePoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent %d" % n)
+        if not n:
+            return self.one()
         terms = [(k, c) for k, c in enumerate(self.coeffs) if c]
-        if n and len(terms) == 1:
+        if len(terms) == 1:
             # (c t^k)^n = c^n t^(kn), without the repeated squaring
             k, c = terms[0]
             return self._make([self._zero] * (k * n) + [c**n])
-        result = self.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, operator.mul)
 
     def divmod(self, other):
         """Quotient and remainder by the nonzero polynomial other."""
@@ -240,7 +247,7 @@ class YPoly(DensePoly):
         a, b = self, other
         while b:
             a, b = b, a.divmod(b)[1]
-        if not a:
+        if not a or a.leading == 1:
             return a
         return a * (_F1 / a.leading)
 
@@ -278,6 +285,8 @@ class KElem:
                 inv = _F1 / lead
                 num = num * inv
                 den = den * inv
+            if not den.degree:
+                den = _Y_ONE
         self.num = num
         self.den = den
 
@@ -333,7 +342,7 @@ class KElem:
     def __pow__(self, n: int):
         # powers of a coprime pair with a monic denominator are such a pair
         out = KElem(self.num**n)
-        if self.den is not _Y_ONE:
+        if n and self.den is not _Y_ONE:
             out.den = self.den**n
         return out
 

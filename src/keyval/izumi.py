@@ -144,7 +144,7 @@ def random_corpus_poly(cfg: BaseFieldConfig, corpus: CorpusConfig, index: int) -
         if cfg.p is None:
             coeffs.append(KElem(YPoly.const(unit).shift(v)))
         else:
-            coeffs.append(KElem.const(Fraction(unit * cfg.p**v)))
+            coeffs.append(KElem.const(unit * cfg.p**v))
     return Poly(coeffs)
 
 

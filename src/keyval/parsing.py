@@ -9,14 +9,14 @@ Grammar (explicit multiplication only):
 
 Division is accepted wherever the divisor contains no x, which covers both
 rational literals ("1/2") and base-field fractions ("(y^2+1)/(2*y)").
-Parentheses may nest at most MAX_NESTING deep, and a power may have degree
-at most MAX_DEGREE in x or in y.
+Parentheses may nest at most MAX_NESTING deep.  A power may have degree at
+most MAX_DEGREE in x or in y, and the exponent times the largest bit length
+of a numerator or denominator in its base may be at most MAX_BITS.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .basefield import BaseFieldConfig, KElem, YPoly
 from .errors import ParseError
@@ -25,6 +25,9 @@ from .polynomials import Poly
 MAX_NESTING = 100
 #: A power whose degree in x or y would exceed this is refused before it is taken.
 MAX_DEGREE = 10**6
+#: A power whose exponent times the bit length of its base's largest numerator
+#: or denominator would exceed this is refused before it is taken.
+MAX_BITS = 10**7
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^()]))")
 
@@ -120,19 +123,23 @@ class _Parser:
             kind, exp, at = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a natural number", at)
-            degree = exp * max(
-                [value.degree, 0] + [q.degree for c in value.coeffs for q in (c.num, c.den)]
-            )
+            ypolys = [q for c in value.coeffs for q in (c.num, c.den)]
+            degree = exp * max([value.degree, 0] + [q.degree for q in ypolys])
             if degree > MAX_DEGREE:
                 raise ParseError(
                     "power of degree %d exceeds the cap %d" % (degree, MAX_DEGREE), at)
+            bits = exp * max([0] + [n.bit_length() for q in ypolys for r in q.coeffs
+                                    for n in (r.numerator, r.denominator)])
+            if bits > MAX_BITS:
+                raise ParseError(
+                    "power with %d-bit coefficients exceeds the cap %d" % (bits, MAX_BITS), at)
             value = value**exp
         return value
 
     def atom(self) -> Poly:
         kind, val, at = self.next()
         if kind == "num":
-            return Poly.const(KElem.const(Fraction(val)))
+            return Poly.const(KElem.const(val))
         if kind == "name":
             if val == "x":
                 return Poly.x()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .basefield import KElem
+from .basefield import KElem, power
 from .errors import FuelExhaustedError, KeyvalError, LevelOutOfRangeError
 from .keybasis import AdicExpansion, WeightedBasis, expansion_weight
 
@@ -49,17 +49,6 @@ def _multiply(a: dict, b: dict) -> dict:
     return out
 
 
-def _power(e: dict, n: int, width: int) -> dict:
-    result = {(0,) * width: KElem.one()}
-    base = e
-    while n:
-        if n & 1:
-            result = _multiply(result, base)
-        base = _multiply(base, base)
-        n >>= 1
-    return result
-
-
 def _pad(a, width):
     return a + (0,) * (width - len(a))
 
@@ -81,7 +70,7 @@ def _default_fuel(terms: dict, basis: WeightedBasis) -> int:
     return 10 * deg * basis.alpha * mmax
 
 
-def _substitute(terms: dict, pos: int, m: int, repl: dict, width: int) -> dict:
+def _substitute(terms: dict, pos: int, m: int, repl: dict) -> dict:
     """Replace every power U^m at exponent index ``pos`` by ``repl``.
 
     Each exponent e at ``pos`` splits as q*m + r; the term keeps U^r and is
@@ -98,7 +87,7 @@ def _substitute(terms: dict, pos: int, m: int, repl: dict, width: int) -> dict:
         stub[pos] = r
         hit = powers.get(q)
         if hit is None:
-            hit = powers[q] = _power(repl, q, width)
+            hit = powers[q] = power(repl, q, _multiply)
         for eb, cb in hit.items():
             _combine(out, tuple(x + y for x, y in zip(stub, eb)), c * cb)
     return out
@@ -131,7 +120,7 @@ def _reduce_bounded(terms, basis, width, top, trace, rewrote):
         if passes >= fuel:
             raise FuelExhaustedError("rewriting exceeded %d passes" % fuel)
         repl = _key_power_replacement(basis, j, width)
-        terms = _substitute(terms, j - 1, basis.m(j), repl, width)
+        terms = _substitute(terms, j - 1, basis.m(j), repl)
         passes += 1
         trace.record(terms, width, basis)
 
@@ -159,7 +148,7 @@ def lower_expansion(E: AdicExpansion, basis: WeightedBasis):
     # substitute the recurrence for every occurrence of the top key first;
     # recording the input expansion would break trace monotonicity.
     sub = {_pad(a, lvl): c for a, c in basis.steps[i - 1].next_expansion.terms.items()}
-    terms = _substitute(E.terms, lvl - 1, 1, sub, lvl)
+    terms = _substitute(E.terms, lvl - 1, 1, sub)
     terms = _reduce_bounded(terms, basis, lvl, i - 1, trace, rewrote)
     assert all(a[-1] == 0 for a in terms)
     return AdicExpansion(i, {a[:-1]: c for a, c in terms.items()}), trace

@@ -82,3 +82,11 @@ def test_sparse_arithmetic_agrees_with_sympy():
         assert b * a == a * b, (a, b)
         for n in range(6):
             assert b**n == _from_sympy(sb**n), (b, n)
+
+
+def test_long_powers_agree_with_sympy():
+    """Exponents around powers of two: the longest runs of squarings, and one more product."""
+    for _, b in _sparse_pairs(40, seed=2010):
+        sb = _to_sympy(b)
+        for n in (8, 9, 16, 17, 31, 32, 33):
+            assert b**n == _from_sympy(sb**n), (b, n)

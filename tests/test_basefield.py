@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 from fractions import Fraction
@@ -6,9 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyval.basefield import MAX_P, BaseFieldConfig, DensePoly, KElem, YPoly, base_valuation
+from keyval.basefield import (
+    _Y_ONE,
+    MAX_P,
+    BaseFieldConfig,
+    DensePoly,
+    KElem,
+    YPoly,
+    base_valuation,
+    power,
+)
 from keyval.errors import DivisorZeroError, KeyvalError
 from keyval.polynomials import Poly
+from keyval.rewrite import _multiply
 from keyval.values import INF
 
 F = Fraction
@@ -74,6 +85,49 @@ def test_powers():
     x = Poly((Poly._zero, c))
     assert x**3 == x * x * x
     assert (x**3).leading.den == YPoly((1, 0, 1)) ** 3
+
+
+def test_power_matches_repeated_products():
+    ypoly = YPoly((1, F(-2, 3), 5))
+    poly = Poly((KElem.gen(), KElem.const(F(-1, 2))))
+    terms = {(1, 0): KElem.gen(), (0, 2): KElem.const(-3)}  # a rewrite term map
+    for x, mul in [(ypoly, operator.mul), (poly, operator.mul), (terms, _multiply)]:
+        expected = x
+        for n in range(1, 65):
+            assert power(x, n, mul) == expected, (x, n)
+            expected = mul(expected, x)
+
+
+def test_power_takes_one_squaring_per_bit_and_one_product_per_set_bit():
+    calls = {}
+
+    def mul(a, b):
+        calls["square" if a is b else "other"] += 1
+        return a * b
+
+    x = YPoly((1, 1))
+    for n in range(1, 65):
+        calls.update(square=0, other=0)
+        assert power(x, n, mul) == x**n
+        assert calls == {"square": n.bit_length() - 1, "other": bin(n).count("1") - 1}, n
+
+
+def test_constant_denominators_are_the_one_denominator():
+    for a in [KElem.one() / KElem.const(2), KElem(YPoly((0, 2)), YPoly((0, 4))),
+              KElem(YPoly((0, 1)), YPoly((0, 1))), KElem.gen() ** 0,
+              KElem(YPoly((1, 1)), YPoly((1, 2))) ** 0]:
+        assert a.den is _Y_ONE, a
+    assert (KElem.one() / KElem.const(2)).num == YPoly((F(1, 2),))
+
+
+def test_gcd_of_monic_integer_inputs_keeps_ints():
+    y = YPoly.gen()
+    one = YPoly.one()
+    for a, b, g in [(y * y - one, y - one, y - one), (y * y, y, y), (y + one, YPoly.zero(), y + one),
+                    (y * y + one, y, one)]:
+        assert a.gcd(b) == g
+        assert all(type(c) is int for c in a.gcd(b).coeffs), (a, b)
+    assert YPoly((2, 2)).gcd(YPoly.zero()).coeffs == (1, 1)  # scaled: the leading 2 is not 1
 
 
 def test_negative_power_is_refused():

@@ -152,6 +152,15 @@ def test_power_over_the_degree_cap_is_parse_error(capsys):
         2, "", "parse error: power of degree 1000000000 exceeds the cap 1000000 (at position 2)\n")
 
 
+def test_power_over_the_bit_cap_is_parse_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gauss", "--beta", "1", "--poly", "3^100000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (
+        2, "", "parse error: power with 200000000-bit coefficients exceeds the cap 10000000 "
+        "(at position 2)\n")
+
+
 def test_gauss(capsys):
     code, out, _ = run(capsys, "gauss", "--beta", "1/2", "--poly", "x^3 + y*x", "--json")
     assert code == 0

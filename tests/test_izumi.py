@@ -15,6 +15,7 @@ from keyval import (
     key_power_weight,
     ord_comparison_bound,
 )
+from keyval.basefield import _Y_ONE
 from keyval.errors import (
     ConsistencyFailureError,
     EmptyEffectiveCorpusError,
@@ -153,6 +154,8 @@ def test_corpus_padic_samples():
         assert 1 <= f.degree <= corpus.max_degree
         for c in f.coeffs:
             assert not c or c.is_constant()
+            # an integer coefficient is an int, over the one denominator
+            assert all(type(r) is int for r in c.num.coeffs) and c.den is _Y_ONE
 
 
 def test_empirical_b1(b1):

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from keyval.basefield import BaseFieldConfig, KElem, YPoly
+from keyval.basefield import _Y_ONE, BaseFieldConfig, KElem, YPoly
 from keyval.errors import ParseError
 from keyval.izumi import CorpusConfig, random_corpus_poly
 from keyval.parsing import (
+    MAX_BITS,
     MAX_DEGREE,
     MAX_NESTING,
     kelem_text,
@@ -93,6 +94,38 @@ def test_parse_degree_cap():
             parse_poly(text, FF)
     with pytest.raises(ParseError, match="exceeds the cap"):
         parse_kelem("y^1000000000", FF)
+
+
+def test_parse_bit_cap():
+    # at the cap a power of a constant is still taken
+    assert parse_kelem("1^10000000", FF) == KElem.one()
+    assert parse_kelem("2^1000000", FF).as_fraction() == 2**1000000
+    assert parse_poly("(x/2)^1000", P3).leading.as_fraction() == F(1, 2**1000)
+    # above it the power is refused before it is taken: exponent times the
+    # largest bit length of a numerator or denominator in the base
+    for text, bits, at in [
+        ("3^100000000", 2 * 10**8, 2),
+        ("2^10000000000", 2 * 10**10, 2),
+        ("(2^1000000)^1000", 1000001000, 12),
+        ("1^10000001", 10**7 + 1, 2),
+        ("(3/7)^3333334", 10000002, 6),
+        ("(x + 1/1024)^1000000", 11 * 10**6, 13),
+        ("(y/2048)^1000000", 12 * 10**6, 9),
+    ]:
+        message = r"^power with %d-bit coefficients exceeds the cap %d \(at position %d\)$" % (
+            bits, MAX_BITS, at)
+        with pytest.raises(ParseError, match=message):
+            parse_poly(text, FF)
+    with pytest.raises(ParseError, match="exceeds the cap %d" % MAX_BITS):
+        parse_kelem("9^5000000", P3)
+
+
+def test_integer_literals_parse_to_ints():
+    for text, cfg in [("x^2 - y + 3", FF), ("(2*x + 7)^3 - 5*y^2*x", FF), ("x^2 - 3*x - 3", P3),
+                      ("(9*x^2 - 3)^2 + 27", P3)]:
+        for c in parse_poly(text, cfg).coeffs:
+            assert all(type(r) is int for r in c.num.coeffs), (text, c)
+            assert c.den is _Y_ONE, (text, c)
 
 
 def test_parse_kelem_rejects_x():
