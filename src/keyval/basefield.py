@@ -154,11 +154,20 @@ class DensePoly:
     def __sub__(self, other):
         return self + (-other)
 
+    def _scale(self, s):
+        """The product by the coefficient s."""
+        return self._make([c * s if c else c for c in self.coeffs])
+
     def __mul__(self, other):
         if not isinstance(other, DensePoly):
-            return self._make([c * other for c in self.coeffs])
+            return self._scale(other)
         if not self.coeffs or not other.coeffs:
             return self._make([])
+        # a product by a constant is a product by its coefficient
+        if len(other.coeffs) == 1:
+            return self._scale(other.coeffs[0])
+        if len(self.coeffs) == 1:
+            return other._scale(self.coeffs[0])
         terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [self._zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -235,6 +244,13 @@ class YPoly(DensePoly):
     @classmethod
     def gen(cls):
         return cls((0, 1))
+
+    def _scale(self, s):
+        # a rational with denominator 1 is stored as the int it equals
+        out = [c * s if c else c for c in self.coeffs]
+        return self._make([
+            c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in out
+        ])
 
     def order(self):
         """Index of the lowest nonzero coefficient; None for the zero poly."""

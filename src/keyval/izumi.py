@@ -131,10 +131,11 @@ def random_corpus_poly(cfg: BaseFieldConfig, corpus: CorpusConfig, index: int) -
     """Deterministic sample ``index`` of the corpus (seed xor index)."""
     rng = random.Random(corpus.seed ^ index)
     deg = rng.randint(1, corpus.max_degree)
+    zero = KElem.zero()
     coeffs = []
     for k in range(deg + 1):
         if k < deg and rng.random() < 0.3:
-            coeffs.append(KElem.zero())
+            coeffs.append(zero)
             continue
         unit = rng.choice([1, 2, 3, -1, -2, -3])
         if cfg.p is not None:
@@ -142,10 +143,10 @@ def random_corpus_poly(cfg: BaseFieldConfig, corpus: CorpusConfig, index: int) -
         lo = 1 if (k == 0 and corpus.positive_only) else 0
         v = rng.randint(lo, 3)
         if cfg.p is None:
-            coeffs.append(KElem(YPoly.const(unit).shift(v)))
+            coeffs.append(KElem(YPoly._make([0] * v + [unit])))
         else:
-            coeffs.append(KElem.const(unit * cfg.p**v))
-    return Poly(coeffs)
+            coeffs.append(KElem(YPoly._make([unit * cfg.p**v])))
+    return Poly._make(coeffs)
 
 
 @dataclass

@@ -97,6 +97,9 @@ class WeightedBasis:
         # int counts of 1/N; beta_units[i] is beta_{i+1} * N.
         self.N = phi.denominator
         self.beta_units = tuple((s.beta * self.N).numerator for s in self.steps)
+        #: (f, effective level, weight) of the last weight() call, f by identity;
+        #: one tuple, so that a reader never sees parts of two entries
+        self._last_weight = (None, 0, None)
         for i in range(len(self.steps) - 1):
             d0 = self.steps[i].U.degree
             d1 = self.steps[i + 1].U.degree
@@ -135,25 +138,36 @@ def adic_expand(f: Poly, i: int, basis: WeightedBasis) -> AdicExpansion:
     return AdicExpansion(i, _expand(f, i, basis))
 
 
+def _digits(f: Poly, U: Poly):
+    """The nonzero digits (j, r_j) of f = sum r_j U^j, each of degree below deg U."""
+    j = 0
+    while f.degree >= U.degree:
+        f, r = poly_divmod(f, U)
+        if r:
+            yield j, r
+        j += 1
+    if f:
+        yield j, f
+
+
 def _expand(f: Poly, level: int, basis: WeightedBasis) -> dict:
-    if not f:
-        return {}
     if level == 1:
         # U_1 = x, so the 1-adic expansion is the monomial expansion
         return {(k,): c for k, c in enumerate(f.coeffs) if c}
-    U = basis.key(level)
-    remainders = []
-    g = f
-    while g:
-        g, r = poly_divmod(g, U)
-        remainders.append(r)
     out = {}
-    for j, r in enumerate(remainders):
-        if not r:
-            continue
+    for j, r in _digits(f, basis.key(level)):
         for a, c in _expand(r, level - 1, basis).items():
             out[a + (j,)] = c
     return out
+
+
+def _units(f: Poly, level: int, basis: WeightedBasis) -> int:
+    """N times the level weight of the nonzero f: the least term over its digits."""
+    b = basis.beta_units[level - 1]
+    if level == 1:
+        N, cfg = basis.N, basis.base
+        return min(base_order(c, cfg) * N + k * b for k, c in enumerate(f.coeffs) if c)
+    return min(_units(r, level - 1, basis) + j * b for j, r in _digits(f, basis.key(level)))
 
 
 def _by_top_key(terms: dict) -> dict:
@@ -191,8 +205,27 @@ def expansion_weight(E: AdicExpansion, basis: WeightedBasis) -> Value:
 
 
 def weight(f: Poly, i: int, basis: WeightedBasis) -> Value:
-    """The i-th weight map: min of nu(c) + sum a_j beta_j over the expansion."""
-    return expansion_weight(adic_expand(f, i, basis), basis)
+    """The i-th weight map: min of nu(c) + sum a_j beta_j over the expansion.
+
+    Below deg U_i the i-adic expansion is the (i-1)-adic one with exponent 0,
+    so the weight is taken at the effective level, the highest j <= i with
+    deg U_j <= deg f, as the least term over the U_j-adic digits.  The last
+    result is kept, so that two maps of one sample that share an effective
+    level share one computation.
+    """
+    basis._check_level(i)
+    g = f
+    if basis.minimal is not None and g.degree >= basis.minimal.degree:
+        g = poly_divmod(g, basis.minimal)[1]
+    if not g:
+        return INF
+    while i > 1 and g.degree < basis.steps[i - 1].U.degree:
+        i -= 1
+    last_f, last_i, w = basis._last_weight
+    if last_f is not f or last_i != i:
+        w = Fraction(_units(g, i, basis), basis.N)
+        basis._last_weight = (f, i, w)
+    return w
 
 
 def initial_form(f: Poly, i: int, basis: WeightedBasis) -> AdicExpansion:

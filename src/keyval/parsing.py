@@ -11,7 +11,10 @@ Division is accepted wherever the divisor contains no x, which covers both
 rational literals ("1/2") and base-field fractions ("(y^2+1)/(2*y)").
 Parentheses may nest at most MAX_NESTING deep.  A power may have degree at
 most MAX_DEGREE in x or in y, and the exponent times the largest bit length
-of a numerator or denominator in its base may be at most MAX_BITS.
+of a numerator or denominator in its base may be at most MAX_BITS.  A power of
+a base with several terms is also refused when its dense result, estimated as
+(degree + 1) coefficients of exponent * (bit length + log2 terms) bits, would
+exceed MAX_BITS.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ MAX_NESTING = 100
 #: A power whose degree in x or y would exceed this is refused before it is taken.
 MAX_DEGREE = 10**6
 #: A power whose exponent times the bit length of its base's largest numerator
-#: or denominator would exceed this is refused before it is taken.
+#: or denominator would exceed this is refused before it is taken, and so is a
+#: power of a base with several terms whose dense result is estimated larger.
 MAX_BITS = 10**7
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^()]))")
@@ -124,15 +128,29 @@ class _Parser:
             if kind != "num":
                 raise ParseError("exponent must be a natural number", at)
             ypolys = [q for c in value.coeffs for q in (c.num, c.den)]
-            degree = exp * max([value.degree, 0] + [q.degree for q in ypolys])
+            d = max([value.degree, 0] + [q.degree for q in ypolys])
+            degree = exp * d
             if degree > MAX_DEGREE:
                 raise ParseError(
                     "power of degree %d exceeds the cap %d" % (degree, MAX_DEGREE), at)
-            bits = exp * max([0] + [n.bit_length() for q in ypolys for r in q.coeffs
-                                    for n in (r.numerator, r.denominator)])
+            size = max([0] + [n.bit_length() for q in ypolys for r in q.coeffs
+                              for n in (r.numerator, r.denominator)])
+            bits = exp * size
             if bits > MAX_BITS:
                 raise ParseError(
                     "power with %d-bit coefficients exceeds the cap %d" % (bits, MAX_BITS), at)
+            # A base with several terms has a dense result: degree + 1
+            # coefficients of up to exp * (size + log2 terms) bits each, by the
+            # multinomial theorem.  Its terms are those of the polynomial the
+            # power raises with the most: the base in x, or a numerator or
+            # denominator in y.  None has more than d + 1, so they are counted
+            # only when that many could exceed the cap.
+            if (degree + 1) * exp * (size + d.bit_length()) > MAX_BITS:
+                terms = max(sum(map(bool, q.coeffs)) for q in [value] + ypolys)
+                total = (degree + 1) * exp * (size + (terms - 1).bit_length())
+                if terms > 1 and total > MAX_BITS:
+                    raise ParseError("power with an estimated %d-bit result exceeds the cap %d"
+                                     % (total, MAX_BITS), at)
             value = value**exp
         return value
 

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -273,6 +274,49 @@ def test_izumi_search_pinned(capsys, b2_path, q3_path, basis, upper, lower, sup,
     assert code == 0
     doc = json.loads(out)
     assert (doc["sup_found"], doc["witness"], doc["skipped"]) == (sup, witness, 0)
+
+
+# stdout of izumi-search --samples 400 on the benchmark's five level pairs,
+# recorded before weights were computed from the U-adic digits; %d is the seed
+IZUMI_SEARCH_STDOUT = {
+    ("b1", 2, 1): (
+        "sup 3/2 at x^2 - y (theoretical 3/2, 400 samples, 0 skipped)\n",
+        '{"samples": 400, "seed": %d, "skipped": 0, "sup_found": "3/2", '
+        '"theoretical": "3/2", "witness": "x^2 - y"}\n',
+    ),
+    ("b2", 2, 1): (
+        "sup 5/4 at x^2 - y (theoretical 5/4, 400 samples, 0 skipped)\n",
+        '{"samples": 400, "seed": %d, "skipped": 0, "sup_found": "5/4", '
+        '"theoretical": "5/4", "witness": "x^2 - y"}\n',
+    ),
+    ("b2", 3, 1): (
+        "sup 11/8 at x^4 - 2*y*x^2 + y^2*x + y^2 (theoretical 11/8, 400 samples, 0 skipped)\n",
+        '{"samples": 400, "seed": %d, "skipped": 0, "sup_found": "11/8", '
+        '"theoretical": "11/8", "witness": "x^4 - 2*y*x^2 + y^2*x + y^2"}\n',
+    ),
+    ("b2", 3, 2): (
+        "sup 11/10 at x^4 - 2*y*x^2 + y^2*x + y^2 (theoretical 11/10, 400 samples, 0 skipped)\n",
+        '{"samples": 400, "seed": %d, "skipped": 0, "sup_found": "11/10", '
+        '"theoretical": "11/10", "witness": "x^4 - 2*y*x^2 + y^2*x + y^2"}\n',
+    ),
+    ("q3", 2, 1): (
+        "sup 3/2 at x^2 - 3 (theoretical 3/2, 400 samples, 0 skipped)\n",
+        '{"samples": 400, "seed": %d, "skipped": 0, "sup_found": "3/2", '
+        '"theoretical": "3/2", "witness": "x^2 - 3"}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("combo", sorted(IZUMI_SEARCH_STDOUT), ids=str)
+def test_izumi_search_stdout_is_byte_identical(capsys, b1_path, b2_path, q3_path, combo, seed):
+    basis, upper, lower = combo
+    path = {"b1": b1_path, "b2": b2_path, "q3": q3_path}[basis]
+    argv = ("izumi-search", "--basis", path, "--upper", str(upper), "--lower", str(lower),
+            "--seed", str(seed), "--samples", "400")
+    text, as_json = IZUMI_SEARCH_STDOUT[combo]
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--json") == (0, as_json % seed, "")
 
 
 def test_oracle(capsys, tmp_path):
@@ -750,6 +794,25 @@ def test_izumi_exact_undefined_degree_step(capsys, tmp_path):
         {"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "3/2"}, {"U": "x^3 - y^2", "beta": "5"}]})
     assert run(capsys, "izumi-exact", "--basis", path, "--upper", "3", "--lower", "1") == (
         1, "", "error: degree steps m_1..m_2 are not all defined\n")
+
+
+def test_dense_power_over_the_budget_fails_fast(capsys, tmp_path):
+    path = _write(tmp_path, {"base": "function_field", "steps": [{"U": "x", "beta": "1"}]})
+
+    def timeout(signum, frame):
+        raise TimeoutError("(x+1)^1000000 was not refused within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        code, out, err = run(capsys, "weight", "--basis", path, "--level", "1",
+                             "--poly", "(x+1)^1000000")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (2, "")
+    assert err == ("parse error: power with an estimated 2000002000000-bit result exceeds "
+                   "the cap 10000000 (at position 6)\n")
 
 
 def test_gauss_input_checks(capsys):

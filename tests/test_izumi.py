@@ -25,7 +25,7 @@ from keyval.errors import (
     UnboundedRatioError,
 )
 from keyval.izumi import canonical_witnesses, random_corpus_poly, weight_map
-from keyval.parsing import parse_poly
+from keyval.parsing import parse_poly, poly_text
 from keyval.polynomials import Poly
 from keyval.values import INF
 
@@ -145,6 +145,17 @@ def test_corpus_is_deterministic():
         random_corpus_poly(FF, CorpusConfig(seed=43, samples=10), j) for j in range(10)
     ]
     assert a != other
+
+
+def test_corpus_samples_are_pinned():
+    # the seeded draws, in their order, define the corpus of every search
+    corpus = CorpusConfig(seed=0, samples=5)
+    assert [poly_text(random_corpus_poly(FF, corpus, j)) for j in range(5)] == [
+        "-2*y*x^4 + 3*y*x^3 - y^2*x^2 - y", "-y^3*x^2 + y^2", "3*y*x", "-2*x^2 - x + 2*y^2",
+        "y^3*x^2 + x - 3*y^2"]
+    assert [poly_text(random_corpus_poly(P3, corpus, j)) for j in range(5)] == [
+        "-27*x^4 - x^3 + 9*x^2 - 6*x - 27", "-27*x^2 + 2*x + 18", "-9*x", "27*x^2 - 9*x - 54",
+        "-2*x^2 - 6"]
 
 
 def test_corpus_padic_samples():

@@ -20,7 +20,8 @@ from keyval.errors import (
     NonzeroConstantTermError,
     ZeroInputError,
 )
-from keyval.keybasis import expansion_weight, recurrence_coefficients
+from keyval import keybasis
+from keyval.keybasis import _digits, expansion_weight, recurrence_coefficients
 from keyval.parsing import parse_kelem, parse_poly
 from keyval.polynomials import Poly
 from keyval.series import Series
@@ -275,3 +276,81 @@ def test_construction_requires_monic_keys():
     with pytest.raises(KeyvalError) as exc:
         WeightedBasis(FF, [(p("x"), F(1)), (p("2*x^2"), F(2))])
     assert (exc.type, str(exc.value)) == (KeyvalError, "key polynomials must be monic in x")
+
+
+@pytest.fixture(scope="module")
+def b1_ext(b1):
+    return WeightedBasis(FF, [(s.U, s.beta) for s in b1.steps], p("x^2 - y - y^2"))
+
+
+@pytest.mark.parametrize("name", ["b1", "b2", "q3", "b1_ext"])
+def test_weight_is_the_weight_of_the_expansion(request, name):
+    basis = request.getfixturevalue(name)
+    corpus = CorpusConfig(seed=11, samples=60, max_degree=8, positive_only=False)
+    for j in range(corpus.samples):
+        f = random_corpus_poly(basis.base, corpus, j)
+        for i in range(1, basis.alpha + 1):
+            assert weight(f, i, basis) == expansion_weight(adic_expand(f, i, basis), basis), (j, i)
+
+
+def test_digits_rebuild_f(b2):
+    corpus = CorpusConfig(seed=12, samples=40, max_degree=9, positive_only=False)
+    for n in range(corpus.samples):
+        f = random_corpus_poly(FF, corpus, n)
+        for i in range(2, b2.alpha + 1):
+            U = b2.key(i)
+            digits = list(_digits(f, U))
+            exponents = [e for e, _ in digits]
+            assert exponents == sorted(set(exponents))
+            assert all(r and r.degree < U.degree for _, r in digits)
+            total = Poly.zero()
+            for e, r in digits:
+                total = total + r * U**e
+            assert total == f
+    assert list(_digits(Poly.zero(), b2.key(2))) == []
+    assert list(_digits(p("x + y"), b2.key(2))) == [(0, p("x + y"))]
+
+
+def test_weight_of_one_polynomial_at_two_effective_levels(b2):
+    # deg 4 = deg U_3: level 3 stays at 3, level 2 at 2, and the weights differ
+    for f in (b2.key(3), p("(x^2 - y)^2 + x*y^2 + y^3")):
+        assert (weight(f, 3, b2), weight(f, 2, b2)) == (F(11, 4), F(5, 2))
+        assert (weight(f, 3, b2), weight(f, 3, b2), weight(f, 2, b2)) == (
+            F(11, 4), F(11, 4), F(5, 2))
+    # below deg U_3 both maps are taken at level 2, and below deg U_2 at level 1
+    f = p("x^3 + y*x")
+    assert [weight(f, i, b2) for i in (3, 2, 1, 3)] == [F(3, 2), F(3, 2), F(3, 2), F(3, 2)]
+    f = p("x + y")
+    assert [weight(f, i, b2) for i in (3, 1)] == [F(1, 2), F(1, 2)]
+
+
+def test_weight_of_equal_polynomials_in_distinct_objects(b1):
+    f, g, h = p("x^2 - y"), p("x^2 - y"), p("x^2 - y + y^2")
+    assert f == g and f is not g
+    assert [weight(q, i, b1) for q, i in [(f, 2), (g, 2), (h, 2), (g, 1), (f, 2), (h, 1)]] == [
+        F(3, 2), F(3, 2), F(3, 2), F(1), F(3, 2), F(1)]
+    assert weight(p("x^2"), 2, b1) == 1
+
+
+def test_weight_calls_alternating_between_bases(b1, b2):
+    f = p("x^2 - y + y^2*x")
+    # level 2 of b1 and of b2 share U_2 = x^2 - y but not its weight
+    assert [weight(f, 2, b) for b in (b1, b2, b1, b2)] == [F(3, 2), F(5, 4), F(3, 2), F(5, 4)]
+
+
+def test_weight_divides_through_poly_divmod(monkeypatch, b1):
+    calls = []
+    divmod_ = keybasis.poly_divmod
+
+    def counting(f, g):
+        calls.append(g)
+        return divmod_(f, g)
+
+    monkeypatch.setattr(keybasis, "poly_divmod", counting)
+    # x^4 + y*x + y^2 by U_2 = x^2 - y: two divisions, and none once the
+    # quotient is below deg U_2
+    assert weight(p("x^4 + y*x + y^2"), 2, b1) == F(3, 2)
+    assert calls == [b1.key(2)] * 2
+    calls.clear()
+    assert weight(p("x + y"), 2, b1) == F(1, 2)
+    assert calls == []

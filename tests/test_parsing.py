@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,32 @@ def test_parse_bit_cap():
             parse_poly(text, FF)
     with pytest.raises(ParseError, match="exceeds the cap %d" % MAX_BITS):
         parse_kelem("9^5000000", P3)
+
+
+def test_power_budget_of_a_dense_result():
+    # one-term powers and small dense ones are taken
+    assert parse_poly("(x+1)^1000", FF).coeff(500).as_fraction() == math.comb(1000, 500)
+    assert parse_kelem("(1+y)^20", FF).num.coeffs[10] == math.comb(20, 10)
+    # above the cap a power of several terms is refused before it is taken:
+    # (degree + 1) * exponent * (bit length + log2 terms)
+    for text, total, at in [
+        ("(x+1)^1000000", (10**6 + 1) * 10**6 * 2, 6),
+        ("(1+y)^1000000", (10**6 + 1) * 10**6 * 2, 6),
+        ("(x + y + 1)^3000", 3001 * 3000 * 2, 12),
+        ("(1/(1+y))^100000", 100001 * 100000 * 2, 10),
+        ("(3*x^2 + 7)^2000", 4001 * 2000 * 4, 12),
+    ]:
+        message = r"^power with an estimated %d-bit result exceeds the cap %d \(at position %d\)$"
+        with pytest.raises(ParseError, match=message % (total, MAX_BITS, at)):
+            parse_poly(text, FF)
+
+
+def test_integral_rationals_are_stored_as_ints():
+    (c,) = parse_poly("4/2*x", FF).coeff(1).num.coeffs
+    assert (c, type(c)) == (2, int)
+    num = parse_kelem("(2*y + 4)/2", FF).num.coeffs
+    assert num == (2, 1) and [type(r) for r in num] == [int, int]
+    assert parse_kelem("1/2", FF).num.coeffs == (F(1, 2),)
 
 
 def test_integer_literals_parse_to_ints():
