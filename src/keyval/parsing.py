@@ -14,14 +14,28 @@ most MAX_DEGREE in x or in y, and the exponent times the largest bit length
 of a numerator or denominator in its base may be at most MAX_BITS.  A power of
 a base with several terms is also refused when its dense result, estimated as
 (degree + 1) coefficients of exponent * (bit length + log2 terms) bits, would
-exceed MAX_BITS.
+exceed MAX_BITS.  The budget reads the base's coefficients in x in lowest
+terms, as KElem stores them.
+
+While parsing, a value is a pair (terms, den): a sparse map {(i, j): q} from
+the monomial x^i y^j to its nonzero exact rational q, an int when integral,
+over one denominator den in y.  den is ``_Y_ONE`` until a non-constant
+y-polynomial is divided by, and then has positive degree.  Sums merge maps
+over the lcm of their denominators and drop the monomials that cancel.  Every
+product of maps, division by a constant included, clears both operands to
+integer numerators and builds one Fraction per output monomial (Johnson,
+"Sparse polynomial arithmetic", SIGSAM Bull. 8, 1974); a square takes each
+cross product once.  The Poly of KElems is built once at the end, with one
+KElem per coefficient in x.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from fractions import Fraction
 
-from .basefield import BaseFieldConfig, KElem, YPoly
+from .basefield import _Y_ONE, BaseFieldConfig, KElem, YPoly, power
 from .errors import ParseError
 from .polynomials import Poly
 
@@ -57,6 +71,122 @@ def _tokenize(text):
     return tokens
 
 
+def _rational(n: int, d: int):
+    """n/d as an int when d divides n, else as a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _cleared(terms: dict) -> tuple:
+    """(d, [(monomial, d * q)]): the coefficients as integers over their lcm d."""
+    d = math.lcm(*[q.denominator for q in terms.values()])
+    return d, [(m, q.numerator * (d // q.denominator)) for m, q in terms.items()]
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """The product of two monomial maps, computed on integer numerators.  A
+    square takes each cross product once and doubles it."""
+    square = a is b
+    da, a = _cleared(a)
+    db, b = (da, a) if square else _cleared(b)
+    out = {}
+    get = out.get
+    for at, ((i, j), p) in enumerate(a):
+        rest = b
+        if square:
+            key = (i + i, j + j)
+            out[key] = get(key, 0) + p * p
+            p, rest = p + p, b[at + 1:]
+        for (k, m), q in rest:
+            key = (i + k, j + m)
+            out[key] = get(key, 0) + p * q
+    d = da * db
+    return {key: _rational(n, d) for key, n in out.items() if n}
+
+
+def _ymap(p: YPoly) -> dict:
+    """The monomial map of a polynomial in y."""
+    return {(0, j): q for j, q in enumerate(p.coeffs) if q}
+
+
+def _rows(terms: dict) -> dict:
+    """The nonzero coefficients in x of a monomial map, as {i: YPoly}."""
+    rows = {}
+    for (i, j), q in terms.items():
+        rows.setdefault(i, {})[j] = q
+    out = {}
+    for i, row in rows.items():
+        dense = [0] * (max(row) + 1)
+        for j, q in row.items():
+            dense[j] = q
+        out[i] = YPoly._make(dense)
+    return out
+
+
+def _merge(a: tuple, b: tuple, op: str) -> tuple:
+    """a + b or a - b for op "+" or "-".  a's map is updated in place."""
+    (ta, da), (tb, db) = a, b
+    if da != db:
+        g = da.gcd(db)
+        ca, cb = db.divmod(g)[0], da.divmod(g)[0]
+        ta, tb, da = _mul(ta, _ymap(ca)), _mul(tb, _ymap(cb)), da * ca
+    for key, q in tb.items():
+        r = ta.get(key, 0)
+        r = r + q if op == "+" else r - q
+        if r:
+            ta[key] = r.numerator if r.denominator == 1 else r
+        else:
+            del ta[key]
+    return ta, da
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    (ta, da), (tb, db) = a, b
+    den = db if da is _Y_ONE else da if db is _Y_ONE else da * db
+    return _mul(ta, tb), den
+
+
+def _reciprocal(value: tuple, at: int) -> tuple:
+    """1/value for a divisor without x; at is the position of the "/"."""
+    terms, den = value
+    if any(i for i, _ in terms):
+        raise ParseError("cannot divide by a polynomial in x", at)
+    if not terms:
+        raise ParseError("division by zero", at)
+    if len(terms) > 1 or (0, 0) not in terms:
+        return _ymap(den), _rows(terms)[0]
+    c = terms[0, 0]
+    inverse = {(0, 0): _rational(c.denominator, c.numerator)}
+    return (inverse if den is _Y_ONE else _mul(_ymap(den), inverse)), _Y_ONE
+
+
+def _lowest_terms(value: tuple) -> tuple:
+    """({i: (numerator, denominator)}, value): the nonzero coefficients in x in
+    lowest terms, as KElem keeps them, and the value over the lcm of their
+    denominators, so that a power is taken of its reduced base."""
+    terms, den = value
+    rows = _rows(terms)
+    if den is _Y_ONE:
+        return {i: (c, _Y_ONE) for i, c in rows.items()}, value
+    elems = {i: KElem(c, den) for i, c in rows.items()}
+    value = {}, _Y_ONE
+    for i, e in elems.items():
+        value = _merge(value, ({(i, j): q for j, q in enumerate(e.num.coeffs) if q}, e.den), "+")
+    return {i: (e.num, e.den) for i, e in elems.items()}, value
+
+
+def _power(value: tuple, n: int) -> tuple:
+    terms, den = value
+    if not n:
+        return {(0, 0): 1}, _Y_ONE
+    if den is not _Y_ONE:
+        den = den**n
+    if len(terms) == 1:
+        # (q x^i y^j)^n = q^n x^(in) y^(jn), without the repeated squaring
+        (((i, j), q),) = terms.items()
+        return {(i * n, j * n): q**n}, den
+    return power(terms, n, _mul), den
+
+
 class _Parser:
     def __init__(self, text, cfg: BaseFieldConfig):
         self.tokens = _tokenize(text)
@@ -78,48 +208,43 @@ class _Parser:
             raise ParseError("expected %r" % op, at)
 
     def parse(self) -> Poly:
-        value = self.expr()
+        terms, den = self.expr()
         kind, _, at = self.peek()
         if kind != "end":
             raise ParseError("trailing input", at)
-        return value
+        rows = _rows(terms)
+        coeffs = [Poly._zero] * (max(rows, default=-1) + 1)
+        for i, c in rows.items():
+            coeffs[i] = KElem(c, den)
+        return Poly._make(coeffs)
 
-    def expr(self) -> Poly:
+    def expr(self) -> tuple:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            value = -self.term()
+            value = _merge(({}, _Y_ONE), self.term(), "-")
         else:
             value = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                rhs = self.term()
-                value = value + rhs if val == "+" else value - rhs
+                value = _merge(value, self.term(), val)
             else:
                 return value
 
-    def term(self) -> Poly:
+    def term(self) -> tuple:
         value = self.factor()
         while True:
             kind, val, at = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.factor()
-                if val == "*":
-                    value = value * rhs
-                else:
-                    if rhs.degree > 0:
-                        raise ParseError("cannot divide by a polynomial in x", at)
-                    if not rhs:
-                        raise ParseError("division by zero", at)
-                    inv = KElem.one() / rhs.coeff(0)
-                    value = value * inv
+                value = _product(value, rhs if val == "*" else _reciprocal(rhs, at))
             else:
                 return value
 
-    def factor(self) -> Poly:
+    def factor(self) -> tuple:
         value = self.atom()
         kind, val, at = self.peek()
         if kind == "op" and val == "^":
@@ -127,8 +252,9 @@ class _Parser:
             kind, exp, at = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a natural number", at)
-            ypolys = [q for c in value.coeffs for q in (c.num, c.den)]
-            d = max([value.degree, 0] + [q.degree for q in ypolys])
+            coeffs, value = _lowest_terms(value)
+            ypolys = [q for pair in coeffs.values() for q in pair]
+            d = max([0, *coeffs] + [q.degree for q in ypolys])
             degree = exp * d
             if degree > MAX_DEGREE:
                 raise ParseError(
@@ -146,23 +272,23 @@ class _Parser:
             # denominator in y.  None has more than d + 1, so they are counted
             # only when that many could exceed the cap.
             if (degree + 1) * exp * (size + d.bit_length()) > MAX_BITS:
-                terms = max(sum(map(bool, q.coeffs)) for q in [value] + ypolys)
+                terms = max([len(coeffs)] + [sum(map(bool, q.coeffs)) for q in ypolys])
                 total = (degree + 1) * exp * (size + (terms - 1).bit_length())
                 if terms > 1 and total > MAX_BITS:
                     raise ParseError("power with an estimated %d-bit result exceeds the cap %d"
                                      % (total, MAX_BITS), at)
-            value = value**exp
+            value = _power(value, exp)
         return value
 
-    def atom(self) -> Poly:
+    def atom(self) -> tuple:
         kind, val, at = self.next()
         if kind == "num":
-            return Poly.const(KElem.const(val))
+            return ({(0, 0): val} if val else {}), _Y_ONE
         if kind == "name":
             if val == "x":
-                return Poly.x()
+                return {(1, 0): 1}, _Y_ONE
             if self.cfg.p is None and val == "y":
-                return Poly.const(KElem.gen())
+                return {(0, 1): 1}, _Y_ONE
             raise ParseError("unknown variable %r" % val, at)
         if kind == "op" and val == "(":
             self.depth += 1

@@ -1,15 +1,17 @@
-"""Differential tests: YPoly arithmetic, division and gcd over Q against sympy."""
+"""Differential tests against sympy: YPoly arithmetic, division and gcd over Q,
+and the parser over Q(y) and Q with v_3."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from keyval.basefield import YPoly
+from keyval.basefield import BaseFieldConfig, YPoly
+from keyval.parsing import parse_poly
 
 sympy = pytest.importorskip("sympy")
 
-Y = sympy.Symbol("y")
+X, Y = sympy.symbols("x y")
 
 
 def _random_ypoly(rng, max_degree):
@@ -90,3 +92,61 @@ def test_long_powers_agree_with_sympy():
         sb = _to_sympy(b)
         for n in (8, 9, 16, 17, 31, 32, 33):
             assert b**n == _from_sympy(sb**n), (b, n)
+
+
+def _random_text(rng, names, depth):
+    """A seeded random expression over the parser's grammar.
+
+    Sums and differences, products, quotients by nonzero constants and by
+    nonzero polynomials in y, powers up to 4 and parenthesised nesting.
+    """
+
+    def atom(depth, names):
+        r = rng.random()
+        if depth and r < 0.3:
+            return "(%s)" % expr(depth - 1, names)
+        if r < 0.6 or not names:
+            return str(rng.randint(0, 12))
+        return rng.choice(names)
+
+    def factor(depth, names):
+        text = atom(depth, names)
+        return text + "^%d" % rng.randint(0, 4) if rng.random() < 0.25 else text
+
+    def divisor(depth):
+        while True:
+            text = factor(depth, [n for n in names if n == "y"])
+            if sympy.sympify(text.replace("^", "**"), locals={"y": Y}) != 0:
+                return text
+
+    def term(depth, names):
+        text = factor(depth, names)
+        for _ in range(rng.randint(0, 2)):
+            text += "*" + factor(depth, names) if rng.random() < 0.6 else "/" + divisor(depth)
+        return text
+
+    def expr(depth, names):
+        text = ("-" if rng.random() < 0.2 else "") + term(depth, names)
+        for _ in range(rng.randint(0, 2)):
+            text += rng.choice([" + ", " - "]) + term(depth, names)
+        return text
+
+    return expr(depth, names)
+
+
+@pytest.mark.parametrize("base, names, count", [
+    (BaseFieldConfig.function_field(), ["x", "y"], 100),
+    (BaseFieldConfig.p_adic(3), ["x"], 60),
+], ids=["function_field", "p_adic"])
+def test_parse_agrees_with_sympy(base, names, count):
+    rng = random.Random(2011)
+    for _ in range(count):
+        text = _random_text(rng, names, 2)
+        f = parse_poly(text, base)
+        expected = sympy.cancel(sympy.sympify(text.replace("^", "**"), locals={"x": X, "y": Y}))
+        num, den = sympy.fraction(expected)
+        coeffs = sympy.Poly(num, X).all_coeffs()[::-1] if expected != 0 else []
+        assert len(f.coeffs) == len(coeffs), text
+        for c, e in zip(f.coeffs, coeffs):
+            value = _to_sympy(c.num).as_expr() / _to_sympy(c.den).as_expr()
+            assert sympy.cancel(value - e / den) == 0, text

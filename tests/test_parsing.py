@@ -1,8 +1,15 @@
+import io
+import json
 import math
+import signal
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from keyval import cli
 from keyval.basefield import _Y_ONE, BaseFieldConfig, KElem, YPoly
 from keyval.errors import ParseError
 from keyval.izumi import CorpusConfig, random_corpus_poly
@@ -10,6 +17,8 @@ from keyval.parsing import (
     MAX_BITS,
     MAX_DEGREE,
     MAX_NESTING,
+    _mul,
+    _Parser,
     kelem_text,
     parse_kelem,
     parse_poly,
@@ -19,6 +28,8 @@ from keyval.parsing import (
 )
 from keyval.polynomials import Poly
 from keyval.series import Series
+
+from series_refs import conic_branch_series
 
 F = Fraction
 FF = BaseFieldConfig.function_field()
@@ -145,6 +156,9 @@ def test_integral_rationals_are_stored_as_ints():
     num = parse_kelem("(2*y + 4)/2", FF).num.coeffs
     assert num == (2, 1) and [type(r) for r in num] == [int, int]
     assert parse_kelem("1/2", FF).num.coeffs == (F(1, 2),)
+    # a sum of Fractions that is integral is stored as the int it equals
+    (c,) = parse_kelem("1/2*y + 1/2*y", FF).num.coeffs[1:]
+    assert (c, type(c)) == (1, int)
 
 
 def test_integer_literals_parse_to_ints():
@@ -153,6 +167,64 @@ def test_integer_literals_parse_to_ints():
         for c in parse_poly(text, cfg).coeffs:
             assert all(type(r) is int for r in c.num.coeffs), (text, c)
             assert c.den is _Y_ONE, (text, c)
+
+
+def _conic_key(k):
+    """x - phi_<k for the branch phi = -y*sqrt(1+y), one monomial per term of phi."""
+    return "%s + x" % ypoly_text(-YPoly(conic_branch_series(k).coeffs))
+
+
+def _kelems_built(monkeypatch, build):
+    """The result of build() and the number of KElems it constructed."""
+    count = [0]
+    init = KElem.__init__
+
+    def counting(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(KElem, "__init__", counting)
+        return build(), count[0]
+
+
+def test_one_kelem_per_coefficient_in_x(monkeypatch):
+    # the parser builds the Poly of KElems once, at the end; integral
+    # coefficients are ints and constant denominators are the shared one
+    key = _conic_key(127)
+    keys = [parse_poly(_conic_key(k), FF) for k in (40, 50, 37)]
+    product = "*".join("(%s)" % _conic_key(k) for k in (40, 50, 37))
+    phi = Poly.const(KElem(YPoly(conic_branch_series(127).coeffs)))
+    for text, expected in [(key, Poly.x() - phi), (product, keys[0] * keys[1] * keys[2])]:
+        f, built = _kelems_built(monkeypatch, lambda: parse_poly(text, FF))
+        assert f == expected
+        assert built == len(f.coeffs)
+        for c in f.coeffs:
+            assert not [r for r in c.num.coeffs if type(r) is F and r.denominator == 1]
+            assert c.den is _Y_ONE
+
+
+def test_sum_over_distinct_denominators_takes_their_lcm():
+    text = " + ".join("x^%d/(1+y)^%d" % (k % 3, k) for k in range(40))
+    _, den = _Parser(text, FF).expr()
+    assert den == YPoly((1, 1))**39
+    f = parse_poly(text, FF)
+    for i, c in enumerate(f.coeffs):
+        expected = KElem.zero()
+        for k in range(i, 40, 3):
+            expected = expected + KElem(YPoly.one(), YPoly((1, 1))**k)
+        assert c == expected
+    assert [c.den.degree for c in f.coeffs] == [39, 37, 38]
+
+
+def test_square_equals_the_general_product():
+    # a map times itself takes each cross product once; a copy of it goes
+    # through every pair
+    a = {(0, 0): F(-1, 2), (0, 3): 7, (1, 1): F(5, 6), (2, 0): -3, (4, 2): F(1, 9)}
+    square = _mul(a, a)
+    assert square == _mul(a, dict(a))
+    assert square[0, 0] == F(1, 4) and square[8, 4] == F(1, 81)
+    assert all(type(q) is int for q in square.values() if F(q).denominator == 1)
 
 
 def test_parse_kelem_rejects_x():
@@ -249,3 +321,61 @@ def test_round_trip_random_polys():
 def test_round_trip_fixture_keys(b2):
     for step in b2.steps:
         assert parse_poly(poly_text(step.U), FF) == step.U
+
+
+# Valid texts for the fuzz below.  No power has a base with x in it, and
+# every base with several terms is small: three mutations then make no
+# power that the budget lets through and that is slow to parse or expand.
+_VALID = ["x*x - y", "(x*x - y)*(x*x - y) + x*y^2", "1/2 + 3*x/4", "(y^2 + 1)/(2*y)*x - 7",
+          "x*x*x - 5/128*y^5*x + (1 + y)^3", "(x - y)*(x + y)/(1 + y) - x/y^2", "-(x)*(y) + 10"]
+_CHARS = "xyz0123456789+-*/^(). "
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid text with one to three characters inserted, deleted or swapped."""
+    text = draw(st.sampled_from(_VALID))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "swap"]))
+        if kind == "insert":
+            text = text[:at] + draw(st.sampled_from(_CHARS)) + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1:]
+        elif at + 1 < len(text):
+            text = text[:at] + text[at + 1] + text[at] + text[at + 2:]
+    return text
+
+
+@pytest.fixture(scope="module")
+def b1_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "b1.json"
+    path.write_text(json.dumps({"base": "function_field", "steps": [
+        {"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "3/2"}]}))
+    return str(path)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(text=mutated_texts())
+def test_mutated_texts_parse_or_fail_cleanly(b1_file, text):
+    # a text either parses or raises ParseError, and the CLI exits 0, or 2
+    # with nothing on stdout, within the alarm
+    def timeout(signum, frame):
+        raise TimeoutError("%r was not done within 10 s" % text)
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        try:
+            assert isinstance(parse_poly(text, FF), Poly)
+        except ParseError:
+            pass
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main(["expand", "--basis", b1_file, "--level", "2", "--poly=" + text])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2), text
+    if code == 2:
+        assert out.getvalue() == "", text
