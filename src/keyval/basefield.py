@@ -261,6 +261,11 @@ class YPoly(DensePoly):
 
     def gcd(self, other):
         a, b = self, other
+        # with a monomial c*y^k on one side the gcd is y^min(k, ord other)
+        for m, o in ((a, b), (b, a)):
+            if m and not any(m.coeffs[:-1]):
+                k = min(m.degree, o.order()) if o else m.degree
+                return self._make([0] * k + [1])
         while b:
             a, b = b, a.divmod(b)[1]
         if not a or a.leading == 1:

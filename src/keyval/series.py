@@ -7,11 +7,21 @@ shift it by the known order of the other factor.
 
 The coefficients are stored as integer numerators over one denominator:
 ``nums`` holds exactly ``precision`` integers, ``den`` is positive, and
-``gcd(den, *nums) == 1``, so equal series have equal fields.  Products pack
-the numerators into one big integer per operand (Kronecker substitution), and
-a single big-integer product yields every coefficient.  Division inverts the
-denominator by Newton iteration on the same integers.  No operation builds
-Fractions; ``coeffs`` does, for readers of single coefficients.
+``gcd(den, *nums) == 1``, so equal series have equal fields.  No operation
+builds Fractions; ``coeffs`` does, for readers of single coefficients.
+
+The kernels work on packed integers (Kronecker substitution): a list of
+signed integers becomes one big integer with one digit per coefficient, so
+a single big-integer product yields every coefficient of a product.  A
+product packs each operand once.  ``series_horner`` evaluates a polynomial
+with Q[y] coefficients at a series phi = a / d inside one packed integer:
+with the coefficients cleared to integers and the sum homogenised by d, each
+Horner step is one product by the packed a and one cut to the precision,
+and the digits are read back once.  ``series_div_unit`` inverts the
+denominator by Newton iteration to half the precision only and finishes with
+one Karp-Markstein step: the quotient below the half, then the remainder
+above it times the half-precision inverse (A. H. Karp and P. Markstein,
+"High-precision division and square root", ACM TOMS 23(4), 1997).
 """
 
 from __future__ import annotations
@@ -112,16 +122,82 @@ def series_div_unit(num: Series, den: Series) -> Series:
     if den.nums[0] == 0:
         raise BadConstantTermError("denominator is not a unit")
     p = min(num.precision, den.precision)
-    # with num = a/da, den = b/db and g/c = 1/b: num/den = a * g * db / (da * c)
-    g, c = _inverse_ints(den.nums, p)
-    prod = _mul_ints(num.nums, g, p)
+    h = (p + 1) // 2
+    a, b = num.nums, den.nums
+    # Karp-Markstein: with g / c = 1 / b modulo y**h, the quotient a / b is
+    # q0 / c below y**h, and the remainder a * c - b * q0, which vanishes
+    # below y**h, divided by b * c gives the rest:
+    # a / b = (c * q0 + y**h * g * r) / c**2 modulo y**p, r its digits from h on
+    g, c = _inverse_ints(b, h)
+    q0 = _mul_ints(a, g, h)
+    r = [c * x - z for x, z in zip(a[h:], _mul_ints(b, q0, p)[h:])]
+    nums = [c * x for x in q0] + _mul_ints(g, r, p - h)
+    # num / den = (a / da) * (db / b)
     db = den.den
     if db != 1:
-        prod = [x * db for x in prod]
-    return Series._make(prod, num.den * c, p)
+        nums = [x * db for x in nums]
+    return Series._make(nums, num.den * c * c, p)
+
+
+def series_horner(coeffs: list[YPoly], phi: Series) -> Series:
+    """The polynomial with these Q[y] coefficients evaluated at phi, at phi's precision.
+
+    With the coefficients cleared to integers C_k over one denominator D and
+    phi = a / d, d**n times the value is the homogeneous Horner sum T_0 of
+    T_n = C_n and T_k = T_{k+1} * a + C_k * d**(n - k), over D.  Each T_k is
+    one packed integer, cut to its low p digits after every step.
+    """
+    p = phi.precision
+    cs = [c.coeffs[:p] for c in coeffs]
+    D = math.lcm(*[x.denominator for c in cs for x in c])
+    C = [[x.numerator * (D // x.denominator) for x in c] for c in cs]
+    a, d = phi.nums, phi.den
+    powers = [1]
+    for _ in C[1:]:
+        powers.append(powers[-1] * d)
+    steps = list(zip(reversed(C), powers))  # (C_k, d**(n - k)) for k = n, ..., 0
+    # every coefficient of T_k, cut or not, is at most its 1-norm bound
+    # |T_k|_1 <= |T_{k+1}|_1 * |a|_1 + |C_k|_1 * d**(n - k)
+    norm_a = sum(map(abs, a))
+    bound = norm = 0
+    for c, dk in steps:
+        norm = norm * norm_a + sum(map(abs, c)) * dk
+        bound = max(bound, norm)
+    if not bound:
+        return Series.zero(p)
+    width = (bound.bit_length() + 8) // 8  # whole bytes with room for the sign
+    bits = 8 * width
+    offset, mask = _window(width, p)
+    A = _pack(a, bits)
+    T = 0
+    for c, dk in steps:
+        T = ((T * A + _pack(c, bits) * dk + offset) & mask) - offset
+    return Series._make(_unpack(T, width, p), D * steps[-1][1], p)
 
 
 # ------------------------------------------------------------ integer kernels
+#
+# A list of signed integers is packed into one integer as digits of a whole
+# number of bytes; the digits must stay below half the digit base in absolute
+# value.  Adding half to each of the low n digits makes them all nonnegative,
+# so a mask cuts off the higher digits and to_bytes cuts the digits apart.
+
+
+def _window(width, n):
+    """The offset of half in each of n digits of width bytes, and their mask."""
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    return offset, (1 << (8 * width * n)) - 1
+
+
+def _unpack(x, width, n):
+    """The low n signed digits of width bytes of the packed integer x."""
+    offset, mask = _window(width, n)
+    data = ((x + offset) & mask).to_bytes(width * n, "little")
+    half = 1 << (8 * width - 1)
+    return [
+        int.from_bytes(data[i : i + width], "little") - half
+        for i in range(0, width * n, width)
+    ]
 
 
 def _mul_ints(a, b, n):
@@ -138,17 +214,8 @@ def _mul_ints(a, b, n):
         return [0] * n
     # |coefficient| <= min(len) * ma * mb < 2**(bits - 1)
     bits = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 1
-    width = (bits + 7) // 8  # whole bytes, so to_bytes can cut the digits apart
-    # adding half to each of the low n digits makes them all nonnegative,
-    # and the higher digits fall away modulo 2**(8 * width * n)
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    low = (_pack(a, 8 * width) * _pack(b, 8 * width) + offset) & ((1 << (8 * width * n)) - 1)
-    data = low.to_bytes(width * n, "little")
-    return [
-        int.from_bytes(data[i : i + width], "little") - half
-        for i in range(0, width * n, width)
-    ]
+    width = (bits + 7) // 8
+    return _unpack(_pack(a, 8 * width) * _pack(b, 8 * width), width, n)
 
 
 def _pack(xs, bits):

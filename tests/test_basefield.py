@@ -307,3 +307,23 @@ def test_kelem_field_axioms_property(base, data):
     # reduced form: monic denominator, coprime to the numerator
     assert a.den.leading == 1
     assert a.num.gcd(a.den) == YPoly.one() or not a
+
+
+def _euclid_gcd(a, b):
+    """The monic gcd by Euclid's algorithm alone."""
+    while b:
+        a, b = b, a.divmod(b)[1]
+    return a * (F(1) / a.leading) if a else a
+
+
+monomials = st.builds(lambda k, c: YPoly([0] * k + [c]), st.integers(0, 6), rationals.filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(monomials, ypolys()), st.one_of(monomials, ypolys()))
+def test_gcd_matches_euclid(a, b):
+    g = a.gcd(b)
+    assert g == _euclid_gcd(a, b)
+    if any(m and not any(m.coeffs[:-1]) for m in (a, b)):
+        # the gcd with a monomial is a power of y, stored with int coefficients
+        assert all(type(c) is int for c in g.coeffs)

@@ -1,18 +1,24 @@
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import keyval
 from keyval import cli
 from keyval import io as kio
 from keyval.cli import MAX_SAMPLES, main
 from keyval.oracle import MAX_PRECISION, PrecisionPolicy
+
+from seed_texts import VALID_TEXTS
 
 
 @pytest.fixture()
@@ -548,6 +554,14 @@ def test_oracle_rejects_rational_branch(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: branch segment must be polynomial\n")
 
 
+@pytest.mark.parametrize("defining", ["0", "y"])
+def test_oracle_rejects_defining_polynomial_without_x(capsys, tmp_path, defining):
+    # a defining polynomial of degree < 1 in x has a derivative that vanishes
+    path = _write(tmp_path, {"defining": defining, "branch": "-y"})
+    code, out, err = run(capsys, "oracle", "--param", path, "--poly", "x + y")
+    assert (code, out, err) == (1, "", "error: derivative vanishes on the branch\n")
+
+
 @pytest.mark.parametrize(
     "command, message",
     [
@@ -840,3 +854,54 @@ def test_runtime_imports_only_the_standard_library():
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+# Parametrization files for the fuzz below: defining polynomials from the
+# parser's seed texts, constants and 0 among them, two with a series root on
+# some branch, and small policies, some of them degenerate.
+_DEFINING = VALID_TEXTS + ["0", "1", "-3/4", "y", "x^2 - y^2 - y^3", "x^2 - 1 - y"]
+_BRANCHES = ["0", "1", "-1", "y", "-y", "2 + y", "y^2", "1/2*y"]
+_POLYS = VALID_TEXTS + ["0", "x", "x + y", "x^2 - y^2 - y^3"]
+
+
+@st.composite
+def parametrization_docs(draw):
+    initial = draw(st.integers(0, 16))
+    policy = {"initial": initial, "growth": draw(st.integers(1, 6)),
+              "max": draw(st.integers(max(initial - 1, 0), 64))}
+    return {"defining": draw(st.sampled_from(_DEFINING)),
+            "branch": draw(st.sampled_from(_BRANCHES)), "policy": policy}
+
+
+@pytest.fixture(scope="module")
+def par_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "par.json"
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(doc=parametrization_docs(), poly=st.sampled_from(_POLYS), as_json=st.booleans())
+def test_oracle_on_generated_parametrizations_fails_cleanly(par_file, doc, poly, as_json):
+    # every call exits 0, 1 or 2 within the alarm, prints no traceback, and
+    # prints nothing on stdout when it fails
+    par_file.write_text(json.dumps(doc))
+    argv = ["oracle", "--param", str(par_file), "--poly=" + poly] + (["--json"] if as_json else [])
+
+    def timeout(signum, frame):
+        raise TimeoutError("%r on %r was not done within 10 s" % (argv, doc))
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2), (doc, poly)
+    assert "Traceback" not in err.getvalue(), (doc, poly)
+    if out.getvalue():
+        # a value, or with exit 1 the bound that an exhausted precision reached
+        assert (code == 0 or ">=" in out.getvalue()) and err.getvalue() == "", (doc, poly)
+    else:
+        assert code and err.getvalue().startswith(("error: ", "input error: ")), (doc, poly)

@@ -29,6 +29,7 @@ from keyval.parsing import (
 from keyval.polynomials import Poly
 from keyval.series import Series
 
+from seed_texts import VALID_TEXTS
 from series_refs import conic_branch_series
 
 F = Fraction
@@ -323,18 +324,32 @@ def test_round_trip_fixture_keys(b2):
         assert parse_poly(poly_text(step.U), FF) == step.U
 
 
-# Valid texts for the fuzz below.  No power has a base with x in it, and
-# every base with several terms is small: three mutations then make no
-# power that the budget lets through and that is slow to parse or expand.
-_VALID = ["x*x - y", "(x*x - y)*(x*x - y) + x*y^2", "1/2 + 3*x/4", "(y^2 + 1)/(2*y)*x - 7",
-          "x*x*x - 5/128*y^5*x + (1 + y)^3", "(x - y)*(x + y)/(1 + y) - x/y^2", "-(x)*(y) + 10"]
+def test_power_with_a_y_denominator_parses_within_the_alarm():
+    # each x-coefficient y^k/(1+y)^100 is reduced by a gcd with a monomial
+    def timeout(signum, frame):
+        raise TimeoutError("((x - y)/(1 + y))^100 was not parsed within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(1)
+    try:
+        f = parse_poly("((x - y)/(1 + y))^100", FF)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    y, den = YPoly.gen(), YPoly((1, 1)) ** 100
+    assert f.degree == 100
+    assert f.coeffs[100] == KElem(YPoly.one(), den)
+    assert f.coeffs[1] == KElem(y**99 * -100, den)
+    assert f.coeffs[0] == KElem(y**100, den)
+
+
 _CHARS = "xyz0123456789+-*/^(). "
 
 
 @st.composite
 def mutated_texts(draw):
     """A valid text with one to three characters inserted, deleted or swapped."""
-    text = draw(st.sampled_from(_VALID))
+    text = draw(st.sampled_from(VALID_TEXTS))
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(text)))
         kind = draw(st.sampled_from(["insert", "delete", "swap"]))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from keyval.basefield import YPoly
 from keyval.errors import BadConstantTermError
-from keyval.series import Series, series_div_unit
+from keyval.series import Series, series_div_unit, series_horner
 
 from series_refs import series_sqrt
 
@@ -97,6 +97,37 @@ def test_div_unit_matches_reference(num, den):
     assert_canonical(quo)
 
 
+def reference_horner(coeffs, phi: Series) -> Series:
+    total = Series.zero(phi.precision)
+    for c in reversed(coeffs):
+        total = reference_mul(total, phi) + Series.from_ypoly(c, phi.precision)
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(coefficients, max_size=45).map(YPoly), max_size=5),
+    st.one_of(series(), st.integers(0, 40).map(Series.zero)),
+)
+def test_horner_matches_reference(coeffs, phi):
+    value = series_horner(coeffs, phi)
+    assert value == reference_horner(coeffs, phi)
+    assert_canonical(value)
+
+
+def test_horner_extremal_coefficients():
+    # equal-sign coefficients of the largest size for their bit length reach
+    # the 1-norm bound that sets the packing width
+    for bits in range(1, 20):
+        top = 2**bits - 1
+        for n in (1, 2, 3, 5, 8):
+            for sign in (1, -1):
+                phi = Series([sign * top] * n, n)
+                for degree in (1, 2, 4):
+                    coeffs = [YPoly([top] * n)] * (degree + 1)
+                    assert series_horner(coeffs, phi) == reference_horner(coeffs, phi)
+
+
 def test_mul_extremal_coefficients():
     # equal-sign coefficients of the largest size for their bit length make
     # the product coefficients as large as the packing width allows
@@ -112,7 +143,7 @@ def test_mul_extremal_coefficients():
 
 def test_mul_and_div_match_reference_at_oracle_sizes():
     # -y*sqrt(1+y) has denominators up to 2**(2n), as in the oracle
-    for n in (1, 2, 17, 129):
+    for n in (1, 2, 3, 17, 129, 256, 257):
         phi = series_sqrt(Series((1, 1), n)) * Series((0, -1), n)
         den = Series((3,) + phi.coeffs[1:], n)
         assert phi * den == reference_mul(phi, den)
