@@ -15,7 +15,7 @@ from fractions import Fraction
 from .basefield import BaseFieldConfig, KElem, YPoly
 from .errors import InsufficientPrecisionError, KeyvalError
 from .polynomials import Poly
-from .series import Series, series_div_unit, series_horner
+from .series import Series, series_div_unit
 from .values import INF
 
 #: A policy may grow the precision to at most this; a request that exhausts
@@ -60,6 +60,14 @@ def _cleared(f: Poly) -> tuple[list[YPoly], int]:
         if c.den.degree > 0:
             d = d * c.den.divmod(d.gcd(c.den))[0]  # lcm(d, c.den), as gcd is monic
     return [c.num * (d.divmod(c.den)[0] if c.den.degree > 0 else d) for c in f.coeffs], d.order()
+
+
+def _horner(coeffs: list[YPoly], phi: Series) -> Series:
+    """The polynomial with these Q[y] coefficients evaluated at phi."""
+    total = Series.zero(phi.precision)
+    for c in reversed(coeffs):
+        total = total * phi + Series.from_ypoly(c, phi.precision)
+    return total
 
 
 class Parametrization:
@@ -119,13 +127,13 @@ class Parametrization:
         while True:
             work = max(work, min(2 * work, precision + 2 * do))
             phi = Series.from_ypoly(approx, work)
-            dres = series_horner(self._derivative, phi)
+            dres = _horner(self._derivative, phi)
             do = dres.known_order()
             if do > precision:
                 raise InsufficientPrecisionError("derivative vanishes on the branch")
             if do >= work:
                 continue  # the derivative's order is not visible yet
-            res = series_horner(self._coeffs, phi)
+            res = _horner(self._coeffs, phi)
             ro = res.known_order()
             if ro >= precision + do:
                 self._approx, self._verified = approx, ro - do
@@ -153,7 +161,7 @@ def oracle_valuation(f: Poly, par: Parametrization):
     p = policy.initial
     coeffs, shift = _cleared(f)
     while True:
-        s = series_horner(coeffs, par.series_at(p))
+        s = _horner(coeffs, par.series_at(p))
         o = s.known_order()
         if o < s.precision:
             return Fraction(o - shift)
