@@ -272,10 +272,6 @@ class YPoly(DensePoly):
             return a
         return a * (_F1 / a.leading)
 
-    def shift(self, k):
-        """Multiply by variable**k."""
-        return self._make(list((0,) * k + self.coeffs))
-
 
 _ONE_COEFFS = (1,)
 _Y_ZERO = YPoly(())

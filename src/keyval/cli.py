@@ -33,7 +33,6 @@ from .keybasis import (
 from .oracle import (
     PrecisionExhausted,
     PrecisionPolicy,
-    conic_defining,
     conic_parametrization,
     oracle_valuation,
 )
@@ -182,7 +181,7 @@ def _cmd_example_conic(args):
         raise ValueError("--depth %d exceeds the cap %d" % (args.depth, cap))
     par = conic_parametrization()
     phi = par.series_at(args.depth + 2)
-    result = truncated_keys_from_series(phi, args.depth, par.base, conic_defining())
+    result = truncated_keys_from_series(phi, args.depth, par.base, par.defining)
     rows = []
     for i, step in enumerate(result.basis.steps, start=1):
         rows.append(

@@ -306,31 +306,27 @@ def truncated_keys_from_series(
     base: BaseFieldConfig,
     minimal: Poly | None = None,
 ) -> TruncationResult:
-    """Key truncations x - (phi below order d) for a series root phi.
+    """Key truncations x - phi_{<o} for a series root phi.
 
-    Emits a key at every order where the truncation changes, with weight the
-    order of the remaining tail; stops after ``depth`` keys, or earlier with
-    the exact root when the tail vanishes to the stored precision.
+    Key i is x - phi_{<o_i} with weight o_i, for the orders o_1 < o_2 < ... of
+    phi's nonzero coefficients, up to ``depth`` keys; when phi has fewer
+    nonzero coefficients, x - phi is returned as the exact root.
     """
-    if phi.coeffs and phi.coeffs[0] != 0:
+    coeffs = phi.coeffs
+    if coeffs and coeffs[0] != 0:
         raise NonzeroConstantTermError("series root must have zero constant term")
     if phi.precision <= depth:
         raise InsufficientPrecisionError(
             "series precision %d does not exceed depth %d" % (phi.precision, depth)
         )
-    x = Poly.x()
-    trunc = Poly.zero()  # constant-in-x polynomial holding the truncation
-    tail = list(phi.coeffs)
-    steps = []
-    exact_root = None
-    while len(steps) < depth:
-        o = next((k for k, c in enumerate(tail) if c != 0), None)
-        if o is None:
-            exact_root = x - trunc
-            break
-        steps.append((x - trunc, Fraction(o)))
-        trunc = trunc + Poly.const(KElem(YPoly.const(tail[o]).shift(o)))
-        tail[o] = Fraction(0)
-    if not steps:
+    orders = [k for k, c in enumerate(coeffs) if c][: max(depth, 0)]
+    if not orders:
         raise InsufficientPrecisionError("series vanishes to stored precision")
+    x = Poly.x()
+
+    def key(o):  # x - phi_{<o}, with the int 0 in zero slots as sums store them
+        return x - Poly.const(KElem(YPoly([c or 0 for c in coeffs[:o]])))
+
+    steps = [(key(o), Fraction(o)) for o in orders]
+    exact_root = key(phi.precision) if len(orders) < depth else None
     return TruncationResult(WeightedBasis(base, steps, minimal), exact_root)

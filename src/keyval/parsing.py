@@ -14,8 +14,10 @@ most MAX_DEGREE in x or in y, and the exponent times the largest bit length
 of a numerator or denominator in its base may be at most MAX_BITS.  A power of
 a base with several terms is also refused when its dense result, estimated as
 (degree + 1) coefficients of exponent * (bit length + log2 terms) bits, would
-exceed MAX_BITS.  The budget reads the base's coefficients in x in lowest
-terms, as KElem stores them.
+exceed MAX_BITS, or for a base of t monomials in both x and y when its e-th
+power, estimated as min(C(t + e - 1, e), (e deg_x + 1)(e deg_y + 1)) monomials
+of e (bit length + log2 t) bits, would.  The budget reads the base's
+coefficients in x in lowest terms, as KElem stores them.
 
 While parsing, a value is a pair (terms, den): a sparse map {(i, j): q} from
 the monomial x^i y^j to its nonzero exact rational q, an int when integral,
@@ -271,12 +273,20 @@ class _Parser:
             # power raises with the most: the base in x, or a numerator or
             # denominator in y.  None has more than d + 1, so they are counted
             # only when that many could exceed the cap.
+            total = 0
             if (degree + 1) * exp * (size + d.bit_length()) > MAX_BITS:
                 terms = max([len(coeffs)] + [sum(map(bool, q.coeffs)) for q in ypolys])
-                total = (degree + 1) * exp * (size + (terms - 1).bit_length())
-                if terms > 1 and total > MAX_BITS:
-                    raise ParseError("power with an estimated %d-bit result exceeds the cap %d"
-                                     % (total, MAX_BITS), at)
+                if terms > 1:
+                    total = (degree + 1) * exp * (size + (terms - 1).bit_length())
+            # the check above leaves exp <= 3162 here, so the binomial is cheap
+            t = len(value[0])
+            dx, dy = map(max, zip(*value[0])) if t > 1 else (0, 0)  # the degrees in x and y
+            if total <= MAX_BITS and dx and dy:
+                count = min(math.comb(t + exp - 1, exp), (exp * dx + 1) * (exp * dy + 1))
+                total = count * exp * (size + (t - 1).bit_length())
+            if total > MAX_BITS:
+                raise ParseError("power with an estimated %d-bit result exceeds the cap %d"
+                                 % (total, MAX_BITS), at)
             value = _power(value, exp)
         return value
 

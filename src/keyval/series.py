@@ -51,10 +51,8 @@ class Series:
 
     @classmethod
     def _make(cls, nums, den, precision):
-        """The series nums / den, for a nonzero den and len(nums) == precision."""
+        """The series nums / den, for a positive den and len(nums) == precision."""
         g = math.gcd(den, *nums)
-        if den < 0:
-            g = -g
         if g != 1:
             nums = [x // g for x in nums]
             den //= g
@@ -119,7 +117,7 @@ class Series:
 
 def series_div_unit(num: Series, den: Series) -> Series:
     """num / den for a unit denominator (nonzero constant term)."""
-    if den.nums[0] == 0:
+    if not den.nums or den.nums[0] == 0:
         raise BadConstantTermError("denominator is not a unit")
     p = min(num.precision, den.precision)
     h = (p + 1) // 2

@@ -829,6 +829,25 @@ def test_dense_power_over_the_budget_fails_fast(capsys, tmp_path):
                    "the cap 10000000 (at position 6)\n")
 
 
+def test_power_in_x_and_y_over_the_budget_fails_fast(capsys, tmp_path):
+    path = _write(tmp_path, {"base": "function_field", "steps": [{"U": "x", "beta": "1"}]})
+
+    def timeout(signum, frame):
+        raise TimeoutError("(x+y+1)^2000 was not refused within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        code, out, err = run(capsys, "weight", "--basis", path, "--level", "1",
+                             "--poly", "(x+y+1)^2000")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (2, "")
+    assert err == ("parse error: power with an estimated 12018006000-bit result exceeds "
+                   "the cap 10000000 (at position 8)\n")
+
+
 def test_gauss_input_checks(capsys):
     # the polynomial is parsed before the weight is checked, as in every command
     assert run(capsys, "gauss", "--beta", "0", "--poly", "x") == (
@@ -905,3 +924,135 @@ def test_oracle_on_generated_parametrizations_fails_cleanly(par_file, doc, poly,
         assert (code == 0 or ">=" in out.getvalue()) and err.getvalue() == "", (doc, poly)
     else:
         assert code and err.getvalue().startswith(("error: ", "input error: ")), (doc, poly)
+
+
+# Basis files and argv for the fuzz below.  The basis files hold either one
+# of the fixture bases or steps built from the parser's seed texts and real
+# keys, with betas of every JSON type, good and bad base descriptors and an
+# optional ext; some are malformed documents.  The argv runs every
+# subcommand with valid and invalid flag values, leaves out a required flag
+# now and then, and names the generated basis file, a parametrization of
+# the conic or a missing file wherever a file is read.
+_KEYS = VALID_TEXTS + ["x", "x - y", "x^2 - y", "x^2 - 3", "x^2 - y^2", "(x^2 - y)^2 + x*y^2",
+                       "0", "1"]
+_BETAS = ["1/2", "3/2", "5/4", "11/4", "3", "0", "-1", "1/0", "x", "", 1, 3, 0, -2, 0.5, 1e300,
+          float("inf"), float("nan"), True, None, [1], {"beta": 1}]
+_BASE_DOCS = ["function_field", {"p_adic": 3}, {"p_adic": "2"}, {"p_adic": 4}, {"p_adic": True},
+              {"p_adic": 2**31 + 11}, "p_adic", 7, None]
+_FIXTURE_BASES = [
+    ("function_field", [("x", "1/2"), ("x^2 - y", "3/2")]),
+    ("function_field", [("x", "1/2"), ("x^2 - y", "5/4"), ("(x^2 - y)^2 + x*y^2", "11/4")]),
+    ("function_field", [("x", "1"), ("x^2 - y^2", "3")]),
+    ({"p_adic": 3}, [("x", "1/2"), ("x^2 - 3", "3/2")]),
+]
+_EXTS = ["x^2 - y^2 - y^3", "x^2 - y - y^2", "x^4 - y^3", "x^2 - 3", "x", "0", 5]
+_MALFORMED_BASES = [[], "steps", {"steps": []}, {"base": "function_field", "steps": {}},
+                    {"base": "function_field", "steps": [["x", 1]]},
+                    {"base": "function_field", "steps": [{"U": 1, "beta": 1}]}]
+
+
+@st.composite
+def basis_docs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_MALFORMED_BASES))
+    if draw(st.booleans()):
+        base, pairs = draw(st.sampled_from(_FIXTURE_BASES))
+    else:
+        base = draw(st.sampled_from(_BASE_DOCS))
+        pairs = draw(st.lists(st.tuples(st.sampled_from(_KEYS), st.sampled_from(_BETAS)),
+                              max_size=4))
+    doc = {"base": base, "steps": [{"U": U, "beta": beta} for U, beta in pairs]}
+    if draw(st.booleans()):
+        doc["ext"] = draw(st.sampled_from(_EXTS))
+    return doc
+
+
+_BASIS = st.sampled_from(["@basis", "@basis", "@basis", "@missing"])
+_LEVEL = st.sampled_from([str(level) for level in range(-1, 10)] + ["x"])
+_RATIONAL = st.sampled_from(["2", "-1", "0", "3/2", "0.5", "1/0", "x"])
+_POLY = st.sampled_from(_POLYS)
+_POLY_FLAGS = [("--basis", _BASIS, True), ("--poly", _POLY, True), ("--level", _LEVEL, True)]
+_PAIR_FLAGS = [("--basis", _BASIS, True), ("--upper", _LEVEL, True), ("--lower", _LEVEL, True)]
+# subcommand -> [(flag, values or None for a switch, required)]
+_COMMANDS = {
+    "validate": [("--basis", _BASIS, True)],
+    "expand": _POLY_FLAGS,
+    "raise": _POLY_FLAGS + [("--trace", None, False)],
+    "lower": _POLY_FLAGS + [("--trace", None, False)],
+    "weight": _POLY_FLAGS,
+    "initial": _POLY_FLAGS,
+    "groups": [("--basis", _BASIS, True)],
+    "gauss": [("--beta", _RATIONAL, True), ("--poly", _POLY, True),
+              ("--base", st.sampled_from(['"function_field"', '{"p_adic": 3}',
+                                          '{"p_adic": 4}', "p_adic"]), False)],
+    "izumi-exact": _PAIR_FLAGS,
+    "izumi-bound": [("--basis", _BASIS, True), ("--mu-prime-x", _RATIONAL, True),
+                    ("--c-base", _RATIONAL, False), ("--normalized", None, False)],
+    "izumi-search": _PAIR_FLAGS + [
+        ("--seed", st.integers(0, 3).map(str), False),
+        ("--samples", st.one_of(st.integers(1, 30), st.sampled_from([0, -5, 10**7])).map(str),
+         False)],
+    "oracle": [("--param", st.sampled_from(["@param", "@basis", "@missing"]), True),
+               ("--poly", _POLY, True)],
+    "example-conic": [("--depth", st.sampled_from(["0", "1", "4", "511"]), False)],
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for flag, values, required in _COMMANDS[command] + [("--json", None, False)]:
+        if not (draw(st.integers(0, 9)) > 0 if required else draw(st.booleans())):
+            continue
+        if values is None:
+            argv.append(flag)
+        else:
+            value = draw(values)
+            argv += [flag + "=" + value] if draw(st.booleans()) else [flag, value]
+    if draw(st.integers(0, 19)) == 0:
+        argv.append("--help")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    param = root / "param.json"
+    param.write_text(json.dumps({"defining": "x^2 - y^2 - y^3", "branch": "-y",
+                                 "policy": {"initial": 8, "growth": 2, "max": 64}}))
+    return {"@basis": root / "basis.json", "@param": param, "@missing": root / "missing.json"}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argv=cli_argvs(), doc=basis_docs())
+def test_cli_on_generated_argv_and_bases_fails_cleanly(cli_files, argv, doc):
+    # every call exits 0, 1 or 2 within the alarm and prints no traceback;
+    # only a result prints on stdout, and a failure starts stderr with its kind
+    cli_files["@basis"].write_text(json.dumps(doc))
+    for name, path in cli_files.items():
+        argv = [arg.replace(name, str(path)) for arg in argv]
+
+    def timeout(signum, frame):
+        # main reports a TimeoutError, an OSError, as an input error
+        pytest.fail("%r on %r was not done within 10 s" % (argv, doc))
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, doc)
+    assert "Traceback" not in err, (argv, doc)
+    if out:
+        # a result: with exit 1 the violations validate found or an oracle bound
+        assert code == 0 or (code == 1 and (argv[0] == "validate" or ">=" in out)), (argv, doc)
+        assert err == "", (argv, doc)
+    else:
+        assert code and err.startswith(("error: ", "input error: ", "parse error: ", "usage: ")), (
+            argv, doc)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyval import (
     AdicExpansion,
@@ -21,6 +23,7 @@ from keyval.errors import (
     ZeroInputError,
 )
 from keyval import keybasis
+from keyval.basefield import KElem, YPoly
 from keyval.keybasis import _digits, expansion_weight, recurrence_coefficients
 from keyval.parsing import parse_kelem, parse_poly
 from keyval.polynomials import Poly
@@ -258,6 +261,46 @@ def test_truncation_rejects_bad_input():
         truncated_keys_from_series(Series((0, 1), 3), 4, FF)
     with pytest.raises(InsufficientPrecisionError):
         truncated_keys_from_series(Series.zero(8), 3, FF)
+
+
+@st.composite
+def roots_and_depths(draw):
+    """A series with zero constant term and many zero coefficients, and a depth
+    below its precision."""
+    depth = draw(st.integers(1, 12))
+    precision = draw(st.integers(depth + 1, 40))
+    nums = draw(st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=precision - 1,
+                         max_size=precision - 1))
+    dens = draw(st.lists(st.sampled_from([1, 2, 3, 7]), min_size=precision - 1,
+                         max_size=precision - 1))
+    coeffs = [0] + [F(n, d) for n, d in zip(nums, dens)]
+    coeffs[draw(st.integers(1, precision - 1))] = F(draw(st.integers(1, 9)), 1)
+    return Series(coeffs, precision), depth
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(roots_and_depths())
+def test_truncation_keys_are_truncations_of_the_root(case):
+    phi, depth = case
+    result = truncated_keys_from_series(phi, depth, FF)
+    steps = result.basis.steps
+
+    def tail_order(U):
+        # U = x - t for a polynomial t in y; the order of phi - t
+        assert U.degree == 1 and U.coeff(1) == KElem.one()
+        c = U.coeff(0)
+        assert c.den == YPoly.one()
+        return (phi + Series.from_ypoly(c.num, phi.precision)).known_order()
+
+    weights = [s.beta for s in steps]
+    assert weights == [tail_order(s.U) for s in steps]
+    assert weights == sorted(set(weights))
+    for a, b in zip(steps, steps[1:]):
+        assert sum(map(bool, (b.U - a.U).coeff(0).num.coeffs)) == 1
+    nonzero = sum(map(bool, phi.coeffs))
+    assert (result.exact_root is not None) == (nonzero < depth)
+    if result.exact_root is not None:
+        assert tail_order(result.exact_root) == phi.precision
 
 
 def test_algebraic_reduction_in_expand():

@@ -151,6 +151,18 @@ def test_power_budget_of_a_dense_result():
             parse_poly(text, FF)
 
 
+def test_power_budget_counts_monomials_in_x_and_y():
+    # a base with several monomials in both x and y is budgeted by
+    # min(C(t + e - 1, e), (e * deg_x + 1) * (e * deg_y + 1)) monomials of
+    # e * (bit length + log2 t) bits: here C(190, 2) * 188 * 3
+    message = r"^power with an estimated 10126620-bit result exceeds the cap %d \(at position 8\)$"
+    with pytest.raises(ParseError, match=message % MAX_BITS):
+        parse_poly("(x+y+1)^188", FF)
+    # the same count at a sparse base: C(4, 2) * 2 * 3 = 36 bits
+    f = parse_poly("(x^1000 + y^1000 + 1)^2", FF)
+    assert f.coeff(1000).num == YPoly([2] + [0] * 999 + [2])
+
+
 def test_integral_rationals_are_stored_as_ints():
     (c,) = parse_poly("4/2*x", FF).coeff(1).num.coeffs
     assert (c, type(c)) == (2, int)

@@ -205,6 +205,12 @@ def test_div_nonunit_rejected():
         series_div_unit(Series((1,), 3), Series((0, 1), 3))
 
 
+def test_div_by_precision_zero_rejected():
+    # a denominator known to precision 0 has no known unit constant term
+    with pytest.raises(BadConstantTermError, match="^denominator is not a unit$"):
+        series_div_unit(Series((1,), 2), Series((1,), 0))
+
+
 def test_sqrt_one_plus_y():
     s = series_sqrt(Series((1, 1), 4))
     assert s.coeffs == (F(1), F(1, 2), F(-1, 8), F(1, 16))
