@@ -19,6 +19,7 @@ from .errors import (
     InsufficientPrecisionError,
     KeyvalError,
     LevelOutOfRangeError,
+    NonPositiveError,
     NonzeroConstantTermError,
     NotAlgebraicError,
     ZeroInputError,
@@ -312,6 +313,8 @@ def truncated_keys_from_series(
     phi's nonzero coefficients, up to ``depth`` keys; when phi has fewer
     nonzero coefficients, x - phi is returned as the exact root.
     """
+    if depth < 1:
+        raise NonPositiveError("depth must be at least 1, got %d" % depth)
     coeffs = phi.coeffs
     if coeffs and coeffs[0] != 0:
         raise NonzeroConstantTermError("series root must have zero constant term")
@@ -319,7 +322,7 @@ def truncated_keys_from_series(
         raise InsufficientPrecisionError(
             "series precision %d does not exceed depth %d" % (phi.precision, depth)
         )
-    orders = [k for k, c in enumerate(coeffs) if c][: max(depth, 0)]
+    orders = [k for k, c in enumerate(coeffs) if c][:depth]
     if not orders:
         raise InsufficientPrecisionError("series vanishes to stored precision")
     x = Poly.x()

@@ -3,8 +3,8 @@
 For an algebraic-type extension with a series root phi(y) of the defining
 polynomial, the value of f is the order of vanishing of f(phi(y), y).  The
 oracle lifts phi by Newton iteration from a short branch segment, keeping
-the approximant between requests, and grows the precision until the order
-becomes visible.
+the approximant between requests as integer numerators over one denominator,
+and grows the precision until the order becomes visible.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _horner(coeffs: list[YPoly], phi: Series) -> Series:
     """The polynomial with these Q[y] coefficients evaluated at phi."""
     total = Series.zero(phi.precision)
     for c in reversed(coeffs):
-        total = total * phi + Series.from_ypoly(c, phi.precision)
+        total = total * phi + Series(c.coeffs, phi.precision)
     return total
 
 
@@ -74,11 +74,11 @@ class Parametrization:
     """A series root of the defining polynomial, refined on demand.
 
     The branch segment pins down which root is meant.  One polynomial
-    approximant of the root is kept with the precision it has been verified
-    to; a request beyond that precision lifts the approximant by Newton
-    iteration rather than starting again from the branch.  Construction
-    checks that the defining polynomial vanishes on the branch to the
-    initial precision.
+    approximant of the root, integer numerators over one denominator, is kept
+    with the precision it has been verified to; a request beyond that
+    precision lifts the approximant by Newton iteration rather than starting
+    again from the branch.  Construction checks that the defining polynomial
+    vanishes on the branch to the initial precision.
     """
 
     def __init__(
@@ -99,7 +99,8 @@ class Parametrization:
         # P and P' share one denominator, so the Newton correction is exactly P/P'
         self._coeffs = _cleared(defining)[0]
         self._derivative = [c * k for k, c in enumerate(self._coeffs)][1:]
-        self._approx = branch  # agrees with the root below y**self._verified
+        # agrees with the root below y**self._verified
+        self._approx = Series(branch.coeffs, len(branch.coeffs))
         self._verified = 0
         self._work = 1  # working precision of the last Newton step
         self._dorder = 0  # ord P'(approx), once visible
@@ -110,7 +111,7 @@ class Parametrization:
     def series_at(self, precision: int) -> Series:
         if precision > self._verified:
             self._lift(precision)
-        return Series.from_ypoly(self._approx, precision)
+        return self._approx.cut(precision)
 
     def _lift(self, precision: int) -> None:
         """Newton-lift the approximant until it is verified to precision.
@@ -126,7 +127,7 @@ class Parametrization:
         last_order = -1
         while True:
             work = max(work, min(2 * work, precision + 2 * do))
-            phi = Series.from_ypoly(approx, work)
+            phi = approx.cut(work)
             dres = _horner(self._derivative, phi)
             do = dres.known_order()
             if do > precision:
@@ -145,7 +146,7 @@ class Parametrization:
                 raise InsufficientPrecisionError("Newton refinement stalled; bad branch?")
             last_order = ro
             correction = series_div_unit(res.shift(-do), dres.shift(-do))
-            approx = approx - YPoly(correction.coeffs)
+            approx = phi + -correction.cut(work)
 
 
 def oracle_valuation(f: Poly, par: Parametrization):

@@ -6,9 +6,10 @@ propagates the precision: sums keep the smaller precision, and products
 shift it by the known order of the other factor.
 
 The coefficients are stored as integer numerators over one denominator:
-``nums`` holds exactly ``precision`` integers, ``den`` is positive, and
-``gcd(den, *nums) == 1``, so equal series have equal fields.  No operation
-builds Fractions; ``coeffs`` does, for readers of single coefficients.
+``nums`` holds one integer per known coefficient, so the precision is
+``len(nums)``; ``den`` is positive, and ``gcd(den, *nums) == 1``, so equal
+series have equal fields.  No operation builds Fractions; ``coeffs`` does,
+for readers of single coefficients.
 
 The kernels work on packed integers (Kronecker substitution): a list of
 signed integers becomes one big integer with one digit per coefficient, so
@@ -37,7 +38,9 @@ _ZERO = Fraction(0)
 
 
 class Series:
-    __slots__ = ("nums", "den", "precision")
+    """A series modulo y**precision, its precision the number of stored numerators."""
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs, precision):
         """The series with these int or Fraction coefficients, modulo y**precision."""
@@ -47,26 +50,25 @@ class Series:
         nums = [c.numerator * (den // c.denominator) for c in coeffs]
         self.nums = nums + [0] * (precision - len(nums))
         self.den = den
-        self.precision = precision
 
     @classmethod
-    def _make(cls, nums, den, precision):
-        """The series nums / den, for a positive den and len(nums) == precision."""
+    def _make(cls, nums, den):
+        """The series nums / den modulo y**len(nums), for a positive den."""
         g = math.gcd(den, *nums)
         if g != 1:
             nums = [x // g for x in nums]
             den //= g
         s = cls.__new__(cls)
-        s.nums, s.den, s.precision = nums, den, precision
+        s.nums, s.den = nums, den
         return s
 
     @classmethod
     def zero(cls, precision):
         return cls((), precision)
 
-    @classmethod
-    def from_ypoly(cls, p: YPoly, precision):
-        return cls(p.coeffs, precision)
+    @property
+    def precision(self):
+        return len(self.nums)
 
     @property
     def coeffs(self):
@@ -82,34 +84,39 @@ class Series:
         return self.precision
 
     def __add__(self, other):
-        p = min(self.precision, other.precision)
+        # the sum keeps the smaller precision: zip stops at the shorter nums
         da, db = self.den, other.den
         den = da // math.gcd(da, db) * db
         sa, sb = den // da, den // db
-        nums = [x * sa + z * sb for x, z in zip(self.nums, other.nums)]
-        return Series._make(nums, den, p)
+        return Series._make([x * sa + z * sb for x, z in zip(self.nums, other.nums)], den)
+
+    def __neg__(self):
+        return Series._make([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
         p = min(
             self.precision + other.known_order(),
             other.precision + self.known_order(),
         )
-        return Series._make(_mul_ints(self.nums, other.nums, p), self.den * other.den, p)
+        return Series._make(_mul_ints(self.nums, other.nums, p), self.den * other.den)
 
     __rmul__ = __mul__
+
+    def cut(self, precision):
+        """The stored coefficients as a polynomial, modulo y**precision.
+
+        A higher precision pads with zeros, a lower one truncates.
+        """
+        nums = self.nums[:precision]
+        return Series._make(nums + [0] * (precision - len(nums)), self.den)
 
     def shift(self, k):
         """Divide by variable**-k, for 0 <= -k <= the known order."""
         assert k <= 0 and self.known_order() >= -k
-        return Series._make(self.nums[-k:], self.den, self.precision + k)
+        return Series._make(self.nums[-k:], self.den)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Series)
-            and self.precision == other.precision
-            and self.den == other.den
-            and self.nums == other.nums
-        )
+        return isinstance(other, Series) and self.den == other.den and self.nums == other.nums
 
     def __repr__(self):
         return "Series(%r, precision=%d)" % (list(self.coeffs), self.precision)
@@ -134,7 +141,7 @@ def series_div_unit(num: Series, den: Series) -> Series:
     db = den.den
     if db != 1:
         nums = [x * db for x in nums]
-    return Series._make(nums, num.den * c * c, p)
+    return Series._make(nums, num.den * c * c)
 
 
 def series_horner(coeffs: list[YPoly], phi: Series) -> Series:
@@ -170,7 +177,7 @@ def series_horner(coeffs: list[YPoly], phi: Series) -> Series:
     T = 0
     for c, dk in steps:
         T = ((T * A + _pack(c, bits) * dk + offset) & mask) - offset
-    return Series._make(_unpack(T, width, p), D * steps[-1][1], p)
+    return Series._make(_unpack(T, width, p), D * steps[-1][1])
 
 
 # ------------------------------------------------------------ integer kernels

@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -36,3 +38,23 @@ def q3():
 @pytest.fixture(scope="session")
 def b3(base):
     return _mk(base, [("x", "1"), ("x^2 - y^2", "3")])
+
+
+@contextmanager
+def alarm(seconds, what):
+    """Fail the test when the body is not done within seconds.
+
+    pytest.fail raises a BaseException, so a hang inside ``cli.main`` cannot
+    pass as an input error, as a TimeoutError (an OSError) would.
+    """
+
+    def fail(signum, frame):
+        pytest.fail("%s was not done within %d s" % (what, seconds))
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

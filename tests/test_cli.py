@@ -1,7 +1,6 @@
 import io
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -18,6 +17,7 @@ from keyval import io as kio
 from keyval.cli import MAX_SAMPLES, main
 from keyval.oracle import MAX_PRECISION, PrecisionPolicy
 
+from conftest import alarm
 from seed_texts import VALID_TEXTS
 
 
@@ -812,18 +812,9 @@ def test_izumi_exact_undefined_degree_step(capsys, tmp_path):
 
 def test_dense_power_over_the_budget_fails_fast(capsys, tmp_path):
     path = _write(tmp_path, {"base": "function_field", "steps": [{"U": "x", "beta": "1"}]})
-
-    def timeout(signum, frame):
-        raise TimeoutError("(x+1)^1000000 was not refused within 5 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(5)
-    try:
+    with alarm(5, "refusing (x+1)^1000000"):
         code, out, err = run(capsys, "weight", "--basis", path, "--level", "1",
                              "--poly", "(x+1)^1000000")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert (code, out) == (2, "")
     assert err == ("parse error: power with an estimated 2000002000000-bit result exceeds "
                    "the cap 10000000 (at position 6)\n")
@@ -831,18 +822,9 @@ def test_dense_power_over_the_budget_fails_fast(capsys, tmp_path):
 
 def test_power_in_x_and_y_over_the_budget_fails_fast(capsys, tmp_path):
     path = _write(tmp_path, {"base": "function_field", "steps": [{"U": "x", "beta": "1"}]})
-
-    def timeout(signum, frame):
-        raise TimeoutError("(x+y+1)^2000 was not refused within 5 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(5)
-    try:
+    with alarm(5, "refusing (x+y+1)^2000"):
         code, out, err = run(capsys, "weight", "--basis", path, "--level", "1",
                              "--poly", "(x+y+1)^2000")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert (code, out) == (2, "")
     assert err == ("parse error: power with an estimated 12018006000-bit result exceeds "
                    "the cap 10000000 (at position 8)\n")
@@ -904,19 +886,9 @@ def test_oracle_on_generated_parametrizations_fails_cleanly(par_file, doc, poly,
     # prints nothing on stdout when it fails
     par_file.write_text(json.dumps(doc))
     argv = ["oracle", "--param", str(par_file), "--poly=" + poly] + (["--json"] if as_json else [])
-
-    def timeout(signum, frame):
-        raise TimeoutError("%r on %r was not done within 10 s" % (argv, doc))
-
     out, err = io.StringIO(), io.StringIO()
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(10)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with alarm(10, "%r on %r" % (argv, doc)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2), (doc, poly)
     assert "Traceback" not in err.getvalue(), (doc, poly)
     if out.getvalue():
@@ -1032,20 +1004,9 @@ def test_cli_on_generated_argv_and_bases_fails_cleanly(cli_files, argv, doc):
     cli_files["@basis"].write_text(json.dumps(doc))
     for name, path in cli_files.items():
         argv = [arg.replace(name, str(path)) for arg in argv]
-
-    def timeout(signum, frame):
-        # main reports a TimeoutError, an OSError, as an input error
-        pytest.fail("%r on %r was not done within 10 s" % (argv, doc))
-
     out, err = io.StringIO(), io.StringIO()
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(10)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+    with alarm(10, "%r on %r" % (argv, doc)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (argv, doc)
     assert "Traceback" not in err, (argv, doc)

@@ -19,6 +19,7 @@ from keyval.errors import (
     InsufficientPrecisionError,
     KeyvalError,
     LevelOutOfRangeError,
+    NonPositiveError,
     NonzeroConstantTermError,
     ZeroInputError,
 )
@@ -263,6 +264,14 @@ def test_truncation_rejects_bad_input():
         truncated_keys_from_series(Series.zero(8), 3, FF)
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_truncation_rejects_depth_below_one(depth):
+    # checked first, so a nonzero series is not reported as vanishing
+    for phi in (Series((0, 1), 5), Series((1, 1), 8), Series.zero(8)):
+        with pytest.raises(NonPositiveError, match="^depth must be at least 1, got %d$" % depth):
+            truncated_keys_from_series(phi, depth, FF)
+
+
 @st.composite
 def roots_and_depths(draw):
     """A series with zero constant term and many zero coefficients, and a depth
@@ -290,7 +299,7 @@ def test_truncation_keys_are_truncations_of_the_root(case):
         assert U.degree == 1 and U.coeff(1) == KElem.one()
         c = U.coeff(0)
         assert c.den == YPoly.one()
-        return (phi + Series.from_ypoly(c.num, phi.precision)).known_order()
+        return (phi + Series(c.num.coeffs, phi.precision)).known_order()
 
     weights = [s.beta for s in steps]
     assert weights == [tail_order(s.U) for s in steps]

@@ -1,3 +1,5 @@
+import fractions
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,7 @@ from keyval import (
     truncated_keys_from_series,
     weight,
 )
-from keyval import oracle
+from keyval import basefield, oracle
 from keyval.basefield import KElem, YPoly
 from keyval.errors import InsufficientPrecisionError, KeyvalError
 from keyval.oracle import conic_defining
@@ -159,6 +161,48 @@ def test_denominator_in_constant_term_converges_quadratically(monkeypatch):
         lambda: Parametrization(p("x^2 - y^2/(1+y)"), branch, PrecisionPolicy(initial=256)),
     )
     assert steps <= 10
+
+
+def test_newton_trajectory_pinned(monkeypatch):
+    # the unit divisions of each Newton step, construction included
+    par, steps = _newton_steps(monkeypatch, conic_parametrization)
+    assert steps == 4
+    series, steps = _newton_steps(monkeypatch, lambda: par.series_at(512))
+    assert steps == 5 and series == conic_branch_series(512)
+
+    def stepped():
+        fresh = conic_parametrization()
+        return [fresh.series_at(prec) for prec in (40, 16, 100, 64, 130, 512)]
+
+    series, steps = _newton_steps(monkeypatch, stepped)
+    assert steps == 11 and series[-1] == conic_branch_series(512)
+    f = p("(x^2 - y^2 - y^3)*(x + 1)")
+    value, steps = _newton_steps(monkeypatch,
+                                 lambda: oracle_valuation(f, conic_parametrization()))
+    assert steps == 9 and value == PrecisionExhausted(F(512))
+
+
+def test_lift_builds_no_fractions_or_ypolys():
+    # the root stays integer numerators over one denominator: the lift only
+    # reads the numerators and denominators of the defining coefficients
+    par = conic_parametrization()
+    calls = []
+
+    def watch(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (
+            code.co_filename == basefield.__file__
+            or (code.co_filename == fractions.__file__
+                and code.co_name not in ("numerator", "denominator"))
+        ):
+            calls.append(code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        par.series_at(512)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
 
 
 def test_parametrizations_share_no_state():

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import signal
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -29,6 +28,7 @@ from keyval.parsing import (
 from keyval.polynomials import Poly
 from keyval.series import Series
 
+from conftest import alarm
 from seed_texts import VALID_TEXTS
 from series_refs import conic_branch_series
 
@@ -338,16 +338,8 @@ def test_round_trip_fixture_keys(b2):
 
 def test_power_with_a_y_denominator_parses_within_the_alarm():
     # each x-coefficient y^k/(1+y)^100 is reduced by a gcd with a monomial
-    def timeout(signum, frame):
-        raise TimeoutError("((x - y)/(1 + y))^100 was not parsed within 1 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(1)
-    try:
+    with alarm(1, "parsing ((x - y)/(1 + y))^100"):
         f = parse_poly("((x - y)/(1 + y))^100", FF)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     y, den = YPoly.gen(), YPoly((1, 1)) ** 100
     assert f.degree == 100
     assert f.coeffs[100] == KElem(YPoly.one(), den)
@@ -387,12 +379,7 @@ def b1_file(tmp_path_factory):
 def test_mutated_texts_parse_or_fail_cleanly(b1_file, text):
     # a text either parses or raises ParseError, and the CLI exits 0, or 2
     # with nothing on stdout, within the alarm
-    def timeout(signum, frame):
-        raise TimeoutError("%r was not done within 10 s" % text)
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(10)
-    try:
+    with alarm(10, repr(text)):
         try:
             assert isinstance(parse_poly(text, FF), Poly)
         except ParseError:
@@ -400,9 +387,6 @@ def test_mutated_texts_parse_or_fail_cleanly(b1_file, text):
         out = io.StringIO()
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
             code = cli.main(["expand", "--basis", b1_file, "--level", "2", "--poly=" + text])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 2), text
     if code == 2:
         assert out.getvalue() == "", text

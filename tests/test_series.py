@@ -87,6 +87,8 @@ def test_mul_matches_reference(a, b):
     prod = a * b
     assert prod == reference_mul(a, b)
     assert_canonical(prod)
+    p = min(a.precision + b.known_order(), b.precision + a.known_order())
+    assert prod.precision == p == len(prod.nums)
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,12 +97,13 @@ def test_div_unit_matches_reference(num, den):
     quo = series_div_unit(num, den)
     assert quo == reference_div_unit(num, den)
     assert_canonical(quo)
+    assert quo.precision == min(num.precision, den.precision) == len(quo.nums)
 
 
 def reference_horner(coeffs, phi: Series) -> Series:
     total = Series.zero(phi.precision)
     for c in reversed(coeffs):
-        total = reference_mul(total, phi) + Series.from_ypoly(c, phi.precision)
+        total = reference_mul(total, phi) + Series(c.coeffs, phi.precision)
     return total
 
 
@@ -155,6 +158,29 @@ def test_construction_pads_and_truncates():
     assert s.coeffs == (F(1), F(2), F(0), F(0))
     t = Series((1, 2, 3, 4), 2)
     assert t.coeffs == (F(1), F(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(series(), st.integers(0, 50))
+def test_cut_and_negation_match_coefficients(s, n):
+    cut = s.cut(n)
+    assert cut.coeffs == (s.coeffs + (F(0),) * n)[:n]
+    assert_canonical(cut)
+    neg = -s
+    assert neg.coeffs == tuple(-c for c in s.coeffs)
+    assert_canonical(neg)
+    assert s + neg == Series.zero(s.precision)
+
+
+def test_cut_truncates_and_pads_in_lowest_terms():
+    s = Series((1, F(1, 2)), 2)  # (2 + y) / 2
+    assert (s.nums, s.den) == ([2, 1], 2)
+    low = s.cut(1)
+    assert (low.nums, low.den) == ([1], 1)
+    high = s.cut(4)
+    assert (high.nums, high.den) == ([2, 1, 0, 0], 2)
+    assert high.precision == 4
+    assert s.cut(0) == Series.zero(0)
 
 
 def test_add_keeps_min_precision():
@@ -236,8 +262,3 @@ def test_sqrt_squares_back():
 def test_sqrt_requires_unit_one():
     with pytest.raises(BadConstantTermError):
         series_sqrt(Series((4, 1), 3))
-
-
-def test_from_ypoly():
-    s = Series.from_ypoly(YPoly((1, 0, 2)), 5)
-    assert s.coeffs == (F(1), F(0), F(2), F(0), F(0))
