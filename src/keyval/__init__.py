@@ -22,7 +22,6 @@ from .izumi import (
 from .keybasis import (
     AdicExpansion,
     KeyStep,
-    TruncationResult,
     WeightedBasis,
     adic_expand,
     expansion_eval,

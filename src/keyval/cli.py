@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import io as kio
+from .basefield import BaseFieldConfig
 from .errors import IndexPowerViolationError, KeyvalError, ParseError
 from .izumi import (
     CorpusConfig,
@@ -169,7 +170,8 @@ def _cmd_izumi_search(args):
 
 def _cmd_oracle(args):
     par = kio.load_parametrization(args.param)
-    return _value("value", oracle_valuation(_read_poly(args, par.base), par))
+    poly = _read_poly(args, BaseFieldConfig.function_field())
+    return _value("value", oracle_valuation(poly, par))
 
 
 def _cmd_example_conic(args):
@@ -181,9 +183,9 @@ def _cmd_example_conic(args):
         raise ValueError("--depth %d exceeds the cap %d" % (args.depth, cap))
     par = conic_parametrization()
     phi = par.series_at(args.depth + 2)
-    result = truncated_keys_from_series(phi, args.depth, par.base, par.defining)
+    basis = truncated_keys_from_series(phi, args.depth, minimal=par.defining)
     rows = []
-    for i, step in enumerate(result.basis.steps, start=1):
+    for i, step in enumerate(basis.steps, start=1):
         rows.append(
             {
                 "i": i,

@@ -130,7 +130,9 @@ def parametrization_from_json(doc: dict) -> Parametrization:
         growth=_policy_int(pol, "growth", PrecisionPolicy.growth),
         maximum=_policy_int(pol, "max", PrecisionPolicy.maximum),
     )
-    return Parametrization(defining, branch.num, policy=policy, base=base)
+    if base.p is not None:
+        raise KeyvalError("the oracle supports function-field bases only")
+    return Parametrization(defining, branch.num, policy=policy)
 
 
 def load_parametrization(path) -> Parametrization:

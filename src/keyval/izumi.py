@@ -95,7 +95,9 @@ def extension_bound(
     """Upper bound for comparing the basis valuation with another extension.
 
     Default: max(1/beta_1, 1/mu'(x)) * c_base * beta_alpha / deg U_alpha.
-    With integer-normalized value groups the max factor is >= 1 and drops.
+    Normalized (every beta_i a positive integer and mu'(x) >= 1): the max
+    factor is then <= 1 and is dropped, which gives a valid bound that may be
+    weaker than the default.
     """
     mu_prime_x = Fraction(mu_prime_x)
     c_base = Fraction(c_base)

@@ -295,23 +295,14 @@ def validate_basis(basis: WeightedBasis) -> list:
     return out
 
 
-@dataclass
-class TruncationResult:
-    basis: WeightedBasis
-    exact_root: Poly | None
-
-
 def truncated_keys_from_series(
-    phi: Series,
-    depth: int,
-    base: BaseFieldConfig,
-    minimal: Poly | None = None,
-) -> TruncationResult:
-    """Key truncations x - phi_{<o} for a series root phi.
+    phi: Series, depth: int, *, minimal: Poly | None = None
+) -> WeightedBasis:
+    """Key truncations x - phi_{<o} over Q(y) for a series root phi.
 
     Key i is x - phi_{<o_i} with weight o_i, for the orders o_1 < o_2 < ... of
-    phi's nonzero coefficients, up to ``depth`` keys; when phi has fewer
-    nonzero coefficients, x - phi is returned as the exact root.
+    phi's nonzero coefficients, up to ``depth`` keys; a phi with fewer nonzero
+    coefficients gives fewer keys.
     """
     if depth < 1:
         raise NonPositiveError("depth must be at least 1, got %d" % depth)
@@ -326,10 +317,7 @@ def truncated_keys_from_series(
     if not orders:
         raise InsufficientPrecisionError("series vanishes to stored precision")
     x = Poly.x()
-
-    def key(o):  # x - phi_{<o}, with the int 0 in zero slots as sums store them
-        return x - Poly.const(KElem(YPoly([c or 0 for c in coeffs[:o]])))
-
-    steps = [(key(o), Fraction(o)) for o in orders]
-    exact_root = key(phi.precision) if len(orders) < depth else None
-    return TruncationResult(WeightedBasis(base, steps, minimal), exact_root)
+    # x - phi_{<o}, with the int 0 in zero slots as sums store them
+    steps = [(x - Poly.const(KElem(YPoly([c or 0 for c in coeffs[:o]]))), Fraction(o))
+             for o in orders]
+    return WeightedBasis(BaseFieldConfig.function_field(), steps, minimal)

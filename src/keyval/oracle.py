@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basefield import BaseFieldConfig, KElem, YPoly
-from .errors import InsufficientPrecisionError, KeyvalError
+from .basefield import KElem, YPoly
+from .errors import InsufficientPrecisionError
 from .polynomials import Poly
 from .series import Series, series_div_unit
 from .values import INF
@@ -71,7 +71,7 @@ def _horner(coeffs: list[YPoly], phi: Series) -> Series:
 
 
 class Parametrization:
-    """A series root of the defining polynomial, refined on demand.
+    """A series root in Q[[y]] of a defining polynomial over Q(y), refined on demand.
 
     The branch segment pins down which root is meant.  One polynomial
     approximant of the root, integer numerators over one denominator, is kept
@@ -86,13 +86,7 @@ class Parametrization:
         defining: Poly,
         branch: YPoly,
         policy: PrecisionPolicy | None = None,
-        base: BaseFieldConfig | None = None,
     ):
-        if base is None:
-            base = BaseFieldConfig.function_field()
-        if base.p is not None:
-            raise KeyvalError("the oracle supports function-field bases only")
-        self.base = base
         self.defining = defining
         self.branch = branch
         self.policy = policy or PrecisionPolicy()

@@ -37,6 +37,12 @@ from .errors import BadConstantTermError
 _ZERO = Fraction(0)
 
 
+def _check_precision(precision):
+    # a negative precision would slice coefficients off the end
+    if precision < 0:
+        raise ValueError("precision must be at least 0, got %d" % precision)
+
+
 class Series:
     """A series modulo y**precision, its precision the number of stored numerators."""
 
@@ -44,6 +50,7 @@ class Series:
 
     def __init__(self, coeffs, precision):
         """The series with these int or Fraction coefficients, modulo y**precision."""
+        _check_precision(precision)
         coeffs = list(coeffs)[:precision]
         # the least common denominator of reduced fractions leaves no content
         den = math.lcm(*[c.denominator for c in coeffs])
@@ -107,6 +114,7 @@ class Series:
 
         A higher precision pads with zeros, a lower one truncates.
         """
+        _check_precision(precision)
         nums = self.nums[:precision]
         return Series._make(nums + [0] * (precision - len(nums)), self.den)
 

@@ -55,11 +55,9 @@ def test_01_conic_reproduction():
         par = conic_parametrization()
         assert oracle_valuation(parse_poly("x + y", FF), par) == 2
         phi = par.series_at(14)
-        result = truncated_keys_from_series(
-            phi, 12, FF, conic_defining()
-        )
-        assert result.basis.alpha == 12
-        for i, step in enumerate(result.basis.steps, start=1):
+        basis = truncated_keys_from_series(phi, 12, minimal=conic_defining())
+        assert basis.alpha == 12
+        for i, step in enumerate(basis.steps, start=1):
             assert step.beta == i
             assert oracle_valuation(step.U, par) == i
 
@@ -146,10 +144,8 @@ def test_07_extension_bounds(b1):
         for f in corpus_polys(seed=404, count=10**3):
             assert weight(f, 2, b1) <= bound * gauss_value(f, FF, lo)
         par = conic_parametrization()
-        result = truncated_keys_from_series(
-            par.series_at(5), 3, FF, conic_defining()
-        )
-        nbound = extension_bound(result.basis, F(1), F(1), normalized=True)
+        basis = truncated_keys_from_series(par.series_at(5), 3, minimal=conic_defining())
+        nbound = extension_bound(basis, F(1), F(1), normalized=True)
         assert nbound == 3
         checked = 0
         for f in corpus_polys(seed=505, count=10**3):

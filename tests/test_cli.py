@@ -554,6 +554,27 @@ def test_oracle_rejects_rational_branch(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: branch segment must be polynomial\n")
 
 
+P_ADIC_PAR = {"defining": "x^2 - 3", "branch": "1", "base": {"p_adic": 3}}
+
+
+@pytest.mark.parametrize(
+    "doc, code, err",
+    [
+        (P_ADIC_PAR, 1, "error: the oracle supports function-field bases only\n"),
+        # parse and policy errors in the same file are reported first
+        (dict(P_ADIC_PAR, defining="x^2 - y"), 2,
+         "parse error: unknown variable 'y' (at position 6)\n"),
+        (dict(P_ADIC_PAR, policy={"initial": 0}), 2,
+         "input error: precision policy needs initial >= 1, growth >= 2 and max >= initial,"
+         " got initial=0, growth=2, max=512\n"),
+    ],
+    ids=["refused", "parse-error-first", "policy-error-first"],
+)
+def test_oracle_refuses_p_adic_parametrization(capsys, tmp_path, doc, code, err):
+    path = _write(tmp_path, doc)
+    assert run(capsys, "oracle", "--param", path, "--poly", "x") == (code, "", err)
+
+
 @pytest.mark.parametrize("defining", ["0", "y"])
 def test_oracle_rejects_defining_polynomial_without_x(capsys, tmp_path, defining):
     # a defining polynomial of degree < 1 in x has a derivative that vanishes

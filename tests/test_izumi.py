@@ -14,6 +14,7 @@ from keyval import (
     izumi_step_constant,
     key_power_weight,
     ord_comparison_bound,
+    validate_basis,
 )
 from keyval.basefield import _Y_ONE
 from keyval.errors import (
@@ -134,6 +135,27 @@ def test_extension_bound_normalized():
         FF, [(p("x"), F(1)), (p("x - y"), F(2)), (p("x - y - y^2/2"), F(3))]
     )
     assert extension_bound(basis, F(1), F(1), normalized=True) == 3
+
+
+def integer_weight_basis():
+    return WeightedBasis(FF, [(p("x"), F(2)), (p("x^2 - y^4"), F(5))])
+
+
+@pytest.mark.parametrize("mu_prime_x, default", [(F(1), F(5, 2)), (F(3), F(5, 4))])
+def test_extension_bound_normalized_drops_a_factor_at_most_one(mu_prime_x, default):
+    # beta_i positive integers and mu'(x) >= 1 make max(1/beta_1, 1/mu'(x)) <= 1,
+    # so the normalized bound is valid but may be weaker than the default
+    basis = integer_weight_basis()
+    assert validate_basis(basis) == []
+    assert extension_bound(basis, mu_prime_x, F(1)) == default
+    assert extension_bound(basis, mu_prime_x, F(1), normalized=True) == F(5, 2)
+
+
+@pytest.mark.parametrize("mu_prime_x", [F(1), F(3, 2), F(3)])
+def test_extension_bound_normalized_at_least_default(b3, mu_prime_x):
+    for basis in (b3, integer_weight_basis()):
+        assert (extension_bound(basis, mu_prime_x, F(1), normalized=True)
+                >= extension_bound(basis, mu_prime_x, F(1)))
 
 
 def test_corpus_is_deterministic():

@@ -236,32 +236,33 @@ def test_recurrence_coefficients_ignore_ext(request, name, ext):
         assert recurrence_coefficients(with_ext, i) == recurrence_coefficients(basis, i)
 
 
-def test_truncation_exact_root():
+def test_truncation_fewer_nonzero_coefficients_than_depth():
     phi = Series((0, 1, 1), 8)  # y + y^2
-    result = truncated_keys_from_series(phi, 3, FF)
-    betas = [s.beta for s in result.basis.steps]
-    keys = [s.U for s in result.basis.steps]
-    assert keys == [p("x"), p("x - y")]
-    assert betas == [F(1), F(2)]
-    assert result.exact_root is not None
-    assert result.exact_root == p("x - y - y^2")
+    basis = truncated_keys_from_series(phi, 3)
+    assert [s.U for s in basis.steps] == [p("x"), p("x - y")]
+    assert [s.beta for s in basis.steps] == [F(1), F(2)]
+    assert basis.base == FF
 
 
 def test_truncation_single_key():
     phi = Series((0, 0, 0, 1), 8)  # y^3
-    result = truncated_keys_from_series(phi, 2, FF)
-    assert [s.U for s in result.basis.steps] == [p("x")]
-    assert [s.beta for s in result.basis.steps] == [F(3)]
-    assert result.exact_root == p("x - y^3")
+    basis = truncated_keys_from_series(phi, 2)
+    assert [s.U for s in basis.steps] == [p("x")]
+    assert [s.beta for s in basis.steps] == [F(3)]
+
+
+def test_truncation_takes_minimal_by_keyword_only():
+    with pytest.raises(TypeError):
+        truncated_keys_from_series(Series((0, 1), 8), 3, FF)
 
 
 def test_truncation_rejects_bad_input():
     with pytest.raises(NonzeroConstantTermError):
-        truncated_keys_from_series(Series((1, 1), 8), 2, FF)
+        truncated_keys_from_series(Series((1, 1), 8), 2)
     with pytest.raises(InsufficientPrecisionError):
-        truncated_keys_from_series(Series((0, 1), 3), 4, FF)
+        truncated_keys_from_series(Series((0, 1), 3), 4)
     with pytest.raises(InsufficientPrecisionError):
-        truncated_keys_from_series(Series.zero(8), 3, FF)
+        truncated_keys_from_series(Series.zero(8), 3)
 
 
 @pytest.mark.parametrize("depth", [0, -1])
@@ -269,7 +270,7 @@ def test_truncation_rejects_depth_below_one(depth):
     # checked first, so a nonzero series is not reported as vanishing
     for phi in (Series((0, 1), 5), Series((1, 1), 8), Series.zero(8)):
         with pytest.raises(NonPositiveError, match="^depth must be at least 1, got %d$" % depth):
-            truncated_keys_from_series(phi, depth, FF)
+            truncated_keys_from_series(phi, depth)
 
 
 @st.composite
@@ -291,8 +292,7 @@ def roots_and_depths(draw):
 @given(roots_and_depths())
 def test_truncation_keys_are_truncations_of_the_root(case):
     phi, depth = case
-    result = truncated_keys_from_series(phi, depth, FF)
-    steps = result.basis.steps
+    steps = truncated_keys_from_series(phi, depth).steps
 
     def tail_order(U):
         # U = x - t for a polynomial t in y; the order of phi - t
@@ -306,10 +306,7 @@ def test_truncation_keys_are_truncations_of_the_root(case):
     assert weights == sorted(set(weights))
     for a, b in zip(steps, steps[1:]):
         assert sum(map(bool, (b.U - a.U).coeff(0).num.coeffs)) == 1
-    nonzero = sum(map(bool, phi.coeffs))
-    assert (result.exact_root is not None) == (nonzero < depth)
-    if result.exact_root is not None:
-        assert tail_order(result.exact_root) == phi.precision
+    assert len(steps) == min(depth, sum(map(bool, phi.coeffs)))
 
 
 def test_algebraic_reduction_in_expand():

@@ -17,6 +17,7 @@ from keyval import (
     weight,
 )
 from keyval import basefield, oracle
+from keyval import io as kio
 from keyval.basefield import KElem, YPoly
 from keyval.errors import InsufficientPrecisionError, KeyvalError
 from keyval.oracle import conic_defining
@@ -250,33 +251,27 @@ def test_smallest_policy_accepted():
 
 
 def test_padic_base_rejected():
-    with pytest.raises(KeyvalError):
-        Parametrization(
-            conic_defining(), YPoly((0, -1)), base=BaseFieldConfig.p_adic(3)
-        )
+    doc = {"defining": "x^2 - 3", "branch": "1", "base": {"p_adic": 3}}
+    with pytest.raises(KeyvalError, match="^the oracle supports function-field bases only$"):
+        kio.parametrization_from_json(doc)
 
 
 def test_truncation_keys_match_example(par):
     phi = par.series_at(6)
-    result = truncated_keys_from_series(
-        phi, 4, FF, conic_defining()
-    )
-    keys = [s.U for s in result.basis.steps]
+    basis = truncated_keys_from_series(phi, 4, minimal=conic_defining())
+    keys = [s.U for s in basis.steps]
     assert keys == [
         p("x"),
         p("x + y"),
         p("x + y + y^2/2"),
         p("x + y + y^2/2 - y^3/8"),
     ]
-    assert [s.beta for s in result.basis.steps] == [F(1), F(2), F(3), F(4)]
+    assert [s.beta for s in basis.steps] == [F(1), F(2), F(3), F(4)]
 
 
 def test_truncation_weights_dominated_by_oracle(par):
     phi = par.series_at(8)
-    result = truncated_keys_from_series(
-        phi, 5, FF, conic_defining()
-    )
-    basis = result.basis
+    basis = truncated_keys_from_series(phi, 5, minimal=conic_defining())
     for text in ("x + y", "x - y", "x + y^3", "y^2*x + y"):
         f = p(text)
         mu = oracle_valuation(f, par)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from keyval.basefield import YPoly
 from keyval.errors import BadConstantTermError
+from keyval.oracle import conic_parametrization
 from keyval.series import Series, series_div_unit, series_horner
 
 from series_refs import series_sqrt
@@ -181,6 +182,19 @@ def test_cut_truncates_and_pads_in_lowest_terms():
     assert (high.nums, high.den) == ([2, 1, 0, 0], 2)
     assert high.precision == 4
     assert s.cut(0) == Series.zero(0)
+
+
+@pytest.mark.parametrize("precision", [-1, -3])
+def test_negative_precision_rejected(precision):
+    # a slice [:precision] would silently drop coefficients from the end
+    message = "^precision must be at least 0, got %d$" % precision
+    with pytest.raises(ValueError, match=message):
+        Series((1, 2, 3, 4), precision)
+    with pytest.raises(ValueError, match=message):
+        Series((1, 2, 3, 4), 4).cut(precision)
+    with pytest.raises(ValueError, match=message):
+        conic_parametrization().series_at(precision)
+    assert Series((1, 2, 3, 4), 0) == Series((1, 2, 3, 4), 4).cut(0) == Series.zero(0)
 
 
 def test_add_keeps_min_precision():
