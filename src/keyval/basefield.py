@@ -15,7 +15,6 @@ from fractions import Fraction
 from .errors import DivisorZeroError, KeyvalError
 from .values import INF, Value
 
-NEG_INF = float("-inf")
 #: p-adic bases need p below this bound, so that the trial-division primality
 #: test stays under 25k steps.
 MAX_P = 2**31
@@ -119,7 +118,7 @@ class DensePoly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.coeffs) - 1
 
     def __bool__(self):
         return bool(self.coeffs)

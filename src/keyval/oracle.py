@@ -2,13 +2,14 @@
 
 For an algebraic-type extension with a series root phi(y) of the defining
 polynomial, the value of f is the order of vanishing of f(phi(y), y).  The
-oracle lifts phi by Newton iteration from a short branch segment, keeping
-the approximant between requests as integer numerators over one denominator,
-and grows the precision until the order becomes visible.
+oracle lifts phi by Newton iteration from a short branch segment and grows
+the precision until the order becomes visible.  ``_horner`` evaluates the
+integer rows in Z[y] that ``_cleared`` makes of each polynomial once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,24 +50,26 @@ class PrecisionExhausted:
     bound: Fraction
 
 
-def _cleared(f: Poly) -> tuple[list[YPoly], int]:
-    """f's coefficients times their common K-denominator d, and ord(d).
+def _cleared(f: Poly) -> tuple[list[list[int]], int]:
+    """f's coefficients as integer rows in Z[y], one per power of x, and ord(d).
 
-    The cleared coefficients lie in Q[y]; at phi they evaluate to
-    d(y) * f(phi(y), y), whose order exceeds the order of f at phi by ord(d).
+    The rows are scaled by the K-denominator lcm d(y) and by a constant D that
+    clears Q to Z; at phi they give D d(y) f(phi(y), y), of order ord(d) above f's.
     """
     d = YPoly.one()
     for c in f.coeffs:
         if c.den.degree > 0:
             d = d * c.den.divmod(d.gcd(c.den))[0]  # lcm(d, c.den), as gcd is monic
-    return [c.num * (d.divmod(c.den)[0] if c.den.degree > 0 else d) for c in f.coeffs], d.order()
+    polys = [c.num * (d.divmod(c.den)[0] if c.den.degree > 0 else d) for c in f.coeffs]
+    D = math.lcm(*[x.denominator for q in polys for x in q.coeffs])
+    return [[x.numerator * (D // x.denominator) for x in q.coeffs] for q in polys], d.order()
 
 
-def _horner(coeffs: list[YPoly], phi: Series) -> Series:
-    """The polynomial with these Q[y] coefficients evaluated at phi."""
+def _horner(rows: list[list[int]], phi: Series) -> Series:
+    """The polynomial with these integer coefficient rows evaluated at phi."""
     total = Series.zero(phi.precision)
-    for c in reversed(coeffs):
-        total = total * phi + Series(c.coeffs, phi.precision)
+    for row in reversed(rows):
+        total = total * phi + Series(row, phi.precision)
     return total
 
 
@@ -90,9 +93,9 @@ class Parametrization:
         self.defining = defining
         self.branch = branch
         self.policy = policy or PrecisionPolicy()
-        # P and P' share one denominator, so the Newton correction is exactly P/P'
-        self._coeffs = _cleared(defining)[0]
-        self._derivative = [c * k for k, c in enumerate(self._coeffs)][1:]
+        # P and P' share one scale D * d(y), so the Newton correction is exactly P/P'
+        self._rows = _cleared(defining)[0]
+        self._derivative = [[k * a for a in row] for k, row in enumerate(self._rows)][1:]
         # agrees with the root below y**self._verified
         self._approx = Series(branch.coeffs, len(branch.coeffs))
         self._verified = 0
@@ -128,7 +131,7 @@ class Parametrization:
                 raise InsufficientPrecisionError("derivative vanishes on the branch")
             if do >= work:
                 continue  # the derivative's order is not visible yet
-            res = _horner(self._coeffs, phi)
+            res = _horner(self._rows, phi)
             ro = res.known_order()
             if ro >= precision + do:
                 self._approx, self._verified = approx, ro - do
@@ -154,9 +157,9 @@ def oracle_valuation(f: Poly, par: Parametrization):
         return INF
     policy = par.policy
     p = policy.initial
-    coeffs, shift = _cleared(f)
+    rows, shift = _cleared(f)
     while True:
-        s = _horner(coeffs, par.series_at(p))
+        s = _horner(rows, par.series_at(p))
         o = s.known_order()
         if o < s.precision:
             return Fraction(o - shift)

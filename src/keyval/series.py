@@ -14,15 +14,15 @@ for readers of single coefficients.
 The kernels work on packed integers (Kronecker substitution): a list of
 signed integers becomes one big integer with one digit per coefficient, so
 a single big-integer product yields every coefficient of a product.  A
-product packs each operand once.  ``series_horner`` evaluates a polynomial
-with Q[y] coefficients at a series phi = a / d inside one packed integer:
-with the coefficients cleared to integers and the sum homogenised by d, each
-Horner step is one product by the packed a and one cut to the precision,
-and the digits are read back once.  ``series_div_unit`` inverts the
-denominator by Newton iteration to half the precision only and finishes with
-one Karp-Markstein step: the quotient below the half, then the remainder
-above it times the half-precision inverse (A. H. Karp and P. Markstein,
-"High-precision division and square root", ACM TOMS 23(4), 1997).
+product packs each operand once.  ``series_horner`` evaluates the integer
+rows in Z[y] of ``oracle._cleared`` at a series phi = a / d inside one packed
+integer: with the sum homogenised by d, each Horner step is one product by
+the packed a and one cut to the precision, and the digits are read back
+once.  ``series_div_unit`` inverts the denominator by Newton iteration to
+half the precision only and finishes with one Karp-Markstein step: the
+quotient below the half, then the remainder above it times the
+half-precision inverse (A. H. Karp and P. Markstein, "High-precision
+division and square root", ACM TOMS 23(4), 1997).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .basefield import YPoly
 from .errors import BadConstantTermError
 
 
@@ -120,7 +119,9 @@ class Series:
 
     def shift(self, k):
         """Divide by variable**-k, for 0 <= -k <= the known order."""
-        assert k <= 0 and self.known_order() >= -k
+        o = self.known_order()
+        if not -o <= k <= 0:
+            raise ValueError("shift needs 0 <= -k <= the known order %d, got k=%d" % (o, k))
         return Series._make(self.nums[-k:], self.den)
 
     def __eq__(self, other):
@@ -152,18 +153,15 @@ def series_div_unit(num: Series, den: Series) -> Series:
     return Series._make(nums, num.den * c * c)
 
 
-def series_horner(coeffs: list[YPoly], phi: Series) -> Series:
-    """The polynomial with these Q[y] coefficients evaluated at phi, at phi's precision.
+def series_horner(rows: list[list[int]], phi: Series) -> Series:
+    """The polynomial with these integer coefficient rows evaluated at phi, at phi's precision.
 
-    With the coefficients cleared to integers C_k over one denominator D and
-    phi = a / d, d**n times the value is the homogeneous Horner sum T_0 of
-    T_n = C_n and T_k = T_{k+1} * a + C_k * d**(n - k), over D.  Each T_k is
-    one packed integer, cut to its low p digits after every step.
+    With phi = a / d, d**n times the value is the homogeneous Horner sum T_0
+    of T_n = C_n and T_k = T_{k+1} * a + C_k * d**(n - k), for the rows C_k.
+    Each T_k is one packed integer, cut to its low p digits after every step.
     """
     p = phi.precision
-    cs = [c.coeffs[:p] for c in coeffs]
-    D = math.lcm(*[x.denominator for c in cs for x in c])
-    C = [[x.numerator * (D // x.denominator) for x in c] for c in cs]
+    C = [row[:p] for row in rows]
     a, d = phi.nums, phi.den
     powers = [1]
     for _ in C[1:]:
@@ -185,7 +183,7 @@ def series_horner(coeffs: list[YPoly], phi: Series) -> Series:
     T = 0
     for c, dk in steps:
         T = ((T * A + _pack(c, bits) * dk + offset) & mask) - offset
-    return Series._make(_unpack(T, width, p), D * steps[-1][1])
+    return Series._make(_unpack(T, width, p), steps[-1][1])
 
 
 # ------------------------------------------------------------ integer kernels

@@ -214,6 +214,20 @@ def test_padic_constant_arithmetic():
     assert a.as_fraction() == F(5, 6)
 
 
+def test_as_fraction_of_zero_and_non_constants():
+    assert KElem.zero().as_fraction() == F(0)
+    for non_constant in (KElem.gen(), KElem.one() / KElem.gen()):
+        with pytest.raises(KeyvalError, match="^element is not a constant$"):
+            non_constant.as_fraction()
+
+
+def test_reprs():
+    assert repr(FF) == "BaseFieldConfig.function_field()"
+    assert repr(P3) == "BaseFieldConfig.p_adic(3)"
+    assert repr(YPoly((0, F(1, 2)))) == "YPoly((0, Fraction(1, 2)))"
+    assert repr(KElem.one() / KElem.gen()) == "KElem(YPoly((1,)), YPoly((0, 1)))"
+
+
 def test_base_valuation_function_field():
     y = KElem.gen()
     assert base_valuation(y * y + y * y * y, FF) == 2

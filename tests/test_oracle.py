@@ -22,7 +22,7 @@ from keyval.basefield import KElem, YPoly
 from keyval.errors import InsufficientPrecisionError, KeyvalError
 from keyval.oracle import conic_defining
 from keyval.parsing import parse_poly
-from keyval.series import Series, series_div_unit
+from keyval.series import Series, series_div_unit, series_horner
 
 from series_refs import conic_branch_series, series_sqrt
 
@@ -183,27 +183,71 @@ def test_newton_trajectory_pinned(monkeypatch):
     assert steps == 9 and value == PrecisionExhausted(F(512))
 
 
+def quarter_conic():
+    """x^2 - y^2/4 - y^3/4, whose branch -y/2*sqrt(1+y) has Fraction coefficients."""
+    return Parametrization(p("x^2 - y^2/4 - y^3/4"), YPoly((0, F(-1, 2))))
+
+
 def test_lift_builds_no_fractions_or_ypolys():
-    # the root stays integer numerators over one denominator: the lift only
-    # reads the numerators and denominators of the defining coefficients
-    par = conic_parametrization()
+    # P is cleared to integer rows once, at construction, and the root stays
+    # integer numerators over one denominator: the lift calls nothing in
+    # basefield or fractions, not even a Fraction's numerator or denominator
     calls = []
 
     def watch(frame, event, arg):
         code = frame.f_code
-        if event == "call" and (
-            code.co_filename == basefield.__file__
-            or (code.co_filename == fractions.__file__
-                and code.co_name not in ("numerator", "denominator"))
-        ):
+        if event == "call" and code.co_filename in (basefield.__file__, fractions.__file__):
             calls.append(code.co_name)
 
-    sys.setprofile(watch)
-    try:
-        par.series_at(512)
-    finally:
-        sys.setprofile(None)
+    for par in (conic_parametrization(), quarter_conic()):
+        sys.setprofile(watch)
+        try:
+            par.series_at(512)
+        finally:
+            sys.setprofile(None)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text, d, shift",
+    [
+        ("x^2/3 - (2/5)*y*x + y^3/7 + 1/2", "1", 0),
+        ("x/y + y", "y", 1),
+        ("x^2/(1+y) + (y/3)*x - 1/2", "1 + y", 0),
+        ("x/(3*y^2) + 1/(y + y^2) - y/4", "y^2 + y^3", 2),
+        ("x + y + y^2/2 - y^3/8 + 1/16*y^4", "1", 0),  # a conic key
+    ],
+)
+def test_cleared_rows_are_integer_multiples(text, d, shift):
+    f = p(text)
+    rows, ord_d = oracle._cleared(f)
+    assert ord_d == shift
+    assert all(type(a) is int for row in rows for a in row)
+    # the rows are one nonzero rational multiple of the coefficients of d(y) * f
+    cleared = p(d) * f
+    assert all(c.den == YPoly.one() for c in cleared.coeffs)
+    expected = [list(c.num.coeffs) for c in cleared.coeffs]
+    assert [len(row) for row in rows] == [len(row) for row in expected]
+    scale = next(F(a, b) for row, ref in zip(rows, expected) for a, b in zip(row, ref) if b)
+    assert scale != 0
+    assert rows == [[scale * b for b in ref] for ref in expected]
+
+
+def test_packed_horner_matches_oracle_horner():
+    # the packed kernel agrees with the oracle's Horner on the oracle's own rows
+    conic, quarter = conic_parametrization(), quarter_conic()
+    phi = conic_branch_series(64)
+    steps = truncated_keys_from_series(phi, 40).steps
+    assert [s.beta for s in steps] == list(range(1, 41))  # keys of order 1..40
+    keys = [s.U for s in steps]
+    conic_polys = keys + [p("(x^2 - y^2 - y^3)*(x + 1)"), keys[-1] * p("1/y^3")]
+    conic_rows = [conic._rows, conic._derivative] + [oracle._cleared(f)[0] for f in conic_polys]
+    cases = [(conic, conic_rows), (quarter, [quarter._rows, quarter._derivative])]
+    for par, row_lists in cases:
+        for prec in (16, 64, 256):
+            phi = par.series_at(prec)
+            for rows in row_lists:
+                assert series_horner(rows, phi) == oracle._horner(rows, phi)
 
 
 def test_parametrizations_share_no_state():

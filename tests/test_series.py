@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyval.basefield import YPoly
 from keyval.errors import BadConstantTermError
 from keyval.oracle import conic_parametrization
 from keyval.series import Series, series_div_unit, series_horner
@@ -101,21 +100,23 @@ def test_div_unit_matches_reference(num, den):
     assert quo.precision == min(num.precision, den.precision) == len(quo.nums)
 
 
-def reference_horner(coeffs, phi: Series) -> Series:
+def reference_horner(rows, phi: Series) -> Series:
     total = Series.zero(phi.precision)
-    for c in reversed(coeffs):
-        total = reference_mul(total, phi) + Series(c.coeffs, phi.precision)
+    for row in reversed(rows):
+        total = reference_mul(total, phi) + Series(row, phi.precision)
     return total
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.lists(coefficients, max_size=45).map(YPoly), max_size=5),
-    st.one_of(series(), st.integers(0, 40).map(Series.zero)),
+integer_rows = st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-(10**30), 10**30)), max_size=45), max_size=5
 )
-def test_horner_matches_reference(coeffs, phi):
-    value = series_horner(coeffs, phi)
-    assert value == reference_horner(coeffs, phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_rows, st.one_of(series(), st.integers(0, 40).map(Series.zero)))
+def test_horner_matches_reference(rows, phi):
+    value = series_horner(rows, phi)
+    assert value == reference_horner(rows, phi)
     assert_canonical(value)
 
 
@@ -128,8 +129,8 @@ def test_horner_extremal_coefficients():
             for sign in (1, -1):
                 phi = Series([sign * top] * n, n)
                 for degree in (1, 2, 4):
-                    coeffs = [YPoly([top] * n)] * (degree + 1)
-                    assert series_horner(coeffs, phi) == reference_horner(coeffs, phi)
+                    rows = [[top] * n] * (degree + 1)
+                    assert series_horner(rows, phi) == reference_horner(rows, phi)
 
 
 def test_mul_extremal_coefficients():
@@ -217,6 +218,26 @@ def test_shift_negative_requires_order():
     out = s.shift(-2)
     assert out.coeffs == (F(5), F(7))
     assert out.precision == 2
+
+
+@pytest.mark.parametrize(
+    "coeffs, k, message",
+    [
+        # past the known order: would drop the nonzero y coefficient
+        ((0, 5), -2, "known order 1, got k=-2"),
+        # a positive k: would drop the constant term instead of shifting up
+        ((0, 5, 7), 1, "known order 1, got k=1"),
+    ],
+)
+def test_shift_outside_known_order_rejected(coeffs, k, message):
+    with pytest.raises(ValueError, match="^shift needs 0 <= -k <= the %s$" % message):
+        Series(coeffs, len(coeffs)).shift(k)
+
+
+def test_repr_shows_coefficients_and_precision():
+    assert repr(Series((0, F(1, 2)), 3)) == (
+        "Series([Fraction(0, 1), Fraction(1, 2), Fraction(0, 1)], precision=3)"
+    )
 
 
 def test_series_ord():

@@ -27,4 +27,8 @@ def test_is_finite():
 
 def test_format_parse_round_trip():
     assert [str(v) for v in (F(3, 2), F(-5), F(0), INF)] == ["3/2", "-5", "0", "inf"]
+    assert repr(INF) == "inf"
 
+
+def test_infinity_is_hashable():
+    assert {INF: "top"}[INF] == "top"
