@@ -3,8 +3,8 @@
 For an algebraic-type extension with a series root phi(y) of the defining
 polynomial, the value of f is the order of vanishing of f(phi(y), y).  The
 oracle lifts phi by Newton iteration from a short branch segment and grows
-the precision until the order becomes visible.  ``_horner`` evaluates the
-integer rows in Z[y] that ``_cleared`` makes of each polynomial once.
+the precision until the order becomes visible.  ``series_horner`` evaluates
+the integer rows in Z[y] that ``_cleared`` makes of each polynomial once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from .basefield import KElem, YPoly
 from .errors import InsufficientPrecisionError
 from .polynomials import Poly
-from .series import Series, series_div_unit
+from .series import Series, series_div_unit, series_horner
 from .values import INF
 
 #: A policy may grow the precision to at most this; a request that exhausts
@@ -63,14 +63,6 @@ def _cleared(f: Poly) -> tuple[list[list[int]], int]:
     polys = [c.num * (d.divmod(c.den)[0] if c.den.degree > 0 else d) for c in f.coeffs]
     D = math.lcm(*[x.denominator for q in polys for x in q.coeffs])
     return [[x.numerator * (D // x.denominator) for x in q.coeffs] for q in polys], d.order()
-
-
-def _horner(rows: list[list[int]], phi: Series) -> Series:
-    """The polynomial with these integer coefficient rows evaluated at phi."""
-    total = Series.zero(phi.precision)
-    for row in reversed(rows):
-        total = total * phi + Series(row, phi.precision)
-    return total
 
 
 class Parametrization:
@@ -125,13 +117,13 @@ class Parametrization:
         while True:
             work = max(work, min(2 * work, precision + 2 * do))
             phi = approx.cut(work)
-            dres = _horner(self._derivative, phi)
+            dres = series_horner(self._derivative, phi)
             do = dres.known_order()
             if do > precision:
                 raise InsufficientPrecisionError("derivative vanishes on the branch")
             if do >= work:
                 continue  # the derivative's order is not visible yet
-            res = _horner(self._rows, phi)
+            res = series_horner(self._rows, phi)
             ro = res.known_order()
             if ro >= precision + do:
                 self._approx, self._verified = approx, ro - do
@@ -159,7 +151,7 @@ def oracle_valuation(f: Poly, par: Parametrization):
     p = policy.initial
     rows, shift = _cleared(f)
     while True:
-        s = _horner(rows, par.series_at(p))
+        s = series_horner(rows, par.series_at(p))
         o = s.known_order()
         if o < s.precision:
             return Fraction(o - shift)

@@ -14,15 +14,16 @@ for readers of single coefficients.
 The kernels work on packed integers (Kronecker substitution): a list of
 signed integers becomes one big integer with one digit per coefficient, so
 a single big-integer product yields every coefficient of a product.  A
-product packs each operand once.  ``series_horner`` evaluates the integer
-rows in Z[y] of ``oracle._cleared`` at a series phi = a / d inside one packed
-integer: with the sum homogenised by d, each Horner step is one product by
-the packed a and one cut to the precision, and the digits are read back
-once.  ``series_div_unit`` inverts the denominator by Newton iteration to
-half the precision only and finishes with one Karp-Markstein step: the
-quotient below the half, then the remainder above it times the
-half-precision inverse (A. H. Karp and P. Markstein, "High-precision
-division and square root", ACM TOMS 23(4), 1997).
+product packs each operand once, and a product by a constant packs nothing:
+it scales the other operand's numerators.  ``series_div_unit`` divides
+only above the numerator's known order k, to precision p - k, and puts k
+zeros in front.  It inverts the denominator by Newton iteration to half of
+p - k only and finishes with one Karp-Markstein step: the quotient below
+the half, then the remainder above it times the half-precision inverse
+(A. H. Karp and P. Markstein, "High-precision division and square root",
+ACM TOMS 23(4), 1997).  ``series_horner`` evaluates the integer rows in
+Z[y] of ``oracle._cleared`` at a series by Horner's rule on ``Series``
+products.
 """
 
 from __future__ import annotations
@@ -136,16 +137,19 @@ def series_div_unit(num: Series, den: Series) -> Series:
     if not den.nums or den.nums[0] == 0:
         raise BadConstantTermError("denominator is not a unit")
     p = min(num.precision, den.precision)
-    h = (p + 1) // 2
-    a, b = num.nums, den.nums
+    # num = y**k * a for num's known order k, so num / den = y**k * (a / den)
+    k = min(num.known_order(), p)
+    q = p - k
+    h = (q + 1) // 2
+    a, b = num.nums[k:p], den.nums
     # Karp-Markstein: with g / c = 1 / b modulo y**h, the quotient a / b is
     # q0 / c below y**h, and the remainder a * c - b * q0, which vanishes
     # below y**h, divided by b * c gives the rest:
-    # a / b = (c * q0 + y**h * g * r) / c**2 modulo y**p, r its digits from h on
+    # a / b = (c * q0 + y**h * g * r) / c**2 modulo y**q, r its digits from h on
     g, c = _inverse_ints(b, h)
     q0 = _mul_ints(a, g, h)
-    r = [c * x - z for x, z in zip(a[h:], _mul_ints(b, q0, p)[h:])]
-    nums = [c * x for x in q0] + _mul_ints(g, r, p - h)
+    r = [c * x - z for x, z in zip(a[h:], _mul_ints(b, q0, q)[h:])]
+    nums = [0] * k + [c * x for x in q0] + _mul_ints(g, r, q - h)
     # num / den = (a / da) * (db / b)
     db = den.den
     if db != 1:
@@ -156,34 +160,21 @@ def series_div_unit(num: Series, den: Series) -> Series:
 def series_horner(rows: list[list[int]], phi: Series) -> Series:
     """The polynomial with these integer coefficient rows evaluated at phi, at phi's precision.
 
-    With phi = a / d, d**n times the value is the homogeneous Horner sum T_0
-    of T_n = C_n and T_k = T_{k+1} * a + C_k * d**(n - k), for the rows C_k.
-    Each T_k is one packed integer, cut to its low p digits after every step.
+    Each Horner step is one ``Series`` product, so whatever counts calls of
+    ``Series.__mul__`` counts the products of an evaluation too.
     """
     p = phi.precision
-    C = [row[:p] for row in rows]
-    a, d = phi.nums, phi.den
-    powers = [1]
-    for _ in C[1:]:
-        powers.append(powers[-1] * d)
-    steps = list(zip(reversed(C), powers))  # (C_k, d**(n - k)) for k = n, ..., 0
-    # every coefficient of T_k, cut or not, is at most its 1-norm bound
-    # |T_k|_1 <= |T_{k+1}|_1 * |a|_1 + |C_k|_1 * d**(n - k)
-    norm_a = sum(map(abs, a))
-    bound = norm = 0
-    for c, dk in steps:
-        norm = norm * norm_a + sum(map(abs, c)) * dk
-        bound = max(bound, norm)
-    if not bound:
+    if not rows:
         return Series.zero(p)
-    width = (bound.bit_length() + 8) // 8  # whole bytes with room for the sign
-    bits = 8 * width
-    offset, mask = _window(width, p)
-    A = _pack(a, bits)
-    T = 0
-    for c, dk in steps:
-        T = ((T * A + _pack(c, bits) * dk + offset) & mask) - offset
-    return Series._make(_unpack(T, width, p), steps[-1][1])
+    total = Series(rows[-1], p)
+    for row in reversed(rows[:-1]):
+        # the product keeps at least precision p, as total and phi have it
+        prod = total * phi
+        nums, den = prod.nums[:p], prod.den
+        for i, c in enumerate(row[:p]):
+            nums[i] += c * den
+        total = Series._make(nums, den)
+    return total
 
 
 # ------------------------------------------------------------ integer kernels
@@ -194,15 +185,10 @@ def series_horner(rows: list[list[int]], phi: Series) -> Series:
 # so a mask cuts off the higher digits and to_bytes cuts the digits apart.
 
 
-def _window(width, n):
-    """The offset of half in each of n digits of width bytes, and their mask."""
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    return offset, (1 << (8 * width * n)) - 1
-
-
 def _unpack(x, width, n):
     """The low n signed digits of width bytes of the packed integer x."""
-    offset, mask = _window(width, n)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    mask = (1 << (8 * width * n)) - 1
     data = ((x + offset) & mask).to_bytes(width * n, "little")
     half = 1 << (8 * width - 1)
     return [
@@ -216,13 +202,17 @@ def _mul_ints(a, b, n):
 
     Each list is packed into one integer with a digit width that holds any
     signed product coefficient, the two integers are multiplied once, and
-    the low n signed digits are read back.
+    the low n signed digits are read back.  A product by a constant is a
+    product by its coefficient.
     """
     a, b = a[:n], b[:n]
-    ma = max(map(abs, a), default=0)
-    mb = max(map(abs, b), default=0)
-    if not ma or not mb:
-        return [0] * n
+    if not any(b[1:]):
+        a, b = b, a
+    if not any(a[1:]):
+        c = a[0] if a else 0
+        return [c * x for x in b] + [0] * (n - len(b))
+    ma = max(map(abs, a))
+    mb = max(map(abs, b))
     # |coefficient| <= min(len) * ma * mb < 2**(bits - 1)
     bits = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 1
     width = (bits + 7) // 8

@@ -17,6 +17,7 @@ from keyval import (
     weight,
 )
 from keyval import basefield, oracle
+from keyval import series as series_module
 from keyval import io as kio
 from keyval.basefield import KElem, YPoly
 from keyval.errors import InsufficientPrecisionError, KeyvalError
@@ -24,7 +25,7 @@ from keyval.oracle import conic_defining
 from keyval.parsing import parse_poly
 from keyval.series import Series, series_div_unit, series_horner
 
-from series_refs import conic_branch_series, series_sqrt
+from series_refs import conic_branch_series, reference_horner, series_sqrt
 
 F = Fraction
 FF = BaseFieldConfig.function_field()
@@ -233,8 +234,8 @@ def test_cleared_rows_are_integer_multiples(text, d, shift):
     assert rows == [[scale * b for b in ref] for ref in expected]
 
 
-def test_packed_horner_matches_oracle_horner():
-    # the packed kernel agrees with the oracle's Horner on the oracle's own rows
+def test_horner_matches_reference_on_oracle_rows():
+    # the oracle's own rows: P, P', conic keys, and rows longer than the precision
     conic, quarter = conic_parametrization(), quarter_conic()
     phi = conic_branch_series(64)
     steps = truncated_keys_from_series(phi, 40).steps
@@ -242,12 +243,42 @@ def test_packed_horner_matches_oracle_horner():
     keys = [s.U for s in steps]
     conic_polys = keys + [p("(x^2 - y^2 - y^3)*(x + 1)"), keys[-1] * p("1/y^3")]
     conic_rows = [conic._rows, conic._derivative] + [oracle._cleared(f)[0] for f in conic_polys]
+    long_rows = [[(-1) ** i * (i + 1) for i in range(300)], [], list(range(260))]
     cases = [(conic, conic_rows), (quarter, [quarter._rows, quarter._derivative])]
     for par, row_lists in cases:
         for prec in (16, 64, 256):
             phi = par.series_at(prec)
-            for rows in row_lists:
-                assert series_horner(rows, phi) == oracle._horner(rows, phi)
+            for rows in row_lists + [[], long_rows]:
+                assert series_horner(rows, phi) == reference_horner(rows, phi)
+
+
+def _work(monkeypatch, build):
+    """The result of build(), and the products, packings and Newton steps it made."""
+    counts = {"products": 0, "packs": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        m.setattr(Series, "__mul__", counting("products", Series.__mul__))
+        m.setattr(series_module, "_pack", counting("packs", series_module._pack))
+        result, steps = _newton_steps(monkeypatch, build)
+    return result, (counts["products"], counts["packs"], steps)
+
+
+def test_lift_work_pinned(monkeypatch):
+    # every product of the lift and the valuation goes through Series.__mul__
+    # and every Newton step through series_div_unit, where a tracer sees them;
+    # constant products and the first inverse step pack nothing
+    _, work = _work(monkeypatch, lambda: conic_parametrization().series_at(256))
+    assert work == (33, 136, 8)
+    f = p("(x^2 - y^2 - y^3)*(x + 1)")
+    policy = PrecisionPolicy(initial=16, growth=2, maximum=256)
+    value, work = _work(monkeypatch, lambda: oracle_valuation(f, conic_parametrization(policy)))
+    assert value == PrecisionExhausted(F(256)) and work == (57, 152, 8)
 
 
 def test_parametrizations_share_no_state():

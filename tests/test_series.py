@@ -5,32 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keyval import series as series_module
 from keyval.errors import BadConstantTermError
 from keyval.oracle import conic_parametrization
 from keyval.series import Series, series_div_unit, series_horner
 
-from series_refs import series_sqrt
+from series_refs import conic_branch_series, reference_horner, reference_mul, series_sqrt
 
 F = Fraction
 
 
-# Reference kernels: the schoolbook product and the quadratic division
-# recurrence, straight on Fractions.
-
-
-def reference_mul(a: Series, b: Series) -> Series:
-    p = min(a.precision + b.known_order(), b.precision + a.known_order())
-    out = [F(0)] * p
-    b_coeffs = b.coeffs
-    for i, x in enumerate(a.coeffs):
-        if x == 0 or i >= p:
-            continue
-        for j, z in enumerate(b_coeffs):
-            if i + j >= p:
-                break
-            if z != 0:
-                out[i + j] += x * z
-    return Series(out, p)
+# The reference division: the quadratic recurrence, straight on Fractions.
 
 
 def reference_div_unit(num: Series, den: Series) -> Series:
@@ -100,13 +85,6 @@ def test_div_unit_matches_reference(num, den):
     assert quo.precision == min(num.precision, den.precision) == len(quo.nums)
 
 
-def reference_horner(rows, phi: Series) -> Series:
-    total = Series.zero(phi.precision)
-    for row in reversed(rows):
-        total = reference_mul(total, phi) + Series(row, phi.precision)
-    return total
-
-
 integer_rows = st.lists(
     st.lists(st.one_of(st.just(0), st.integers(-(10**30), 10**30)), max_size=45), max_size=5
 )
@@ -121,8 +99,6 @@ def test_horner_matches_reference(rows, phi):
 
 
 def test_horner_extremal_coefficients():
-    # equal-sign coefficients of the largest size for their bit length reach
-    # the 1-norm bound that sets the packing width
     for bits in range(1, 20):
         top = 2**bits - 1
         for n in (1, 2, 3, 5, 8):
@@ -146,10 +122,42 @@ def test_mul_extremal_coefficients():
                 assert b * b == reference_mul(b, b)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (Series((3,), 5), Series((1, F(1, 2), -2, 0, 7), 5)),
+        (Series((0, 1, F(-1, 3)), 6), Series((F(5, 2),), 4)),
+        (Series.zero(5), Series((1, 2, 3), 5)),
+        (Series((-2,), 40), Series((1, 1), 3)),  # longer than the other factor
+    ],
+)
+def test_product_by_constant_packs_nothing(monkeypatch, a, b):
+    monkeypatch.setattr(series_module, "_pack", lambda xs, bits: pytest.fail("packed %r" % xs))
+    assert a * b == reference_mul(a, b)
+    assert b * a == reference_mul(b, a)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6, 11, 12])
+@pytest.mark.parametrize("precision", [1, 5, 12])
+def test_div_unit_inverts_above_the_numerator_order(monkeypatch, k, precision):
+    # num = y**k * a, so num / den needs 1 / den only to precision - k
+    num = Series([0] * k + [F(1, 3), -2, 5, F(7, 4)] * 3, 12)
+    den = Series((3, 1, F(-1, 2), 4), precision)
+    inverse, lengths = series_module._inverse_ints, []
+
+    def recording(b, n):
+        lengths.append(n)
+        return inverse(b, n)
+
+    monkeypatch.setattr(series_module, "_inverse_ints", recording)
+    assert series_div_unit(num, den) == reference_div_unit(num, den)
+    assert lengths == [(precision - min(k, precision) + 1) // 2]
+
+
 def test_mul_and_div_match_reference_at_oracle_sizes():
     # -y*sqrt(1+y) has denominators up to 2**(2n), as in the oracle
     for n in (1, 2, 3, 17, 129, 256, 257):
-        phi = series_sqrt(Series((1, 1), n)) * Series((0, -1), n)
+        phi = conic_branch_series(n)
         den = Series((3,) + phi.coeffs[1:], n)
         assert phi * den == reference_mul(phi, den)
         assert series_div_unit(phi, den) == reference_div_unit(phi, den)
