@@ -153,11 +153,18 @@ def expansion_to_json(E: AdicExpansion) -> dict:
 
 
 def expansion_from_json(doc: dict, base: BaseFieldConfig) -> AdicExpansion:
+    level, terms_doc = _fields(doc, "expansion", level=int, terms=dict)
+    if isinstance(level, bool) or level < 1:
+        raise ValueError("expansion level must be an integer of at least 1")
     terms = {}
-    for key, text in doc["terms"].items():
+    for key, text in terms_doc.items():
         a = tuple(int(e) for e in key.split(","))
+        if len(a) != level:
+            raise ValueError("expansion exponent vector %r is not of length %d" % (key, level))
+        if min(a) < 0:
+            raise ValueError("expansion exponent vector %r has a negative exponent" % key)
         terms[a] = parse_kelem(text, base)
-    return AdicExpansion(int(doc["level"]), terms)
+    return AdicExpansion(level, terms)
 
 
 def trace_to_json(trace: RewriteTrace) -> list:

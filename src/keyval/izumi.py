@@ -127,6 +127,8 @@ class CorpusConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise NonPositiveError("need at least one sample")
+        if self.max_degree < 1:
+            raise NonPositiveError("need a maximum degree of at least 1")
 
 
 def random_corpus_poly(cfg: BaseFieldConfig, corpus: CorpusConfig, index: int) -> Poly:

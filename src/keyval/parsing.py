@@ -271,14 +271,14 @@ class _Parser:
             # coefficients of up to exp * (size + log2 terms) bits each, by the
             # multinomial theorem.  Its terms are those of the polynomial the
             # power raises with the most: the base in x, or a numerator or
-            # denominator in y.  None has more than d + 1, so they are counted
-            # only when that many could exceed the cap.
+            # denominator in y.
             total = 0
-            if (degree + 1) * exp * (size + d.bit_length()) > MAX_BITS:
-                terms = max([len(coeffs)] + [sum(map(bool, q.coeffs)) for q in ypolys])
-                if terms > 1:
-                    total = (degree + 1) * exp * (size + (terms - 1).bit_length())
-            # the check above leaves exp <= 3162 here, so the binomial is cheap
+            terms = max([len(coeffs)] + [sum(map(bool, q.coeffs)) for q in ypolys])
+            if terms > 1:
+                total = (degree + 1) * exp * (size + (terms - 1).bit_length())
+            # a base of t > 1 monomials has terms > 1 and d >= 1, so a dense
+            # estimate of at most MAX_BITS leaves exp <= 3162 here, and the
+            # binomial is cheap
             t = len(value[0])
             dx, dy = map(max, zip(*value[0])) if t > 1 else (0, 0)  # the degrees in x and y
             if total <= MAX_BITS and dx and dy:

@@ -17,13 +17,10 @@ a single big-integer product yields every coefficient of a product.  A
 product packs each operand once, and a product by a constant packs nothing:
 it scales the other operand's numerators.  ``series_div_unit`` divides
 only above the numerator's known order k, to precision p - k, and puts k
-zeros in front.  It inverts the denominator by Newton iteration to half of
-p - k only and finishes with one Karp-Markstein step: the quotient below
-the half, then the remainder above it times the half-precision inverse
-(A. H. Karp and P. Markstein, "High-precision division and square root",
-ACM TOMS 23(4), 1997).  ``series_horner`` evaluates the integer rows in
-Z[y] of ``oracle._cleared`` at a series by Horner's rule on ``Series``
-products.
+zeros in front: it inverts the denominator by Newton iteration to p - k and
+multiplies the numerator by that inverse once.  ``series_horner`` evaluates
+the integer rows in Z[y] of ``oracle._cleared`` at a series by Horner's rule
+on ``Series`` products.
 """
 
 from __future__ import annotations
@@ -140,21 +137,14 @@ def series_div_unit(num: Series, den: Series) -> Series:
     # num = y**k * a for num's known order k, so num / den = y**k * (a / den)
     k = min(num.known_order(), p)
     q = p - k
-    h = (q + 1) // 2
     a, b = num.nums[k:p], den.nums
-    # Karp-Markstein: with g / c = 1 / b modulo y**h, the quotient a / b is
-    # q0 / c below y**h, and the remainder a * c - b * q0, which vanishes
-    # below y**h, divided by b * c gives the rest:
-    # a / b = (c * q0 + y**h * g * r) / c**2 modulo y**q, r its digits from h on
-    g, c = _inverse_ints(b, h)
-    q0 = _mul_ints(a, g, h)
-    r = [c * x - z for x, z in zip(a[h:], _mul_ints(b, q0, q)[h:])]
-    nums = [0] * k + [c * x for x in q0] + _mul_ints(g, r, q - h)
+    g, c = _inverse_ints(b, q)
+    nums = [0] * k + _mul_ints(a, g, q)
     # num / den = (a / da) * (db / b)
     db = den.den
     if db != 1:
         nums = [x * db for x in nums]
-    return Series._make(nums, num.den * c * c)
+    return Series._make(nums, num.den * c)
 
 
 def series_horner(rows: list[list[int]], phi: Series) -> Series:
@@ -234,14 +224,14 @@ def _pack(xs, bits):
 
 
 def _inverse_ints(b, n):
-    """(g, c) with g / c = 1 / b modulo y**n, for integers b with b[0] != 0.
+    """(g, c) with g / c = 1 / b modulo y**n and c > 0, for integers b with b[0] != 0.
 
     Newton iteration doubles the number of correct coefficients per step:
     if g / c = 1 / b modulo y**m and b * g = c + y**m * h modulo y**(2m),
     then 1 / b = (c * g - y**m * g * h) / c**2 modulo y**(2m).  Each step
     divides out the content, so c stays the least common denominator.
     """
-    g, c, m = [1], b[0], 1
+    g, c, m = [1 if b[0] > 0 else -1], abs(b[0]), 1
     while m < n:
         m2 = min(2 * m, n)
         h = _mul_ints(b, g, m2)[m:]

@@ -58,6 +58,21 @@ def test_expansion_round_trip(b2):
         assert kio.expansion_from_json(json.loads(json.dumps(doc)), FF) == E
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({}, "has no 'level' key"),
+        ({"level": 0, "terms": {"": "1"}}, "level must be an integer of at least 1"),
+        ({"level": 2, "terms": {"1": "1"}}, "is not of length 2"),
+        ({"level": 1, "terms": {"1,0": "1"}}, "is not of length 1"),
+        ({"level": 2, "terms": {"1,-1": "1"}}, "has a negative exponent"),
+    ],
+)
+def test_malformed_expansion_refused(doc, message):
+    with pytest.raises(ValueError, match=message):
+        kio.expansion_from_json(doc, FF)
+
+
 def test_parametrization_round_trip(tmp_path):
     par = conic_parametrization(PrecisionPolicy(initial=8, growth=2, maximum=64))
     doc = kio.parametrization_to_json(par)

@@ -301,12 +301,15 @@ def test_canonical_witnesses(b2):
          NormalizationViolationError, "mu'(x) must be >= 1 when normalized"),
         (lambda b: CorpusConfig(seed=1, samples=0),
          NonPositiveError, "need at least one sample"),
+        (lambda b: CorpusConfig(seed=1, max_degree=0),
+         NonPositiveError, "need a maximum degree of at least 1"),
         (lambda b: ord_comparison_bound(F(1), F(1), F(0)),
          NonPositiveError, "base constant must be positive"),
         (lambda b: chain_bound(F(0), F(1)),
          NonPositiveError, "comparison constants must be positive"),
     ],
-    ids=["mu-prime-zero", "normalized-mu-prime", "no-samples", "c-base-zero", "chain-zero"],
+    ids=["mu-prime-zero", "normalized-mu-prime", "no-samples", "no-degree", "c-base-zero",
+         "chain-zero"],
 )
 def test_bounds_reject_bad_inputs(b1, call, error, message):
     with pytest.raises(error) as exc:

@@ -151,7 +151,25 @@ def test_div_unit_inverts_above_the_numerator_order(monkeypatch, k, precision):
 
     monkeypatch.setattr(series_module, "_inverse_ints", recording)
     assert series_div_unit(num, den) == reference_div_unit(num, den)
-    assert lengths == [(precision - min(k, precision) + 1) // 2]
+    assert lengths == [precision - min(k, precision)]
+
+
+@pytest.mark.parametrize("precision", [0, 1, 5])
+@pytest.mark.parametrize(
+    "num",
+    [
+        Series((F(1, 3), -2, 5, F(7, 4), 1), 5),
+        Series((0, 0, 3, -1), 5),
+        Series((0,) * 5 + (2,), 6),  # known order at least the precision
+        Series.zero(5),
+    ],
+)
+def test_div_unit_by_negative_constant_term(num, precision):
+    # the quotient's denominator stays positive whatever the sign of den's constant term
+    num, den = num.cut(precision), Series((-2, 1, F(-1, 3), 4, -1), precision + 1)
+    quo = series_div_unit(num, den)
+    assert quo.den > 0
+    assert quo == reference_div_unit(num, den)
 
 
 def test_mul_and_div_match_reference_at_oracle_sizes():
