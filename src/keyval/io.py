@@ -163,6 +163,8 @@ def expansion_from_json(doc: dict, base: BaseFieldConfig) -> AdicExpansion:
             raise ValueError("expansion exponent vector %r is not of length %d" % (key, level))
         if min(a) < 0:
             raise ValueError("expansion exponent vector %r has a negative exponent" % key)
+        if not isinstance(text, str):
+            raise ValueError("expansion coefficient of exponent vector %r is not a string" % key)
         terms[a] = parse_kelem(text, base)
     return AdicExpansion(level, terms)
 

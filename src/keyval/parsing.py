@@ -49,26 +49,21 @@ MAX_DEGREE = 10**6
 #: power of a base with several terms whose dense result is estimated larger.
 MAX_BITS = 10**7
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^()]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^()])|(\S))")
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError("unexpected character %r" % text[pos], pos)
-            break
-        num, name, op = m.groups()
+    for m in _TOKEN.finditer(text):
+        num, name, op, ch = m.groups()
         if num is not None:
             tokens.append(("num", int(num), m.start(1)))
         elif name is not None:
             tokens.append(("name", name, m.start(2)))
-        else:
+        elif op is not None:
             tokens.append(("op", op, m.start(3)))
-        pos = m.end()
+        else:
+            raise ParseError("unexpected character %r" % ch, m.start(4))
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -114,14 +109,10 @@ def _rows(terms: dict) -> dict:
     """The nonzero coefficients in x of a monomial map, as {i: YPoly}."""
     rows = {}
     for (i, j), q in terms.items():
-        rows.setdefault(i, {})[j] = q
-    out = {}
-    for i, row in rows.items():
-        dense = [0] * (max(row) + 1)
-        for j, q in row.items():
-            dense[j] = q
-        out[i] = YPoly._make(dense)
-    return out
+        row = rows.setdefault(i, [])
+        row.extend([0] * (j + 1 - len(row)))
+        row[j] = q
+    return {i: YPoly._make(row) for i, row in rows.items()}
 
 
 def _merge(a: tuple, b: tuple, op: str) -> tuple:
@@ -361,12 +352,10 @@ def kelem_text(a: KElem) -> str:
 
 def poly_text(f: Poly) -> str:
     def term(c: KElem, xpow: list) -> tuple:
-        if c.is_constant():
-            return _rational_term(c.as_fraction(), xpow)
         if c.den.degree <= 0 and sum(1 for v in c.num.coeffs if v != 0) == 1:
-            # single-monomial coefficient r*y^d: carry the sign, skip parens
+            # one monomial r*y^d (a constant when d = 0): carry the sign, skip parens
             d = c.num.order()
-            return _rational_term(c.num.coeffs[d], [_power_text("y", d)] + xpow)
+            return _rational_term(c.num.coeffs[d], ([_power_text("y", d)] if d else []) + xpow)
         return False, "*".join(["(%s)" % kelem_text(c)] + xpow)
 
     return _dense_text(f.coeffs, "x", term)

@@ -66,6 +66,7 @@ def test_expansion_round_trip(b2):
         ({"level": 2, "terms": {"1": "1"}}, "is not of length 2"),
         ({"level": 1, "terms": {"1,0": "1"}}, "is not of length 1"),
         ({"level": 2, "terms": {"1,-1": "1"}}, "has a negative exponent"),
+        ({"level": 1, "terms": {"1": 5}}, "coefficient of exponent vector '1' is not a string"),
     ],
 )
 def test_malformed_expansion_refused(doc, message):

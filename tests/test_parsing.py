@@ -64,8 +64,16 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as exc:
         parse_poly("x +", FF)
     assert exc.value.position is not None
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^unexpected character '\?' \(at position 2\)$"):
         parse_poly("x ? y", FF)
+    with pytest.raises(ParseError, match=r"^unexpected character '#' \(at position 3\)$"):
+        parse_poly("x  # 1", FF)
+    with pytest.raises(ParseError, match=r"^unexpected character '\$' \(at position 2\)$"):
+        parse_poly("x\t$", FF)
+    with pytest.raises(
+        ParseError, match=r"^expected a number, variable, or parenthesis \(at position 3\)$"
+    ):
+        parse_poly("   ", FF)
     with pytest.raises(ParseError):
         parse_poly("x / (x + 1)", FF)
     with pytest.raises(ParseError):
