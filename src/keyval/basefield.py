@@ -77,6 +77,14 @@ class BaseFieldConfig:
         return "BaseFieldConfig.p_adic(%d)" % self.p
 
 
+def list_order(coeffs):
+    """Index of the lowest nonzero entry of a coefficient list; None when all are zero."""
+    for i, c in enumerate(coeffs):
+        if c:
+            return i
+    return None
+
+
 class DensePoly:
     """Dense univariate polynomial: a tuple of coefficients, lowest first.
 
@@ -253,10 +261,7 @@ class YPoly(DensePoly):
 
     def order(self):
         """Index of the lowest nonzero coefficient; None for the zero poly."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
+        return list_order(self.coeffs)
 
     def gcd(self, other):
         a, b = self, other
@@ -381,8 +386,12 @@ def base_order(a: KElem, cfg: BaseFieldConfig) -> int:
     """nu(a) of the nonzero a as an int: ord num - ord den, or v_p of the constant."""
     p = cfg.p
     if p is None:
-        return a.num.order() - a.den.order()
-    r = a.as_fraction()
+        return list_order(a.num.coeffs) - list_order(a.den.coeffs)
+    return padic_order(a.as_fraction(), p)
+
+
+def padic_order(r, p: int) -> int:
+    """v_p of the nonzero rational r, an int or a Fraction."""
     n, d = r.numerator, r.denominator
     v = 0
     while n % p == 0:

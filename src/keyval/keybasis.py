@@ -5,16 +5,23 @@ U_alpha with positive rational weights.  Every polynomial has a unique
 expansion in products of the keys where the exponent of U_j stays below the
 degree step m_j for all but the top level; the weight maps take minima of
 coefficient valuations plus weighted exponents over that expansion.
+
+Expansions are built over K[x] by :func:`poly_divmod`.  The weight maps need
+only the minimum, and take it from their own division kernel on plain Q[y]
+coefficient lists: each key's lists, lowest first, are built once, and
+division by a monic key never leaves Q[y].  Keys with y-denominators have no
+such lists, and their bases take the weight of the full expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
 
-from .basefield import BaseFieldConfig, KElem, YPoly, base_order
+from .basefield import BaseFieldConfig, KElem, YPoly, base_order, list_order, padic_order
 from .errors import (
     InsufficientPrecisionError,
     KeyvalError,
@@ -24,7 +31,7 @@ from .errors import (
     NotAlgebraicError,
     ZeroInputError,
 )
-from .polynomials import Poly, poly_divmod
+from .polynomials import Poly, _cleared, poly_divmod
 from .series import Series
 from .values import INF, Value
 
@@ -109,6 +116,17 @@ class WeightedBasis:
             U = self.steps[i + 1].U
             self.steps[i].next_expansion = AdicExpansion(i + 1, _expand(U, i + 1, self))
 
+    @cached_property
+    def key_lists(self) -> list | None:
+        """Each key's coefficients as Q[y] lists, lowest first, for :func:`weight`.
+
+        None when a key has y-denominators.  Built on first use, so that a
+        basis that takes no weight does not pay for it.
+        """
+        if any(c.den.degree for s in self.steps for c in s.U.coeffs):
+            return None
+        return [[c.num.coeffs for c in s.U.coeffs] for s in self.steps]
+
     @property
     def alpha(self) -> int:
         return len(self.steps)
@@ -162,13 +180,62 @@ def _expand(f: Poly, level: int, basis: WeightedBasis) -> dict:
     return out
 
 
-def _units(f: Poly, level: int, basis: WeightedBasis) -> int:
-    """N times the level weight of the nonzero f: the least term over its digits."""
+def _divide(f: list, U: list):
+    """Quotient and remainder of the coefficient lists f by the monic key lists U.
+
+    Each entry is a Q[y] list, lowest first, and () or [] is zero.  Division by
+    a monic divisor never leaves Q[y] (Knuth, TAOCP 2, 4.6.1).  The leading
+    entry rem[k + dv] is never touched after iteration k, so rem ends as the
+    remainder below dv and the quotient from dv up.
+    """
+    dv = len(U) - 1
+    rem = list(f)
+    lower = [(j, b) for j, b in enumerate(U[:-1]) if b]
+    for k in range(len(rem) - 1 - dv, -1, -1):
+        c = rem[k + dv]
+        if c:
+            for j, b in lower:
+                rem[k + j] = _sub_product(rem[k + j], c, b)
+    r = rem[:dv]
+    while r and not r[-1]:
+        r.pop()
+    return rem[dv:], r
+
+
+def _sub_product(r, c, b) -> list:
+    """The Q[y] list r - c*b, without trailing zeros."""
+    out = list(r) + [0] * (len(c) + len(b) - 1 - len(r))
+    for t, e in enumerate(b):
+        if e:
+            for i, a in enumerate(c, t):
+                if a:
+                    out[i] -= a * e
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _list_digits(f: list, U: list):
+    """The nonzero digits (j, r_j) of the coefficient lists f = sum r_j U^j."""
+    j = 0
+    while len(f) >= len(U):
+        f, r = _divide(f, U)
+        if r:
+            yield j, r
+        j += 1
+    yield j, f
+
+
+def _units(f: list, level: int, basis: WeightedBasis) -> int:
+    """N times the level weight of the nonzero coefficient lists f: the least digit term."""
     b = basis.beta_units[level - 1]
-    if level == 1:
-        N, cfg = basis.N, basis.base
-        return min(base_order(c, cfg) * N + k * b for k, c in enumerate(f.coeffs) if c)
-    return min(_units(r, level - 1, basis) + j * b for j, r in _digits(f, basis.key(level)))
+    if level > 1:
+        U = basis.key_lists[level - 1]
+        return min(_units(r, level - 1, basis) + j * b for j, r in _list_digits(f, U))
+    N, p = basis.N, basis.base.p
+    if p is None:
+        return min(list_order(c) * N + k * b for k, c in enumerate(f) if c)
+    return min(padic_order(c[0], p) * N + k * b for k, c in enumerate(f) if c)
 
 
 def _by_top_key(terms: dict) -> dict:
@@ -210,7 +277,11 @@ def weight(f: Poly, i: int, basis: WeightedBasis) -> Value:
 
     Below deg U_i the i-adic expansion is the (i-1)-adic one with exponent 0,
     so the weight is taken at the effective level, the highest j <= i with
-    deg U_j <= deg f, as the least term over the U_j-adic digits.  The last
+    deg U_j <= deg f, as the least term over the U_j-adic digits.  The digits
+    come from monic division of f's Q[y] coefficient lists by the keys'
+    lists, with no arithmetic in K; f's y-denominators are cleared first by
+    their lcm d(y), whose order is subtracted again.  A basis whose keys have
+    y-denominators takes the weight of the full expansion instead.  The last
     result is kept, so that two maps of one sample that share an effective
     level share one computation.
     """
@@ -224,7 +295,15 @@ def weight(f: Poly, i: int, basis: WeightedBasis) -> Value:
         i -= 1
     last_f, last_i, w = basis._last_weight
     if last_f is not f or last_i != i:
-        w = Fraction(_units(g, i, basis), basis.N)
+        if basis.key_lists is None:
+            w = expansion_weight(AdicExpansion(i, _expand(g, i, basis)), basis)
+        else:
+            if any(c.den.degree for c in g.coeffs):
+                # the weight is homogeneous, so a constant clearing factor adds nothing
+                lists, shift = _cleared(g)
+            else:
+                lists, shift = [c.num.coeffs for c in g.coeffs], 0
+            w = Fraction(_units(lists, i, basis) - shift * basis.N, basis.N)
         basis._last_weight = (f, i, w)
     return w
 

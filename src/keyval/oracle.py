@@ -4,18 +4,18 @@ For an algebraic-type extension with a series root phi(y) of the defining
 polynomial, the value of f is the order of vanishing of f(phi(y), y).  The
 oracle lifts phi by Newton iteration from a short branch segment and grows
 the precision until the order becomes visible.  ``series_horner`` evaluates
-the integer rows in Z[y] that ``_cleared`` makes of each polynomial once.
+the integer rows in Z[y] that ``polynomials._cleared`` makes of each polynomial
+once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .basefield import KElem, YPoly
 from .errors import InsufficientPrecisionError
-from .polynomials import Poly
+from .polynomials import Poly, _cleared
 from .series import Series, series_div_unit, series_horner
 from .values import INF
 
@@ -48,21 +48,6 @@ class PrecisionExhausted:
     """The value is only known to be >= bound; the element is likely zero in L."""
 
     bound: Fraction
-
-
-def _cleared(f: Poly) -> tuple[list[list[int]], int]:
-    """f's coefficients as integer rows in Z[y], one per power of x, and ord(d).
-
-    The rows are scaled by the K-denominator lcm d(y) and by a constant D that
-    clears Q to Z; at phi they give D d(y) f(phi(y), y), of order ord(d) above f's.
-    """
-    d = YPoly.one()
-    for c in f.coeffs:
-        if c.den.degree > 0:
-            d = d * c.den.divmod(d.gcd(c.den))[0]  # lcm(d, c.den), as gcd is monic
-    polys = [c.num * (d.divmod(c.den)[0] if c.den.degree > 0 else d) for c in f.coeffs]
-    D = math.lcm(*[x.denominator for q in polys for x in q.coeffs])
-    return [[x.numerator * (D // x.denominator) for x in q.coeffs] for q in polys], d.order()
 
 
 class Parametrization:

@@ -19,8 +19,8 @@ it scales the other operand's numerators.  ``series_div_unit`` divides
 only above the numerator's known order k, to precision p - k, and puts k
 zeros in front: it inverts the denominator by Newton iteration to p - k and
 multiplies the numerator by that inverse once.  ``series_horner`` evaluates
-the integer rows in Z[y] of ``oracle._cleared`` at a series by Horner's rule
-on ``Series`` products.
+the integer rows in Z[y] of ``polynomials._cleared`` at a series by Horner's
+rule on ``Series`` products.
 """
 
 from __future__ import annotations

@@ -387,19 +387,22 @@ def test_weight_calls_alternating_between_bases(b1, b2):
     assert [weight(f, 2, b) for b in (b1, b2, b1, b2)] == [F(3, 2), F(5, 4), F(3, 2), F(5, 4)]
 
 
-def test_weight_divides_through_poly_divmod(monkeypatch, b1):
+def test_weight_divides_coefficient_lists(monkeypatch, b1):
     calls = []
-    divmod_ = keybasis.poly_divmod
+    divide = keybasis._divide
 
-    def counting(f, g):
-        calls.append(g)
-        return divmod_(f, g)
+    def counting(f, U):
+        calls.append(U)
+        return divide(f, U)
 
-    monkeypatch.setattr(keybasis, "poly_divmod", counting)
-    # x^4 + y*x + y^2 by U_2 = x^2 - y: two divisions, and none once the
-    # quotient is below deg U_2
+    monkeypatch.setattr(keybasis, "_divide", counting)
+    monkeypatch.setattr(keybasis, "poly_divmod", None)  # no division over K[x]
+    # U_2 = x^2 - y is stored once as its Q[y] lists, lowest first
+    assert b1.key_lists[1] == [(0, -1), (), (1,)]
+    # x^4 + y*x + y^2 by U_2: two divisions, and none once the quotient is
+    # below deg U_2
     assert weight(p("x^4 + y*x + y^2"), 2, b1) == F(3, 2)
-    assert calls == [b1.key(2)] * 2
+    assert calls == [b1.key_lists[1]] * 2
     calls.clear()
     assert weight(p("x + y"), 2, b1) == F(1, 2)
     assert calls == []

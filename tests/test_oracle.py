@@ -16,7 +16,7 @@ from keyval import (
     truncated_keys_from_series,
     weight,
 )
-from keyval import basefield, oracle
+from keyval import basefield, oracle, polynomials
 from keyval import series as series_module
 from keyval import io as kio
 from keyval.basefield import KElem, YPoly
@@ -221,7 +221,7 @@ def test_lift_builds_no_fractions_or_ypolys():
 )
 def test_cleared_rows_are_integer_multiples(text, d, shift):
     f = p(text)
-    rows, ord_d = oracle._cleared(f)
+    rows, ord_d = polynomials._cleared(f)
     assert ord_d == shift
     assert all(type(a) is int for row in rows for a in row)
     # the rows are one nonzero rational multiple of the coefficients of d(y) * f
@@ -242,7 +242,7 @@ def test_horner_matches_reference_on_oracle_rows():
     assert [s.beta for s in steps] == list(range(1, 41))  # keys of order 1..40
     keys = [s.U for s in steps]
     conic_polys = keys + [p("(x^2 - y^2 - y^3)*(x + 1)"), keys[-1] * p("1/y^3")]
-    conic_rows = [conic._rows, conic._derivative] + [oracle._cleared(f)[0] for f in conic_polys]
+    conic_rows = [conic._rows, conic._derivative] + [polynomials._cleared(f)[0] for f in conic_polys]
     long_rows = [[(-1) ** i * (i + 1) for i in range(300)], [], list(range(260))]
     cases = [(conic, conic_rows), (quarter, [quarter._rows, quarter._derivative])]
     for par, row_lists in cases:

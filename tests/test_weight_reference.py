@@ -78,19 +78,31 @@ def bases(b1, b2, q3, base, tmp_path_factory):
         "q3": q3,
         "coprime": _mk(base, [("x", "2/3"), ("x^3 - y^2", "5/2")]),
         "decimal": kio.load_basis(str(path)),
+        # a key with a y-denominator: weight takes the expansion's weight
+        "ydenom": _mk(base, [("x", "1"), ("x - y/(1+y)", "3")]),
+        # Fraction entries in the keys' Q[y] lists
+        "halves": _mk(base, [("x", "1"), ("x - y", "2"), ("x - y - y^2/2", "3")]),
+        # reduction modulo the minimal polynomial before the lists are divided
+        "b1_ext": WeightedBasis(base, [(s.U, s.beta) for s in b1.steps],
+                                parse_poly("x^2 - y - y^2", base)),
     }
 
 
 @pytest.mark.parametrize(
-    "name, N", [("b1", 2), ("b2", 4), ("q3", 2), ("coprime", 6), ("decimal", 10)]
+    "name, N",
+    [("b1", 2), ("b2", 4), ("q3", 2), ("coprime", 6), ("decimal", 10), ("ydenom", 1),
+     ("halves", 1), ("b1_ext", 2)],
 )
 def test_integer_weights_match_fraction_reference(bases, name, N):
     basis = bases[name]
     assert basis.N == N
     assert basis.beta_units == tuple(s.beta * N for s in basis.steps)
     rng = random.Random(name)
-    for _ in range(SAMPLES):
+    for n in range(SAMPLES):
         f = _random_poly(rng, basis.base)
+        if n % 3 == 2:
+            # a multiple of a key, whose weight turns on cancellation in the digits
+            f = f * basis.key(rng.randint(1, basis.alpha))
         for i in range(1, basis.alpha + 1):
             E, weights = _term_weights(f, i, basis)
             ref = min(weights.values(), default=INF)
