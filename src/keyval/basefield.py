@@ -13,7 +13,7 @@ import operator
 from fractions import Fraction
 
 from .errors import DivisorZeroError, KeyvalError
-from .values import INF, Value
+from .values import INF, Value, list_order
 
 #: p-adic bases need p below this bound, so that the trial-division primality
 #: test stays under 25k steps.
@@ -77,12 +77,28 @@ class BaseFieldConfig:
         return "BaseFieldConfig.p_adic(%d)" % self.p
 
 
-def list_order(coeffs):
-    """Index of the lowest nonzero entry of a coefficient list; None when all are zero."""
-    for i, c in enumerate(coeffs):
+def ring_sub(r, c, b):
+    """r - c*b by the coefficient ring's own operators."""
+    return r - c * b
+
+
+def monic_divide(f, U, sub):
+    """Untrimmed quotient and remainder lists of f by the monic U, lowest first.
+
+    U's leading entry must be one, so division never leaves the coefficient
+    ring (Knuth, TAOCP 2, 4.6.1); ``sub(r, c, b)`` is r - c*b on the entries,
+    and a zero entry is falsy.  Entry k + deg U is never touched after step
+    k, so one list ends as the remainder below deg U and the quotient above.
+    """
+    dv = len(U) - 1
+    rem = list(f)
+    lower = [(j, b) for j, b in enumerate(U[:-1]) if b]
+    for k in range(len(rem) - 1 - dv, -1, -1):
+        c = rem[k + dv]
         if c:
-            return i
-    return None
+            for j, b in lower:
+                rem[k + j] = sub(rem[k + j], c, b)
+    return rem[dv:], rem[:dv]
 
 
 class DensePoly:
@@ -204,23 +220,13 @@ class DensePoly:
         """Quotient and remainder by the nonzero polynomial other."""
         if not other:
             raise DivisorZeroError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        if dd < dv:
-            return self.zero(), self._make(rem)
-        monic = other.is_monic()
-        inv = None if monic else self._unit / other.leading
-        # the leading entry rem[k + dv] is never read again after iteration k,
-        # so the subtraction loop stops short of it
-        lower = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if b]
-        quo = [self._zero] * (dd - dv + 1)
-        for k in range(dd - dv, -1, -1):
-            c = rem[k + dv] if monic else rem[k + dv] * inv
-            if c:
-                quo[k] = c
-                for j, b in lower:
-                    rem[k + j] -= c * b
-        return self._make(quo), self._make(rem[:dv])
+        if other.is_monic():
+            q, r = monic_divide(self.coeffs, other.coeffs, ring_sub)
+            return self._make(q), self._make(r)
+        # other / lead leaves the same remainder and lead times the quotient
+        inv = self._unit / other.leading
+        q, r = monic_divide(self.coeffs, other._scale(inv).coeffs, ring_sub)
+        return self._make(q)._scale(inv), self._make(r)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.coeffs == other.coeffs
@@ -270,11 +276,14 @@ class YPoly(DensePoly):
             if m and not any(m.coeffs[:-1]):
                 k = min(m.degree, o.order()) if o else m.degree
                 return self._make([0] * k + [1])
+        # the remainder by b is the remainder by the monic b / lead
         while b:
+            if b.leading != 1:
+                b = b._scale(_F1 / b.leading)
             a, b = b, a.divmod(b)[1]
-        if not a or a.leading == 1:
-            return a
-        return a * (_F1 / a.leading)
+        if a and a.leading != 1:  # other was zero
+            a = a._scale(_F1 / a.leading)
+        return a
 
 
 _ONE_COEFFS = (1,)

@@ -173,10 +173,10 @@ def empirical_izumi(
 ) -> IzumiReport:
     """Seeded sup-search for the ratio val_num(f) / val_den(f).
 
-    Canonical witnesses are always evaluated in addition to the random
-    corpus.  Samples where the denominator value is zero or infinite are
-    skipped unless the numerator value is positive, which signals an
-    unbounded ratio.
+    The ``witnesses`` given, such as the canonical ones, are evaluated
+    before the random corpus; none are by default.  Samples where the
+    denominator value is zero or infinite are skipped unless the numerator
+    value is positive, which signals an unbounded ratio.
     """
     best = None
     best_witness = None

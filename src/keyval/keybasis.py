@@ -6,8 +6,10 @@ expansion in products of the keys where the exponent of U_j stays below the
 degree step m_j for all but the top level; the weight maps take minima of
 coefficient valuations plus weighted exponents over that expansion.
 
-Expansions are built over K[x] by :func:`poly_divmod`.  The weight maps need
-only the minimum, and take it from their own division kernel on plain Q[y]
+Both routes take the digits of a polynomial from one generator, which
+divides coefficient lists by a monic key with
+:func:`~keyval.basefield.monic_divide`.  Expansions divide lists of elements
+of K.  The weight maps need only the minimum, and divide plain Q[y]
 coefficient lists: each key's lists, lowest first, are built once, and
 division by a monic key never leaves Q[y].  Keys with y-denominators have no
 such lists, and their bases take the weight of the full expansion.
@@ -22,6 +24,7 @@ from math import gcd
 from operator import mul
 
 from .basefield import BaseFieldConfig, KElem, YPoly, base_order, list_order, padic_order
+from .basefield import monic_divide, ring_sub
 from .errors import (
     InsufficientPrecisionError,
     KeyvalError,
@@ -114,7 +117,7 @@ class WeightedBasis:
             if d1 % d0 == 0:
                 self.steps[i].m = d1 // d0
             U = self.steps[i + 1].U
-            self.steps[i].next_expansion = AdicExpansion(i + 1, _expand(U, i + 1, self))
+            self.steps[i].next_expansion = AdicExpansion(i + 1, _expand(U.coeffs, i + 1, self))
 
     @cached_property
     def key_lists(self) -> list | None:
@@ -152,16 +155,26 @@ class WeightedBasis:
 def adic_expand(f: Poly, i: int, basis: WeightedBasis) -> AdicExpansion:
     """The i-adic expansion of f modulo the minimal polynomial, by division."""
     basis._check_level(i)
+    return AdicExpansion(i, _expand(_reduced(f, basis).coeffs, i, basis))
+
+
+def _reduced(f: Poly, basis: WeightedBasis) -> Poly:
+    """f modulo the basis's minimal polynomial, or f itself when there is none."""
     if basis.minimal is not None and f.degree >= basis.minimal.degree:
         f = poly_divmod(f, basis.minimal)[1]
-    return AdicExpansion(i, _expand(f, i, basis))
+    return f
 
 
-def _digits(f: Poly, U: Poly):
-    """The nonzero digits (j, r_j) of f = sum r_j U^j, each of degree below deg U."""
+def _digits(f: list, U: list, sub):
+    """The nonzero digits (j, r_j) of the trimmed list f = sum r_j U^j, each r_j trimmed.
+
+    U and ``sub`` are as for :func:`~keyval.basefield.monic_divide`.
+    """
     j = 0
-    while f.degree >= U.degree:
-        f, r = poly_divmod(f, U)
+    while len(f) >= len(U):
+        f, r = monic_divide(f, U, sub)
+        while r and not r[-1]:
+            r.pop()
         if r:
             yield j, r
         j += 1
@@ -169,37 +182,16 @@ def _digits(f: Poly, U: Poly):
         yield j, f
 
 
-def _expand(f: Poly, level: int, basis: WeightedBasis) -> dict:
+def _expand(f: list, level: int, basis: WeightedBasis) -> dict:
+    """The terms of the level-adic expansion of the coefficient list f over K."""
     if level == 1:
         # U_1 = x, so the 1-adic expansion is the monomial expansion
-        return {(k,): c for k, c in enumerate(f.coeffs) if c}
+        return {(k,): c for k, c in enumerate(f) if c}
     out = {}
-    for j, r in _digits(f, basis.key(level)):
+    for j, r in _digits(f, basis.key(level).coeffs, ring_sub):
         for a, c in _expand(r, level - 1, basis).items():
             out[a + (j,)] = c
     return out
-
-
-def _divide(f: list, U: list):
-    """Quotient and remainder of the coefficient lists f by the monic key lists U.
-
-    Each entry is a Q[y] list, lowest first, and () or [] is zero.  Division by
-    a monic divisor never leaves Q[y] (Knuth, TAOCP 2, 4.6.1).  The leading
-    entry rem[k + dv] is never touched after iteration k, so rem ends as the
-    remainder below dv and the quotient from dv up.
-    """
-    dv = len(U) - 1
-    rem = list(f)
-    lower = [(j, b) for j, b in enumerate(U[:-1]) if b]
-    for k in range(len(rem) - 1 - dv, -1, -1):
-        c = rem[k + dv]
-        if c:
-            for j, b in lower:
-                rem[k + j] = _sub_product(rem[k + j], c, b)
-    r = rem[:dv]
-    while r and not r[-1]:
-        r.pop()
-    return rem[dv:], r
 
 
 def _sub_product(r, c, b) -> list:
@@ -215,23 +207,12 @@ def _sub_product(r, c, b) -> list:
     return out
 
 
-def _list_digits(f: list, U: list):
-    """The nonzero digits (j, r_j) of the coefficient lists f = sum r_j U^j."""
-    j = 0
-    while len(f) >= len(U):
-        f, r = _divide(f, U)
-        if r:
-            yield j, r
-        j += 1
-    yield j, f
-
-
 def _units(f: list, level: int, basis: WeightedBasis) -> int:
     """N times the level weight of the nonzero coefficient lists f: the least digit term."""
     b = basis.beta_units[level - 1]
     if level > 1:
         U = basis.key_lists[level - 1]
-        return min(_units(r, level - 1, basis) + j * b for j, r in _list_digits(f, U))
+        return min(_units(r, level - 1, basis) + j * b for j, r in _digits(f, U, _sub_product))
     N, p = basis.N, basis.base.p
     if p is None:
         return min(list_order(c) * N + k * b for k, c in enumerate(f) if c)
@@ -286,9 +267,7 @@ def weight(f: Poly, i: int, basis: WeightedBasis) -> Value:
     level share one computation.
     """
     basis._check_level(i)
-    g = f
-    if basis.minimal is not None and g.degree >= basis.minimal.degree:
-        g = poly_divmod(g, basis.minimal)[1]
+    g = _reduced(f, basis)
     if not g:
         return INF
     while i > 1 and g.degree < basis.steps[i - 1].U.degree:
@@ -296,7 +275,7 @@ def weight(f: Poly, i: int, basis: WeightedBasis) -> Value:
     last_f, last_i, w = basis._last_weight
     if last_f is not f or last_i != i:
         if basis.key_lists is None:
-            w = expansion_weight(AdicExpansion(i, _expand(g, i, basis)), basis)
+            w = expansion_weight(AdicExpansion(i, _expand(g.coeffs, i, basis)), basis)
         else:
             if any(c.den.degree for c in g.coeffs):
                 # the weight is homogeneous, so a constant clearing factor adds nothing

@@ -29,6 +29,7 @@ import math
 from fractions import Fraction
 
 from .errors import BadConstantTermError
+from .values import list_order
 
 
 _ZERO = Fraction(0)
@@ -82,10 +83,8 @@ class Series:
 
     def known_order(self):
         """Index of the first nonzero stored coefficient, or the precision."""
-        for i, n in enumerate(self.nums):
-            if n:
-                return i
-        return self.precision
+        o = list_order(self.nums)
+        return self.precision if o is None else o
 
     def __add__(self, other):
         # the sum keeps the smaller precision: zip stops at the shorter nums

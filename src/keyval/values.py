@@ -2,6 +2,7 @@
 
 All values handled by the package live in the rationals, extended by a single
 point at infinity that absorbs addition and dominates every finite value.
+:func:`list_order` reads the order at 0 of a coefficient list.
 """
 
 from __future__ import annotations
@@ -50,3 +51,11 @@ Value = Union[Fraction, _Infinity]
 
 def is_finite(v: Value) -> bool:
     return v is not INF
+
+
+def list_order(coeffs):
+    """Index of the lowest nonzero entry of a coefficient list; None when all are zero."""
+    for i, c in enumerate(coeffs):
+        if c:
+            return i
+    return None
