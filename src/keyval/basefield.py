@@ -367,8 +367,6 @@ class KElem:
             return KElem(self.num * other.num)
         return KElem(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
         # powers of a coprime pair with a monic denominator are such a pair
         out = KElem(self.num**n)

@@ -10,7 +10,6 @@ import dataclasses
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import io as kio
 from .basefield import BaseFieldConfig
@@ -37,7 +36,7 @@ from .oracle import (
     conic_parametrization,
     oracle_valuation,
 )
-from .parsing import parse_poly, poly_text
+from .parsing import parse_poly, parse_rational, poly_text
 from .rewrite import lower_expansion, raise_expansion
 
 #: izumi-search takes at most this many samples, 100 times the default.
@@ -50,9 +49,11 @@ def _read_poly(args, base):
 
 
 def _rational(text):
-    """argparse type: an exact rational such as 3, 3/2 or 1.5."""
+    """argparse type: an exact rational such as 3, 3/2, 1.5 or 2.5e-3."""
     try:
-        return Fraction(text)
+        return parse_rational(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("not a rational with nonzero denominator: %r" % text)
 

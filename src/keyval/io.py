@@ -11,7 +11,7 @@ from .errors import KeyvalError
 from .izumi import IzumiReport
 from .keybasis import AdicExpansion, WeightedBasis
 from .oracle import Parametrization, PrecisionPolicy
-from .parsing import kelem_text, parse_kelem, parse_poly, poly_text, ypoly_text
+from .parsing import kelem_text, parse_kelem, parse_poly, parse_rational, poly_text, ypoly_text
 from .rewrite import RewriteTrace
 
 
@@ -83,7 +83,7 @@ def basis_from_json(doc: dict) -> WeightedBasis:
         if isinstance(beta, float) and not math.isfinite(beta):
             raise ValueError("basis step key 'beta' is not finite")
         try:
-            beta = Fraction(beta)
+            beta = parse_rational(beta) if isinstance(beta, str) else Fraction(beta)
         except ZeroDivisionError:
             raise ValueError("basis step %d key 'beta' has a zero denominator" % i) from None
         steps.append((parse_poly(U, base), beta))
@@ -93,7 +93,7 @@ def basis_from_json(doc: dict) -> WeightedBasis:
 def load_basis(path) -> WeightedBasis:
     """Read a basis file; decimal numbers such as 0.1 are read exactly."""
     with open(path) as fh:
-        return basis_from_json(json.load(fh, parse_float=Fraction))
+        return basis_from_json(json.load(fh, parse_float=parse_rational))
 
 
 def parametrization_to_json(par: Parametrization) -> dict:

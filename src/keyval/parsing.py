@@ -17,7 +17,9 @@ a base with several terms is also refused when its dense result, estimated as
 exceed MAX_BITS, or for a base of t monomials in both x and y when its e-th
 power, estimated as min(C(t + e - 1, e), (e deg_x + 1)(e deg_y + 1)) monomials
 of e (bit length + log2 t) bits, would.  The budget reads the base's
-coefficients in x in lowest terms, as KElem stores them.
+coefficients in x in lowest terms, as KElem stores them.  An integer literal
+may have as many digits as int() converts, and ``parse_rational``, the reader
+of rational flags and basis betas, refuses an exponent beyond MAX_EXPONENT.
 
 While parsing, a value is a pair (terms, den): a sparse map {(i, j): q} from
 the monomial x^i y^j to its nonzero exact rational q, an int when integral,
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .basefield import _Y_ONE, BaseFieldConfig, KElem, YPoly, power
@@ -48,8 +51,32 @@ MAX_DEGREE = 10**6
 #: or denominator would exceed this is refused before it is taken, and so is a
 #: power of a base with several terms whose dense result is estimated larger.
 MAX_BITS = 10**7
+#: Rational text whose decimal exponent exceeds this in absolute value is
+#: refused before Fraction computes 10**exponent in full.
+MAX_EXPONENT = 4000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^()])|(\S))")
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The exact rational that text writes, as Fraction reads it: 3, -3/2, 1.5, 2.5e-3.
+
+    An exponent beyond MAX_EXPONENT raises ParseError; any other fault
+    raises what Fraction raises.
+    """
+    m = _EXPONENT.search(text)
+    if m is not None:
+        digits = m[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            try:
+                Fraction(text[: m.start(1)] + "0")
+            except ValueError:
+                pass  # so text is malformed too, and Fraction refuses it at once
+            else:
+                raise ParseError("a rational's exponent may be at most %d in absolute value"
+                                 % MAX_EXPONENT)
+    return Fraction(text)
 
 
 def _tokenize(text):
@@ -57,7 +84,12 @@ def _tokenize(text):
     for m in _TOKEN.finditer(text):
         num, name, op, ch = m.groups()
         if num is not None:
-            tokens.append(("num", int(num), m.start(1)))
+            try:
+                value = int(num)
+            except ValueError:  # more digits than int() converts
+                raise ParseError("integer literal of %d digits exceeds the limit of %d digits"
+                                 % (len(num), sys.get_int_max_str_digits()), m.start(1)) from None
+            tokens.append(("num", value, m.start(1)))
         elif name is not None:
             tokens.append(("name", name, m.start(2)))
         elif op is not None:

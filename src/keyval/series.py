@@ -13,7 +13,10 @@ for readers of single coefficients.
 
 The kernels work on packed integers (Kronecker substitution): a list of
 signed integers becomes one big integer with one digit per coefficient, so
-a single big-integer product yields every coefficient of a product.  A
+a single big-integer product yields every coefficient of a product.
+``_pack(xs, width)`` writes each digit plus half the digit base into width
+bytes, and ``_unpack(x, width, n)`` reads that layout back; a digit outside
+[-half, half) raises OverflowError instead of corrupting its neighbour.  A
 product packs each operand once, and a product by a constant packs nothing:
 it scales the other operand's numerators.  ``series_div_unit`` divides
 only above the numerator's known order k, to precision p - k, and puts k
@@ -103,8 +106,6 @@ class Series:
         )
         return Series._make(_mul_ints(self.nums, other.nums, p), self.den * other.den)
 
-    __rmul__ = __mul__
-
     def cut(self, precision):
         """The stored coefficients as a polynomial, modulo y**precision.
 
@@ -168,10 +169,19 @@ def series_horner(rows: list[list[int]], phi: Series) -> Series:
 
 # ------------------------------------------------------------ integer kernels
 #
-# A list of signed integers is packed into one integer as digits of a whole
-# number of bytes; the digits must stay below half the digit base in absolute
-# value.  Adding half to each of the low n digits makes them all nonnegative,
-# so a mask cuts off the higher digits and to_bytes cuts the digits apart.
+# A list of n signed integers is packed as n digits of width bytes, each
+# digit x in -half <= x < half for half = 2**(8 * width - 1).  _pack writes
+# x + half into each digit's bytes and subtracts the n shifts from the
+# joined integer; _unpack adds them back, masks off the higher digits and
+# cuts the low n apart.  to_bytes raises OverflowError on a digit out of range.
+
+
+def _pack(xs, width):
+    """sum(x * 256**(width * i)) for the signed digits xs of width bytes."""
+    half = 1 << (8 * width - 1)
+    data = b"".join([(x + half).to_bytes(width, "little") for x in xs])
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * len(xs), "little")
+    return int.from_bytes(data, "little") - offset
 
 
 def _unpack(x, width, n):
@@ -205,21 +215,7 @@ def _mul_ints(a, b, n):
     # |coefficient| <= min(len) * ma * mb < 2**(bits - 1)
     bits = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 1
     width = (bits + 7) // 8
-    return _unpack(_pack(a, 8 * width) * _pack(b, 8 * width), width, n)
-
-
-def _pack(xs, bits):
-    """sum(x * 2**(bits * i)) for the signed integers xs.
-
-    Neighbours are combined pairwise, so each round halves the list and
-    the total work stays near-linear in the packed size.
-    """
-    while len(xs) > 1:
-        if len(xs) % 2:
-            xs = xs + [0]
-        xs = [lo + (hi << bits) for lo, hi in zip(xs[::2], xs[1::2])]
-        bits *= 2
-    return xs[0] if xs else 0
+    return _unpack(_pack(a, width) * _pack(b, width), width, n)
 
 
 def _inverse_ints(b, n):

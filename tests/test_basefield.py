@@ -67,6 +67,16 @@ def test_polynomials_are_falsy_exactly_when_zero():
     assert [i for i, e in enumerate([YPoly.zero(), y]) if e] == [1]
 
 
+@pytest.mark.parametrize(
+    "product",
+    [lambda: 2 * KElem.gen(), lambda: F(1, 2) * KElem.gen(), lambda: YPoly.gen() * KElem.gen()],
+    ids=["int", "fraction", "ypoly"],
+)
+def test_reflected_product_by_a_kelem_is_a_type_error(product):
+    with pytest.raises(TypeError):
+        product()
+
+
 def test_ypoly_arithmetic():
     y = YPoly.gen()
     assert y * (y + YPoly.one()) == YPoly((0, 1, 1))

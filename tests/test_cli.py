@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,42 @@ def test_zero_denominator_flag_is_input_error(capsys, b1_path, argv):
         "\nkeyval %s: error: argument %s: not a rational with nonzero denominator: '1/0'\n"
         % (argv[0], argv[argv.index("1/0") - 1])
     )
+
+
+_EXPONENT_CAP = "a rational's exponent may be at most 4000 in absolute value"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["gauss", "--beta", "1e10000000", "--poly", "x"],
+         "keyval gauss: error: argument --beta: %s\n" % _EXPONENT_CAP),
+        (["izumi-bound", "--basis", "{b1}", "--mu-prime-x", "1e-10000000"],
+         "keyval izumi-bound: error: argument --mu-prime-x: %s\n" % _EXPONENT_CAP),
+        (["validate", "--basis", "{string_beta}"], "parse error: %s\n" % _EXPONENT_CAP),
+        (["validate", "--basis", "{ignored_number}"], "parse error: %s\n" % _EXPONENT_CAP),
+    ],
+    ids=["beta", "mu-prime-x", "string-beta", "ignored-number"],
+)
+def test_rational_exponent_over_the_cap_fails_fast(capsys, tmp_path, b1_path, argv, err):
+    # Fraction alone spends seconds on 10**10000000, so a missing cap fails the clock
+    string_beta = tmp_path / "string_beta.json"
+    string_beta.write_text(
+        '{"base": "function_field", "steps": [{"U": "x", "beta": "1e10000000"}]}')
+    ignored_number = tmp_path / "ignored_number.json"
+    ignored_number.write_text(
+        '{"base": "function_field", "steps": [{"U": "x", "beta": 1}], "note": 1e10000000}')
+    paths = {"b1": b1_path, "string_beta": string_beta, "ignored_number": ignored_number}
+    start = time.perf_counter()
+    code, out, got = run(capsys, *[a.format(**paths) for a in argv])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert got.endswith(err)
+
+
+@pytest.mark.parametrize("text", ["1e300", "0.1", "1.5", "3/2", "1e-4000"])
+def test_rational_flags_are_read_exactly(capsys, text):
+    assert run(capsys, "gauss", "--beta", text, "--poly", "x") == (0, "%s\n" % Fraction(text), "")
 
 
 def test_decimal_beta_is_read_exactly(capsys, tmp_path, b1_path):

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import re
+import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -15,12 +18,14 @@ from keyval.izumi import CorpusConfig, random_corpus_poly
 from keyval.parsing import (
     MAX_BITS,
     MAX_DEGREE,
+    MAX_EXPONENT,
     MAX_NESTING,
     _mul,
     _Parser,
     kelem_text,
     parse_kelem,
     parse_poly,
+    parse_rational,
     poly_text,
     series_text,
     ypoly_text,
@@ -180,6 +185,46 @@ def test_integral_rationals_are_stored_as_ints():
     # a sum of Fractions that is integral is stored as the int it equals
     (c,) = parse_kelem("1/2*y + 1/2*y", FF).num.coeffs[1:]
     assert (c, type(c)) == (1, int)
+
+
+def test_integer_literal_over_the_digit_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    assert parse_poly("9" * limit + "*x", FF).leading.as_fraction() == 10**limit - 1
+    with pytest.raises(
+        ParseError,
+        match=r"^integer literal of %d digits exceeds the limit of %d digits \(at position 4\)$"
+        % (limit + 1, limit),
+    ):
+        parse_poly("x + " + "9" * (limit + 1), FF)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3", 3), ("-3/2", F(-3, 2)), ("0.1", F(1, 10)), (" 1.5 ", F(3, 2)), ("2.5E-3", F(1, 400)),
+     ("1e300", 10**300), ("1e4000", 10**MAX_EXPONENT), ("-1e-0_4_000", F(-1, 10**MAX_EXPONENT)),
+     ("1e0000000000004000", 10**4000)],
+)
+def test_parse_rational_reads_exactly_up_to_the_exponent_cap(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["1e4001", "1.5e-4001", ".5E+10000000", "1e4_001 ", "1e" + "9" * 5000])
+def test_parse_rational_refuses_an_exponent_over_the_cap(text):
+    start = time.perf_counter()
+    message = "^a rational's exponent may be at most 4000 in absolute value$"
+    with pytest.raises(ParseError, match=message):
+        parse_rational(text)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("text", ["abc", "x1e5000", "1/2e5000", "1_e5000", "1e5000 x", "1/0"])
+def test_parse_rational_faults_below_the_cap_raise_as_fraction_does(text):
+    # malformed text fails Fraction's pattern before any power of 10 is taken
+    with pytest.raises((ValueError, ZeroDivisionError)) as exc:
+        Fraction(text)
+    with pytest.raises(type(exc.value), match="^%s$" % re.escape(str(exc.value))):
+        parse_rational(text)
 
 
 def test_integer_literals_parse_to_ints():

@@ -122,6 +122,41 @@ def test_mul_extremal_coefficients():
                 assert b * b == reference_mul(b, b)
 
 
+@st.composite
+def packable(draw):
+    """(digits, width): digits strictly inside +-half for a width of 1 to 40 bytes."""
+    width = draw(st.integers(1, 40))
+    half = 1 << (8 * width - 1)
+    edge = st.sampled_from([1 - half, -1, 0, 1, half - 1])
+    digit = st.one_of(edge, st.integers(1 - half, half - 1))
+    return draw(st.lists(digit, max_size=60)), width
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(packable())
+def test_unpack_reads_what_pack_writes(case):
+    xs, width = case
+    packed = series_module._pack(xs, width)
+    assert packed == sum(x << (8 * width * i) for i, x in enumerate(xs))
+    assert series_module._unpack(packed, width, len(xs)) == xs
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 40])
+def test_pack_refuses_a_digit_out_of_range(width):
+    half = 1 << (8 * width - 1)
+    assert series_module._pack([0, -half, 0], width) == -half << (8 * width)
+    for digit in (half, -half - 1):
+        with pytest.raises(OverflowError):
+            series_module._pack([0, digit, 0], width)
+
+
+def test_reflected_product_is_a_type_error():
+    with pytest.raises(TypeError):
+        F(1, 2) * Series((1, 2), 2)
+    with pytest.raises(TypeError):
+        2 * Series((1, 2), 2)
+
+
 @pytest.mark.parametrize(
     "a, b",
     [
