@@ -100,11 +100,13 @@ class Series:
         return Series._make([-x for x in self.nums], self.den)
 
     def __mul__(self, other):
-        p = min(
-            self.precision + other.known_order(),
-            other.precision + self.known_order(),
-        )
+        # a product with a number, either way round, is a TypeError
+        if not isinstance(other, Series):
+            return NotImplemented
+        p = min(self.precision + other.known_order(), other.precision + self.known_order())
         return Series._make(_mul_ints(self.nums, other.nums, p), self.den * other.den)
+
+    __rmul__ = __mul__
 
     def cut(self, precision):
         """The stored coefficients as a polynomial, modulo y**precision.
@@ -170,30 +172,31 @@ def series_horner(rows: list[list[int]], phi: Series) -> Series:
 # ------------------------------------------------------------ integer kernels
 #
 # A list of n signed integers is packed as n digits of width bytes, each
-# digit x in -half <= x < half for half = 2**(8 * width - 1).  _pack writes
-# x + half into each digit's bytes and subtracts the n shifts from the
-# joined integer; _unpack adds them back, masks off the higher digits and
-# cuts the low n apart.  to_bytes raises OverflowError on a digit out of range.
+# x in -half <= x < half for half = 2**(8 * width - 1).  _pack joins the
+# bytes of each x + half and subtracts _offset, half in every digit; _unpack
+# adds _offset back, masks the low n digits and cuts them apart.  to_bytes
+# raises OverflowError on a digit out of range.
+
+
+def _offset(width, n):
+    """Half the digit base in each of n digits of width bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
 def _pack(xs, width):
     """sum(x * 256**(width * i)) for the signed digits xs of width bytes."""
     half = 1 << (8 * width - 1)
     data = b"".join([(x + half).to_bytes(width, "little") for x in xs])
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * len(xs), "little")
-    return int.from_bytes(data, "little") - offset
+    return int.from_bytes(data, "little") - _offset(width, len(xs))
 
 
 def _unpack(x, width, n):
     """The low n signed digits of width bytes of the packed integer x."""
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
     mask = (1 << (8 * width * n)) - 1
-    data = ((x + offset) & mask).to_bytes(width * n, "little")
+    data = ((x + _offset(width, n)) & mask).to_bytes(width * n, "little")
     half = 1 << (8 * width - 1)
-    return [
-        int.from_bytes(data[i : i + width], "little") - half
-        for i in range(0, width * n, width)
-    ]
+    cuts = range(0, width * n, width)
+    return [int.from_bytes(data[i : i + width], "little") - half for i in cuts]
 
 
 def _mul_ints(a, b, n):
