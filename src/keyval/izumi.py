@@ -131,25 +131,41 @@ class CorpusConfig:
             raise NonPositiveError("need a maximum degree of at least 1")
 
 
+_UNITS = (1, 2, 3, -1, -2, -3)
+#: the Q(y) sample coefficients unit * y^v, built once; no KElem changes after it is built
+_Y_TERMS = {(u, v): KElem(YPoly._make([0] * v + [u])) for u in _UNITS for v in range(4)}
+
+
 def random_corpus_poly(cfg: BaseFieldConfig, corpus: CorpusConfig, index: int) -> Poly:
-    """Deterministic sample ``index`` of the corpus (seed xor index)."""
+    """Deterministic sample ``index`` of the corpus (seed xor index).
+
+    The degree is uniform in 1..max_degree.  Each coefficient below the top
+    one is zero with probability 0.3; any other is unit * t^v, with t = y and
+    the unit in +-{1, 2, 3} over Q(y), or t = p and the unit in +-(1..p-1)
+    over Q_p.  The valuation v is uniform in 0..3, and in 1..3 for the
+    constant term when ``positive_only`` is set.  Coefficients are shared,
+    immutable K-elements.
+    """
+    # randint(1, n), randint(lo, 3) and randrange(1, p) are drawn as 1 + randrange(n),
+    # lo + randrange(4 - lo) and 1 + randrange(p - 1): the same draws, fewer call layers
     rng = random.Random(corpus.seed ^ index)
-    deg = rng.randint(1, corpus.max_degree)
-    zero = KElem.zero()
+    randrange, rand, choice = rng.randrange, rng.random, rng.choice
+    p = cfg.p
+    deg = 1 + randrange(corpus.max_degree)
     coeffs = []
     for k in range(deg + 1):
-        if k < deg and rng.random() < 0.3:
-            coeffs.append(zero)
+        if k < deg and rand() < 0.3:
+            coeffs.append(Poly._zero)
             continue
-        unit = rng.choice([1, 2, 3, -1, -2, -3])
-        if cfg.p is not None:
-            unit = rng.randrange(1, cfg.p) * rng.choice([1, -1])
+        unit = choice(_UNITS)  # drawn over Q_p too, where it is then replaced
+        if p is not None:
+            unit = (1 + randrange(p - 1)) * choice((1, -1))
         lo = 1 if (k == 0 and corpus.positive_only) else 0
-        v = rng.randint(lo, 3)
-        if cfg.p is None:
-            coeffs.append(KElem(YPoly._make([0] * v + [unit])))
+        v = lo + randrange(4 - lo)
+        if p is None:
+            coeffs.append(_Y_TERMS[unit, v])
         else:
-            coeffs.append(KElem(YPoly._make([unit * cfg.p**v])))
+            coeffs.append(KElem(YPoly._make([unit * p**v])))
     return Poly._make(coeffs)
 
 

@@ -23,8 +23,8 @@ from functools import cached_property
 from math import gcd
 from operator import mul
 
-from .basefield import BaseFieldConfig, KElem, YPoly, base_order, list_order, padic_order
-from .basefield import monic_divide, ring_sub
+from .basefield import _Y_ONE, BaseFieldConfig, KElem, YPoly, base_order, list_order
+from .basefield import monic_divide, padic_order, ring_sub
 from .errors import (
     InsufficientPrecisionError,
     KeyvalError,
@@ -34,6 +34,7 @@ from .errors import (
     NotAlgebraicError,
     ZeroInputError,
 )
+from .parsing import parse_rational
 from .polynomials import Poly, _cleared, poly_divmod
 from .series import Series
 from .values import INF, Value
@@ -80,7 +81,8 @@ class WeightedBasis:
     def __init__(self, base: BaseFieldConfig, steps, minimal: Poly | None = None):
         if minimal is not None and (minimal.degree < 1 or not minimal.is_monic()):
             raise NotAlgebraicError("minimal polynomial must be monic of degree >= 1")
-        pairs = [(U, Fraction(beta)) for U, beta in steps]
+        pairs = [(U, parse_rational(beta) if isinstance(beta, str) else Fraction(beta))
+                 for U, beta in steps]
         if not pairs:
             raise KeyvalError("a weighted basis needs at least one key")
         if pairs[0][0] != Poly.x():
@@ -270,14 +272,14 @@ def weight(f: Poly, i: int, basis: WeightedBasis) -> Value:
     g = _reduced(f, basis)
     if not g:
         return INF
-    while i > 1 and g.degree < basis.steps[i - 1].U.degree:
+    while i > 1 and len(g.coeffs) < len(basis.steps[i - 1].U.coeffs):
         i -= 1
     last_f, last_i, w = basis._last_weight
     if last_f is not f or last_i != i:
         if basis.key_lists is None:
             w = expansion_weight(AdicExpansion(i, _expand(g.coeffs, i, basis)), basis)
         else:
-            if any(c.den.degree for c in g.coeffs):
+            if any(c.den is not _Y_ONE for c in g.coeffs):
                 # the weight is homogeneous, so a constant clearing factor adds nothing
                 lists, shift = _cleared(g)
             else:

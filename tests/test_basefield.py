@@ -333,6 +333,20 @@ def test_kelem_field_axioms_property(base, data):
     assert a.num.gcd(a.den) == YPoly.one() or not a
 
 
+# Over constant, non-monic and non-constant denominators, or none at all.
+fractions_in_y = st.one_of(st.builds(KElem, ypolys(max_size=3)),
+                           st.builds(KElem, ypolys(max_size=3), ypoly_divisors()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fractions_in_y, fractions_in_y, st.integers(0, 3))
+def test_constant_denominator_is_the_one_denominator_property(a, b, n):
+    # weight() and KElem's own fast paths tell a constant denominator by identity
+    results = [a, b, a + b, a - b, a * b, -a, a**n] + ([a / b] if b else [])
+    for c in results:
+        assert (c.den is _Y_ONE) == (c.den.degree == 0), c
+
+
 def _euclid_gcd(a, b):
     """The monic gcd by Euclid's algorithm alone."""
     while b:

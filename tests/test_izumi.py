@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,45 @@ def test_corpus_samples_are_pinned():
     assert [poly_text(random_corpus_poly(P3, corpus, j)) for j in range(5)] == [
         "-27*x^4 - x^3 + 9*x^2 - 6*x - 27", "-27*x^2 + 2*x + 18", "-9*x", "27*x^2 - 9*x - 54",
         "-2*x^2 - 6"]
+
+
+# sha256 of the poly_text of samples 0-499 at seed 12345, joined by newlines, keyed
+# by (p, positive_only, max_degree); p None is Q(y)
+CORPUS_DIGESTS = {
+    (None, True, 1): "350f5d47b705767a6b28d98154034193d5615d9495cdf5a1ee136901d3c0898a",
+    (None, True, 4): "a5c83798ede76c37ed0ab58c3a7e95d448d164d953c38c2d06d230db37fa748f",
+    (None, True, 8): "0374b1cb9d23bf00ccb15f31828ad7960fbb6845c1aa586dd1e90150290e7256",
+    (None, False, 1): "c6889116dee882c1ee68acf4c2af82710b450e287f8f048775f09d76ec925d82",
+    (None, False, 4): "344617d06d550d63aca705fd561d5e93164841cd8dba0a40aca130afd817a844",
+    (None, False, 8): "9634768dd940feddfc2a781ce5ce85fbb339393e3eca8ff2ec2e521f8d57c0d7",
+    (2, True, 1): "1bc8a87d0e34c305162fb2a6b353bacbab7c8161a0a335085fc1261b9b649e3f",
+    (2, True, 4): "e1dd84143e68e710368747313de1fbdc4234561ce851c5e299b5abe5f92378e3",
+    (2, True, 8): "4d7dd71219dd3df6d73fa1cb5255dc10b13d1a4566e82d9301eaf98382e49381",
+    (2, False, 1): "d98e9b8280ceee681de8ba26bb252b14e3c2ee7e7daa4d0eed5d4922f72f6449",
+    (2, False, 4): "80f70b32e030f966fe2a2ef2f58d7212fa0ad91bb0c05d48e1b1afe26f2ec1c1",
+    (2, False, 8): "d4e69dbc720f9bb07cf3d52572706960823ab1caba4e0df24eff36a12a75c3b2",
+    (3, True, 1): "438254e959703aa0e4be0321b30ae139e332e9d78caf785eab314fde082655f8",
+    (3, True, 4): "b36e9480da970d3db7f6ced63a3c14223edd9ec66539987a738434fe0014818a",
+    (3, True, 8): "26996403e2d84522dfc9e8e00c84e51f3d4e53cba3d4a3b05f1eeaf08b82943b",
+    (3, False, 1): "088b971fe3b521e96a7d7ed1d36ef910f3ec25510d11a13fc8a58e06db6b009e",
+    (3, False, 4): "f83af3fc727166a9fb02466ba2fbc02574e88f3165e165e092b4d797504b8019",
+    (3, False, 8): "11e875b34b1295ca40013dd24c9bb2845081f669a8b011c33e7375d8f1d1d4ad",
+    (101, True, 1): "f08f49386ec9e8d314a35a3d1c0e263ce3023259336c4d75921ef9285607bcd7",
+    (101, True, 4): "b67964174be990488464fc4586a7fccd0fb77442443c60b6300d8b9b79fc5220",
+    (101, True, 8): "c34eeffe178947cd0ddaf06bdd672b66b8c25c32a6b6cec6b22c8fc5c0d25fb7",
+    (101, False, 1): "062c2a1164f90cd14804e6665a10207e1fb020dc89c09a5c988849f7ac6ab940",
+    (101, False, 4): "ea4b3d215b239a69ba5ca6223ee5575d30e1d259493f87a595a03e3498508bf0",
+    (101, False, 8): "3af9be91bf344ca511e0110ac08f47f335b6485ecaa682da5ef75bfc69e0228e",
+}
+
+
+@pytest.mark.parametrize("p, positive_only, max_degree", list(CORPUS_DIGESTS))
+def test_corpus_stream_is_pinned(p, positive_only, max_degree):
+    base = BaseFieldConfig(p)
+    corpus = CorpusConfig(seed=12345, samples=500, max_degree=max_degree,
+                          positive_only=positive_only)
+    text = "\n".join(poly_text(random_corpus_poly(base, corpus, j)) for j in range(500))
+    assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_DIGESTS[p, positive_only, max_degree]
 
 
 def test_corpus_padic_samples():

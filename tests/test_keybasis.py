@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from keyval.errors import (
     LevelOutOfRangeError,
     NonPositiveError,
     NonzeroConstantTermError,
+    ParseError,
     ZeroInputError,
 )
 from keyval import keybasis
@@ -56,6 +58,15 @@ def test_construction_requires_monic_and_positive():
         WeightedBasis(FF, [(p("x"), F(0))])
     with pytest.raises(KeyvalError):
         WeightedBasis(FF, [])
+
+
+def test_string_betas_are_read_as_rationals():
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        WeightedBasis(FF, [(Poly.x(), "1e3000000")])
+    assert time.perf_counter() - start < 1
+    for beta, exact in [("3/2", F(3, 2)), ("1.5", F(3, 2)), (F(1, 2), F(1, 2))]:
+        assert WeightedBasis(FF, [(Poly.x(), beta)]).beta(1) == exact
 
 
 def test_validate_b1_b2(b1, b2):
