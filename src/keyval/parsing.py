@@ -25,12 +25,16 @@ While parsing, a value is a pair (terms, den): a sparse map {(i, j): q} from
 the monomial x^i y^j to its nonzero exact rational q, an int when integral,
 over one denominator den in y.  den is ``_Y_ONE`` until a non-constant
 y-polynomial is divided by, and then has positive degree.  Sums merge maps
-over the lcm of their denominators and drop the monomials that cancel.  Every
-product of maps, division by a constant included, clears both operands to
-integer numerators and builds one Fraction per output monomial (Johnson,
-"Sparse polynomial arithmetic", SIGSAM Bull. 8, 1974); a square takes each
-cross product once.  The Poly of KElems is built once at the end, with one
-KElem per coefficient in x.
+over the lcm of their denominators, copy a monomial new to the sum (negated
+in a difference), and drop the monomials that cancel.  A product by a single
+monomial q x^i y^j, division by a constant included, multiplies each
+coefficient of the other map by q and shifts its keys, and a power of a single
+monomial over ``_Y_ONE`` is taken at once after the degree and bit caps.
+Every other product of maps clears both operands to integer numerators and
+builds one Fraction per output monomial (Johnson, "Sparse polynomial
+arithmetic", SIGSAM Bull. 8, 1974); a square takes each cross product once.
+The Poly of KElems is built once at the end, with one KElem per coefficient
+in x.
 """
 
 from __future__ import annotations
@@ -112,8 +116,19 @@ def _cleared(terms: dict) -> tuple:
 
 
 def _mul(a: dict, b: dict) -> dict:
-    """The product of two monomial maps, computed on integer numerators.  A
-    square takes each cross product once and doubles it."""
+    """The product of two monomial maps.  A product by one monomial q x^i y^j
+    scales the other map by q and shifts its keys; any other is computed on
+    integer numerators, and a square takes each cross product once and
+    doubles it."""
+    if len(a) == 1 or len(b) == 1:
+        if len(a) != 1:
+            a, b = b, a
+        (((i, j), q),) = a.items()
+        out = {}
+        for (k, m), r in b.items():
+            r *= q
+            out[i + k, j + m] = r.numerator if r.denominator == 1 else r
+        return out
     square = a is b
     da, a = _cleared(a)
     db, b = (da, a) if square else _cleared(b)
@@ -155,7 +170,10 @@ def _merge(a: tuple, b: tuple, op: str) -> tuple:
         ca, cb = db.divmod(g)[0], da.divmod(g)[0]
         ta, tb, da = _mul(ta, _ymap(ca)), _mul(tb, _ymap(cb)), da * ca
     for key, q in tb.items():
-        r = ta.get(key, 0)
+        r = ta.get(key)
+        if r is None:
+            ta[key] = q if op == "+" else -q
+            continue
         r = r + q if op == "+" else r - q
         if r:
             ta[key] = r.numerator if r.denominator == 1 else r
@@ -277,15 +295,23 @@ class _Parser:
             kind, exp, at = self.next()
             if kind != "num":
                 raise ParseError("exponent must be a natural number", at)
-            coeffs, value = _lowest_terms(value)
-            ypolys = [q for pair in coeffs.values() for q in pair]
-            d = max([0, *coeffs] + [q.degree for q in ypolys])
+            if len(value[0]) == 1 and value[1] is _Y_ONE:
+                # one monomial q x^i y^j, in lowest terms as it stands: the
+                # dense estimate below is 0, so only the two caps can refuse it
+                (((i, j), q),) = value[0].items()
+                coeffs, ypolys = {}, []
+                d = max(i, j)
+                size = max(q.numerator.bit_length(), q.denominator.bit_length())
+            else:
+                coeffs, value = _lowest_terms(value)
+                ypolys = [q for pair in coeffs.values() for q in pair]
+                d = max([0, *coeffs] + [q.degree for q in ypolys])
+                size = max([0] + [n.bit_length() for q in ypolys for r in q.coeffs
+                                  for n in (r.numerator, r.denominator)])
             degree = exp * d
             if degree > MAX_DEGREE:
                 raise ParseError(
                     "power of degree %d exceeds the cap %d" % (degree, MAX_DEGREE), at)
-            size = max([0] + [n.bit_length() for q in ypolys for r in q.coeffs
-                              for n in (r.numerator, r.denominator)])
             bits = exp * size
             if bits > MAX_BITS:
                 raise ParseError(

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import math
+import random
 import re
 import sys
 import time
@@ -113,6 +115,9 @@ def test_parse_degree_cap():
         ("y^1000001", 10**6 + 1, 2),
         ("(1/y)^1000001", 10**6 + 1, 6),
         ("(x/(1+y^3))^400000", 1200000, 12),
+        # one monomial in both x and y is capped by its larger degree
+        ("(x^3*y^5)^200001", 1000005, 10),
+        ("(2/3*x^5*y^4)^200001", 1000005, 14),
     ]:
         message = r"^power of degree %d exceeds the cap %d \(at position %d\)$" % (
             degree, MAX_DEGREE, at)
@@ -127,6 +132,7 @@ def test_parse_bit_cap():
     assert parse_kelem("1^10000000", FF) == KElem.one()
     assert parse_kelem("2^1000000", FF).as_fraction() == 2**1000000
     assert parse_poly("(x/2)^1000", P3).leading.as_fraction() == F(1, 2**1000)
+    assert parse_poly("(3/4*x*y^2)^1000", FF).leading.num.coeffs[2000] == F(3, 4)**1000
     # above it the power is refused before it is taken: exponent times the
     # largest bit length of a numerator or denominator in the base
     for text, bits, at in [
@@ -137,6 +143,9 @@ def test_parse_bit_cap():
         ("(3/7)^3333334", 10000002, 6),
         ("(x + 1/1024)^1000000", 11 * 10**6, 13),
         ("(y/2048)^1000000", 12 * 10**6, 9),
+        # a rational monomial in both x and y, by its larger numerator or denominator
+        ("(3/1048576*x*y^2)^500000", 21 * 500000, 18),
+        ("(-1048577/3*x^2*y)^476191", 21 * 476191, 19),
     ]:
         message = r"^power with %d-bit coefficients exceeds the cap %d \(at position %d\)$" % (
             bits, MAX_BITS, at)
@@ -185,6 +194,11 @@ def test_integral_rationals_are_stored_as_ints():
     # a sum of Fractions that is integral is stored as the int it equals
     (c,) = parse_kelem("1/2*y + 1/2*y", FF).num.coeffs[1:]
     assert (c, type(c)) == (1, int)
+    # so is a product by one monomial that is integral
+    for text, i, j in [("(1/2*y)*(2*x)", 1, 1), ("2/3*x*3/2", 1, 0), ("(3/2)*(2/3*x*y^2)", 1, 2),
+                       ("(1/4*x + 1/2*y)*4*y", 1, 1)]:
+        c = parse_poly(text, FF).coeff(i).num.coeffs[j]
+        assert (c, type(c)) == (1, int), text
 
 
 def test_integer_literal_over_the_digit_limit_is_a_parse_error():
@@ -268,6 +282,30 @@ def test_one_kelem_per_coefficient_in_x(monkeypatch):
         for c in f.coeffs:
             assert not [r for r in c.num.coeffs if type(r) is F and r.denominator == 1]
             assert c.den is _Y_ONE
+
+
+ORACLE_TEXTS_DIGEST = "243a02dd72204da75dbe8ca01ebb0dc54112e196708e4913dc12140a3da82cf9"
+
+
+def test_oracle_style_parses_are_pinned():
+    # texts shaped like `keyval oracle --poly` requests on the conic, long
+    # sums of one-term products: keys, products of two or three keys, and
+    # keys over y^s
+    rng = random.Random(7)
+    texts = []
+    for _ in range(120):
+        order = rng.randint(3, 60)
+        kind = rng.choice(["key", "product", "scaled"])
+        if kind == "key":
+            texts.append(_conic_key(order))
+        elif kind == "product":
+            cuts = sorted(rng.sample(range(1, order), rng.choice((1, 2))))
+            orders = [b - a for a, b in zip([0] + cuts, cuts + [order])]
+            texts.append("*".join("(%s)" % _conic_key(k) for k in orders))
+        else:
+            texts.append("(%s)/y^%d" % (_conic_key(order), rng.randint(1, 3)))
+    text = "\n".join(poly_text(parse_poly(t, FF)) for t in texts)
+    assert hashlib.sha256(text.encode()).hexdigest() == ORACLE_TEXTS_DIGEST
 
 
 def test_sum_over_distinct_denominators_takes_their_lcm():
