@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from math import lcm
 from operator import mul
 
 from .basefield import _Y_ONE, BaseFieldConfig, KElem, YPoly, base_order, list_order
@@ -56,13 +55,14 @@ class AdicExpansion:
 class KeyStep:
     U: Poly
     beta: Fraction
+    #: positive generator 1/L_i of the value group Phi_i = <1, beta_1, ..., beta_i>,
+    #: where L_i is the lcm of the denominators of beta_1, ..., beta_i.
+    phi: Fraction
+    #: index n_i = [Phi_i : Phi_{i-1}] = L_i / L_{i-1}.
+    n: int
     #: degree step deg U_{i+1} / deg U_i; None for the last step or when the
     #: degrees do not divide (reported by validate_basis).
     m: int | None = None
-    #: positive generator of the value group Phi_i = <1, beta_1, ..., beta_i>.
-    phi: Fraction | None = None
-    #: index n_i = [Phi_i : Phi_{i-1}].
-    n: int | None = None
     #: cached i-adic expansion of U_{i+1} in K[x], for rewriting and validation.
     next_expansion: AdicExpansion | None = None
 
@@ -87,6 +87,12 @@ class WeightedBasis:
             raise KeyvalError("a weighted basis needs at least one key")
         if pairs[0][0] != Poly.x():
             raise KeyvalError("the first key polynomial must be x")
+        self.base = base
+        self.minimal = minimal
+        self.steps = []
+        # nu(K) = Z for both base fields, so Phi_i = (1/L)Z for L the lcm of the
+        # denominators of beta_1, ..., beta_i
+        L = 1
         for U, beta in pairs:
             if not U.is_monic():
                 raise KeyvalError("key polynomials must be monic in x")
@@ -94,43 +100,24 @@ class WeightedBasis:
                 raise KeyvalError("key polynomials must have degree >= 1")
             if beta <= 0:
                 raise KeyvalError("key weights must be positive")
-        self.base = base
-        self.minimal = minimal
-        self.steps = [KeyStep(U, beta) for U, beta in pairs]
-        phi = Fraction(1)  # nu(K) = Z for both base fields
-        for step in self.steps:
-            b = step.beta
-            step.phi = Fraction(
-                gcd(phi.numerator * b.denominator, b.numerator * phi.denominator),
-                phi.denominator * b.denominator,
-            )
-            step.n = (phi / step.phi).numerator
-            phi = step.phi
+            if self.steps:  # U is the next key of the last step
+                i, last = len(self.steps), self.steps[-1]
+                if U.degree % last.U.degree == 0:
+                    last.m = U.degree // last.U.degree
+                last.next_expansion = AdicExpansion(i, _expand(U.coeffs, i, self))
+            L_prev, L = L, lcm(L, beta.denominator)
+            self.steps.append(KeyStep(U, beta, Fraction(1, L), L // L_prev))
         # Phi_alpha = (1/N)Z holds every weight, so weights are computed as
         # int counts of 1/N; beta_units[i] is beta_{i+1} * N.
-        self.N = phi.denominator
-        self.beta_units = tuple((s.beta * self.N).numerator for s in self.steps)
+        self.N = L
+        self.beta_units = tuple(s.beta.numerator * (L // s.beta.denominator) for s in self.steps)
+        #: each key's coefficients as Q[y] lists, lowest first, for :func:`weight`;
+        #: None when a key has y-denominators
+        lists = [[c.num.coeffs for c in s.U.coeffs] for s in self.steps]
+        self.key_lists = None if any(c.den.degree for U, _ in pairs for c in U.coeffs) else lists
         #: (f, effective level, weight) of the last weight() call, f by identity;
         #: one tuple, so that a reader never sees parts of two entries
         self._last_weight = (None, 0, None)
-        for i in range(len(self.steps) - 1):
-            d0 = self.steps[i].U.degree
-            d1 = self.steps[i + 1].U.degree
-            if d1 % d0 == 0:
-                self.steps[i].m = d1 // d0
-            U = self.steps[i + 1].U
-            self.steps[i].next_expansion = AdicExpansion(i + 1, _expand(U.coeffs, i + 1, self))
-
-    @cached_property
-    def key_lists(self) -> list | None:
-        """Each key's coefficients as Q[y] lists, lowest first, for :func:`weight`.
-
-        None when a key has y-denominators.  Built on first use, so that a
-        basis that takes no weight does not pay for it.
-        """
-        if any(c.den.degree for s in self.steps for c in s.U.coeffs):
-            return None
-        return [[c.num.coeffs for c in s.U.coeffs] for s in self.steps]
 
     @property
     def alpha(self) -> int:

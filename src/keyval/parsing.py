@@ -398,8 +398,8 @@ def _dense_text(coeffs, var: str, term) -> str:
     return "".join(out) if out else "0"
 
 
-def ypoly_text(p: YPoly, var: str = "y") -> str:
-    return _dense_text(p.coeffs, var, _rational_term)
+def ypoly_text(p: YPoly) -> str:
+    return _dense_text(p.coeffs, "y", _rational_term)
 
 
 def kelem_text(a: KElem) -> str:

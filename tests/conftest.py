@@ -36,6 +36,21 @@ def q3():
 
 
 @pytest.fixture(scope="session")
+def q3b2():
+    """b2 with y replaced by 3, over Q_3."""
+    return _mk(
+        BaseFieldConfig.p_adic(3),
+        [("x", "1/2"), ("x^2 - 3", "5/4"), ("(x^2 - 3)^2 + 9*x", "11/4")],
+    )
+
+
+@pytest.fixture(scope="session")
+def ram(base):
+    """A ramified basis over Q(y): beta_1 = 3/2 has denominator 2."""
+    return _mk(base, [("x", "3/2"), ("x^2 - y^3", "4")])
+
+
+@pytest.fixture(scope="session")
 def b3(base):
     return _mk(base, [("x", "1"), ("x^2 - y^2", "3")])
 

@@ -8,6 +8,8 @@ import json
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from keyval import io as kio
 from keyval import (
     BaseFieldConfig,
@@ -26,11 +28,14 @@ from keyval import (
     weight,
 )
 from keyval.izumi import canonical_witnesses, random_corpus_poly, weight_map
+from keyval.keybasis import expansion_weight
 from keyval.oracle import conic_defining, conic_parametrization
 from keyval.parsing import parse_poly, poly_text
 
 F = Fraction
 FF = BaseFieldConfig.function_field()
+#: the bases beyond b1, b2 and b3: fixture name -> the base field it names
+OTHER_BASES = {"q3": "Q_3", "q3b2": "Q_3", "ram": "Q(y)"}
 
 
 @contextmanager
@@ -43,11 +48,67 @@ def criterion(n, label):
     print("criterion %d (%s): PASS" % (n, label))
 
 
-def corpus_polys(seed, count, max_degree=4, positive_only=True):
+def corpus_polys(seed, count, max_degree=4, positive_only=True, base=FF):
     cfg = CorpusConfig(
         seed=seed, samples=count, max_degree=max_degree, positive_only=positive_only
     )
-    return [random_corpus_poly(FF, cfg, j) for j in range(count)]
+    return [random_corpus_poly(base, cfg, j) for j in range(count)]
+
+
+def other_basis(request, name):
+    """The fixture basis ``name`` and the label "name over K" for its criterion lines."""
+    return request.getfixturevalue(name), "%s over %s" % (name, OTHER_BASES[name])
+
+
+def key_power_weight_cases(basis):
+    """Criterion 2 on every (i+1, j) and ell <= 5; returns the number of cases."""
+    cases = 0
+    for i_plus_1 in range(2, basis.alpha + 1):
+        for j in range(1, i_plus_1):
+            for ell in range(1, 6):
+                formula = key_power_weight(basis, i_plus_1, ell, j)
+                assert formula == weight(basis.key(i_plus_1) ** ell, j, basis)
+                cases += 1
+    return cases
+
+
+def check_step_constant(basis, upper, lower, samples):
+    """Criterion 3: the sup over the corpus and the keys reaches the step constant."""
+    c = izumi_step_constant(basis, upper, lower)
+    report = empirical_izumi(
+        weight_map(basis, upper),
+        weight_map(basis, lower),
+        basis.base,
+        CorpusConfig(seed=42, samples=samples),
+        theoretical=c,
+        witnesses=canonical_witnesses(basis),
+    )
+    assert report.sup_found <= c
+    U = basis.key(upper)
+    assert weight(U, upper, basis) == c * weight(U, lower, basis)
+    assert report.sup_found == c
+
+
+def check_round_trips(basis, polys):
+    """Criterion 4: raise and lower invert each other, with monotone traces."""
+    for f in polys:
+        exps = [adic_expand(f, i, basis) for i in range(1, basis.alpha + 1)]
+        wts = [expansion_weight(E, basis) for E in exps]
+        for i in range(1, basis.alpha):
+            up, tr_up = raise_expansion(exps[i - 1], basis)
+            down, tr_dn = lower_expansion(exps[i], basis)
+            assert up == exps[i] and down == exps[i - 1]
+            for tr, lvl in ((tr_up, i + 1), (tr_dn, i)):
+                ws = tr.weights
+                assert all(a <= b for a, b in zip(ws, ws[1:]))
+                assert ws[-1] == wts[lvl - 1]
+
+
+def check_additivity(basis, polys):
+    """Criterion 5: every weight map of the basis is additive on the pairs of polys."""
+    for f, g in zip(polys[::2], polys[1::2]):
+        for i in range(1, basis.alpha + 1):
+            assert weight(f * g, i, basis) == weight(f, i, basis) + weight(g, i, basis)
 
 
 def test_01_conic_reproduction():
@@ -64,67 +125,63 @@ def test_01_conic_reproduction():
 
 def test_02_key_power_weight_formula(b2):
     with criterion(2, "closed-form key power weights"):
-        cases = 0
-        for i_plus_1 in (2, 3):
-            for j in range(1, i_plus_1):
-                for ell in range(1, 6):
-                    formula = key_power_weight(b2, i_plus_1, ell, j)
-                    direct = weight(b2.key(i_plus_1) ** ell, j, b2)
-                    assert formula == direct
-                    cases += 2
-        assert cases == 30
+        assert key_power_weight_cases(b2) == 15
+
+
+@pytest.mark.parametrize("name, cases", [("q3", 5), ("q3b2", 15), ("ram", 5)])
+def test_02_key_power_weight_formula_over(request, name, cases):
+    basis, label = other_basis(request, name)
+    with criterion(2, "closed-form key power weights, " + label):
+        assert key_power_weight_cases(basis) == cases
 
 
 def test_03_step_constant_sup_search(b1, b2):
     with criterion(3, "step constants bound the empirical sup"):
         for basis, upper, lower in ((b1, 2, 1), (b2, 3, 1)):
-            c = izumi_step_constant(basis, upper, lower)
-            report = empirical_izumi(
-                weight_map(basis, upper),
-                weight_map(basis, lower),
-                FF,
-                CorpusConfig(seed=42, samples=10**4),
-                theoretical=c,
-                witnesses=canonical_witnesses(basis),
-            )
-            assert report.sup_found <= c
-            U = basis.key(upper)
-            assert weight(U, upper, basis) == c * weight(U, lower, basis)
-            assert report.sup_found == c
+            check_step_constant(basis, upper, lower, 10**4)
+
+
+@pytest.mark.parametrize("name", OTHER_BASES)
+def test_03_step_constant_sup_search_over(request, name):
+    basis, label = other_basis(request, name)
+    with criterion(3, "step constants bound the empirical sup, " + label):
+        for upper in range(2, basis.alpha + 1):
+            for lower in range(1, upper):
+                check_step_constant(basis, upper, lower, 3000)
 
 
 def test_04_rewrite_round_trips(b1, b2):
     with criterion(4, "rewriting round trips with monotone traces"):
-        from keyval.keybasis import expansion_weight
-
         polys = corpus_polys(seed=101, count=10**3, max_degree=8, positive_only=False)
         for basis in (b1, b2):
-            for f in polys:
-                exps = [adic_expand(f, i, basis) for i in range(1, basis.alpha + 1)]
-                wts = [expansion_weight(E, basis) for E in exps]
-                for i in range(1, basis.alpha):
-                    up, tr_up = raise_expansion(exps[i - 1], basis)
-                    down, tr_dn = lower_expansion(exps[i], basis)
-                    assert up == exps[i] and down == exps[i - 1]
-                    for tr, lvl in ((tr_up, i + 1), (tr_dn, i)):
-                        ws = tr.weights
-                        assert all(a <= b for a, b in zip(ws, ws[1:]))
-                        assert ws[-1] == wts[lvl - 1]
+            check_round_trips(basis, polys)
+
+
+@pytest.mark.parametrize("name", OTHER_BASES)
+def test_04_rewrite_round_trips_over(request, name):
+    basis, label = other_basis(request, name)
+    with criterion(4, "rewriting round trips with monotone traces, " + label):
+        polys = corpus_polys(seed=101, count=500, max_degree=8, positive_only=False,
+                             base=basis.base)
+        check_round_trips(basis, polys)
 
 
 def test_05_weight_additivity(b1, b2, b3):
     with criterion(5, "weight maps are additive iff the index condition holds"):
         polys = corpus_polys(seed=202, count=2 * 10**3, positive_only=False)
-        pairs = list(zip(polys[::2], polys[1::2]))
         for basis in (b1, b2):
-            for f, g in pairs:
-                for i in range(1, basis.alpha + 1):
-                    assert weight(f * g, i, basis) == weight(f, i, basis) + weight(
-                        g, i, basis
-                    )
+            check_additivity(basis, polys)
         f, g = parse_poly("x - y", FF), parse_poly("x + y", FF)
         assert weight(f * g, 2, b3) == 3
         assert weight(f, 2, b3) + weight(g, 2, b3) == 2
+
+
+@pytest.mark.parametrize("name", OTHER_BASES)
+def test_05_weight_additivity_over(request, name):
+    basis, label = other_basis(request, name)
+    with criterion(5, "weight maps are additive, " + label):
+        polys = corpus_polys(seed=202, count=2 * 10**3, positive_only=False, base=basis.base)
+        check_additivity(basis, polys)
 
 
 def test_06_gauss_comparison():
@@ -158,13 +215,22 @@ def test_07_extension_bounds(b1):
         assert checked > 0
 
 
+def chained_constant(basis):
+    """Criterion 8: the (3, 1) constant, checked against the chained (3, 2) and (2, 1)."""
+    direct = izumi_step_constant(basis, 3, 1)
+    chained = chain_bound(izumi_step_constant(basis, 3, 2), izumi_step_constant(basis, 2, 1))
+    assert direct == chained
+    return direct
+
+
 def test_08_chain_identity(b2):
     with criterion(8, "chained step constants compose exactly"):
-        direct = izumi_step_constant(b2, 3, 1)
-        chained = chain_bound(
-            izumi_step_constant(b2, 3, 2), izumi_step_constant(b2, 2, 1)
-        )
-        assert direct == chained == F(11, 8)
+        assert chained_constant(b2) == F(11, 8)
+
+
+def test_08_chain_identity_over_q3b2(q3b2):
+    with criterion(8, "chained step constants compose exactly, q3b2 over Q_3"):
+        assert chained_constant(q3b2) == F(11, 8)
 
 
 def test_09_infrastructure(b1, b2):

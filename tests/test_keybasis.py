@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -46,18 +47,27 @@ def k(text):
     return parse_kelem(text, FF)
 
 
-def test_construction_requires_x_first():
-    with pytest.raises(KeyvalError):
-        WeightedBasis(FF, [(p("x^2 - y"), F(1))])
+# b2's first two steps, then a faulty third key or weight: the fault is found
+# after step 1's recurrence is built
+B2_HEAD = [("x", "1/2"), ("x^2 - y", "5/4")]
 
 
-def test_construction_requires_monic_and_positive():
-    with pytest.raises(KeyvalError):
-        WeightedBasis(FF, [(p("2*x"), F(1))])
-    with pytest.raises(KeyvalError):
-        WeightedBasis(FF, [(p("x"), F(0))])
-    with pytest.raises(KeyvalError):
-        WeightedBasis(FF, [])
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([], "a weighted basis needs at least one key"),
+        ([("x^2 - y", "1")], "the first key polynomial must be x"),
+        (B2_HEAD + [("2*(x^2 - y)^2 + 2*x*y^2", "11/4")], "key polynomials must be monic in x"),
+        (B2_HEAD + [("1", "11/4")], "key polynomials must have degree >= 1"),
+        (B2_HEAD + [("(x^2 - y)^2 + x*y^2", "0")], "key weights must be positive"),
+    ],
+    ids=["no-key", "x-first", "monic", "degree", "positive"],
+)
+def test_construction_refusals(pairs, message):
+    with pytest.raises(KeyvalError) as info:
+        WeightedBasis(FF, [(p(t), F(b)) for t, b in pairs])
+    assert type(info.value) is KeyvalError
+    assert str(info.value) == message
 
 
 def test_string_betas_are_read_as_rationals():
@@ -213,6 +223,31 @@ def test_value_group_chain_is_built_with_the_basis(b2):
     assert [(s.phi, s.n) for s in b2.steps] == [(F(1, 2), 2), (F(1, 4), 2), (F(1, 4), 1)]
     coprime = WeightedBasis(FF, [(p("x"), F(2, 3)), (p("x^3 - y^2"), F(5, 2))])
     assert [(s.phi, s.n) for s in coprime.steps] == [(F(1, 3), 3), (F(1, 6), 2)]
+
+
+def _value_groups_by_fraction_gcd(betas):
+    """Phi_i and n_i as gcds of Fractions, N and the weights in units of 1/N."""
+    phis, ns, phi = [], [], F(1)
+    for b in betas:
+        nxt = F(gcd(phi.numerator * b.denominator, b.numerator * phi.denominator),
+                phi.denominator * b.denominator)
+        ns.append((phi / nxt).numerator)
+        phis.append(nxt)
+        phi = nxt
+    N = phi.denominator
+    return phis, ns, N, tuple((b * N).numerator for b in betas)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.builds(F, st.integers(1, 60), st.integers(1, 60)), min_size=1, max_size=5))
+def test_value_groups_match_the_fraction_gcd_chain(betas):
+    # every key may be x: construction checks no weighted-basis condition
+    basis = WeightedBasis(FF, [(Poly.x(), b) for b in betas])
+    phis, ns, N, units = _value_groups_by_fraction_gcd(betas)
+    assert [s.phi for s in basis.steps] == phis
+    assert [s.n for s in basis.steps] == ns
+    assert basis.N == N
+    assert basis.beta_units == units
 
 
 def test_index_power_violation():
