@@ -276,14 +276,9 @@ class YPoly(DensePoly):
             if m and not any(m.coeffs[:-1]):
                 k = min(m.degree, o.order()) if o else m.degree
                 return self._make([0] * k + [1])
-        # the remainder by b is the remainder by the monic b / lead
         while b:
-            if b.leading != 1:
-                b = b._scale(_F1 / b.leading)
             a, b = b, a.divmod(b)[1]
-        if a and a.leading != 1:  # other was zero
-            a = a._scale(_F1 / a.leading)
-        return a
+        return a._scale(_F1 / a.leading) if a else a
 
 
 _ONE_COEFFS = (1,)

@@ -8,9 +8,11 @@ point at infinity that absorbs addition and dominates every finite value.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from typing import Union
 
 
+@total_ordering
 class _Infinity:
     """The value +infinity.  A singleton; compare and add with Fractions."""
 
@@ -23,15 +25,6 @@ class _Infinity:
 
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
 
     def __eq__(self, other):
         return other is self

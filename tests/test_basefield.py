@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keyval import basefield
 from keyval.basefield import (
     _Y_ONE,
     MAX_P,
@@ -21,6 +22,8 @@ from keyval.errors import DivisorZeroError, KeyvalError
 from keyval.polynomials import Poly
 from keyval.rewrite import _multiply
 from keyval.values import INF
+
+from conftest import alarm
 
 F = Fraction
 FF = BaseFieldConfig.function_field()
@@ -362,6 +365,23 @@ monomials = st.builds(lambda k, c: YPoly([0] * k + [c]), st.integers(0, 6), rati
 def test_gcd_matches_euclid(a, b):
     g = a.gcd(b)
     assert g == _euclid_gcd(a, b)
-    if any(m and not any(m.coeffs[:-1]) for m in (a, b)):
-        # the gcd with a monomial is a power of y, stored with int coefficients
-        assert all(type(c) is int for c in g.coeffs)
+    # an integral coefficient of the gcd is stored as an int
+    assert all(type(c) is int or c.denominator != 1 for c in g.coeffs)
+
+
+def test_gcd_with_a_monomial_divides_nothing(monkeypatch):
+    calls = []
+    divide = basefield.monic_divide
+
+    def counting(f, U, sub):
+        calls.append(U)
+        return divide(f, U, sub)
+
+    monkeypatch.setattr(basefield, "monic_divide", counting)
+    a = YPoly((1, 1)) ** 600
+    y400 = YPoly([0] * 400 + [1])
+    for m in (y400, YPoly([0] * 400 + [F(3, 2)])):
+        assert a.gcd(m) == YPoly.one() == m.gcd(a)
+    with alarm(1, "reducing (1 + y)^600 / y^400"):
+        assert KElem(a, y400).den == y400
+    assert calls == []

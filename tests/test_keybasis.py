@@ -455,3 +455,10 @@ def test_weight_divides_coefficient_lists(monkeypatch, b1):
     calls.clear()
     assert weight(p("x + y"), 2, b1) == F(1, 2)
     assert calls == []
+
+
+def test_weight_clears_a_y_denominator(monkeypatch, b2):
+    f = p("(x + y)^40/(1 + y)")
+    expected = [expansion_weight(adic_expand(f, i, b2), b2) for i in (1, 2, 3)]
+    monkeypatch.setattr(keybasis, "ring_sub", None)  # no division over K
+    assert [weight(f, i, b2) for i in (1, 2, 3)] == expected

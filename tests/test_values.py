@@ -12,12 +12,14 @@ def test_infinity_absorbs_addition():
 
 
 def test_infinity_dominates_ordering():
-    assert F(10**9) < INF
-    assert not INF < F(10**9)
-    assert INF <= INF
-    assert INF >= F(0)
-    assert INF == INF
-    assert INF != F(1)
+    # inf is above every finite value and equals only itself, in both operand orders
+    for v in (F(-3, 2), 0, 5, 10**40):
+        assert (v < INF, v <= INF, v > INF, v >= INF, v == INF, v != INF) == (
+            True, True, False, False, False, True), v
+        assert (INF < v, INF <= v, INF > v, INF >= v, INF == v, INF != v) == (
+            False, False, True, True, False, True), v
+    assert (INF < INF, INF <= INF, INF > INF, INF >= INF, INF == INF, INF != INF) == (
+        False, True, False, True, True, False)
 
 
 def test_is_finite():
