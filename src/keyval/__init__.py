@@ -6,18 +6,18 @@ step constants and comparison bounds, and cross-checks everything against an
 independent truncated-power-series valuation oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .basefield import BaseFieldConfig, KElem, YPoly, base_valuation
 from .izumi import (
     CorpusConfig,
     IzumiReport,
-    bracket_ratio,
     chain_bound,
     empirical_izumi,
     extension_bound,
     gauss_value,
     izumi_step_constant,
     key_power_weight,
-    ord_comparison_bound,
 )
 from .keybasis import (
     AdicExpansion,
@@ -44,5 +44,7 @@ from .rewrite import RewriteTrace, lower_expansion, raise_expansion
 from .series import Series
 from .values import INF, Value
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules bound by the imports above are not part of the star-import
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

@@ -139,7 +139,7 @@ def _cmd_izumi_exact(args):
 
 def _cmd_izumi_bound(args):
     basis = kio.load_basis(args.basis)
-    return _value("bound", extension_bound(basis, args.mu_prime_x, args.c_base, args.normalized))
+    return _value("bound", extension_bound(basis, args.mu_prime_x, args.c_base))
 
 
 def _cmd_izumi_search(args):
@@ -260,7 +260,6 @@ def build_parser():
     p.add_argument("--basis", required=True)
     p.add_argument("--mu-prime-x", type=_rational, required=True)
     p.add_argument("--c-base", type=_rational, default="1")
-    p.add_argument("--normalized", action="store_true")
 
     p = add("izumi-search", _cmd_izumi_search, "seeded empirical sup-search")
     p.add_argument("--basis", required=True)

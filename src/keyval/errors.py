@@ -37,10 +37,6 @@ class NonPositiveError(KeyvalError):
     pass
 
 
-class NormalizationViolationError(KeyvalError):
-    pass
-
-
 class EmptyEffectiveCorpusError(KeyvalError):
     pass
 

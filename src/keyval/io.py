@@ -83,7 +83,7 @@ def basis_from_json(doc: dict) -> WeightedBasis:
         if isinstance(beta, float) and not math.isfinite(beta):
             raise ValueError("basis step key 'beta' is not finite")
         try:
-            beta = parse_rational(beta) if isinstance(beta, str) else Fraction(beta)
+            beta = parse_rational(beta)
         except ZeroDivisionError:
             raise ValueError("basis step %d key 'beta' has a zero denominator" % i) from None
         steps.append((parse_poly(U, base), beta))

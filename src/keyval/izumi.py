@@ -15,10 +15,10 @@ from .errors import (
     EmptyEffectiveCorpusError,
     LevelOutOfRangeError,
     NonPositiveError,
-    NormalizationViolationError,
     UnboundedRatioError,
 )
 from .keybasis import WeightedBasis, weight
+from .parsing import parse_rational
 from .polynomials import Poly
 from .values import Value, is_finite
 
@@ -65,20 +65,6 @@ def izumi_step_constant(basis: WeightedBasis, i_plus_1: int, j: int) -> Fraction
     return basis.beta(i_plus_1) / (steps * basis.beta(j))
 
 
-def bracket_ratio(beta: Fraction, beta_prime: Fraction) -> Fraction:
-    """beta/beta' when beta > beta', else 1."""
-    if beta <= 0 or beta_prime <= 0:
-        raise NonPositiveError("bracket ratio needs positive arguments")
-    return beta / beta_prime if beta > beta_prime else Fraction(1)
-
-
-def ord_comparison_bound(beta: Fraction, beta_prime: Fraction, c_base: Fraction) -> Fraction:
-    """Upper bound comparing two Gauss valuations over the same base pair."""
-    if c_base <= 0:
-        raise NonPositiveError("base constant must be positive")
-    return bracket_ratio(beta, beta_prime) * c_base
-
-
 def chain_bound(c1: Fraction, c2: Fraction) -> Fraction:
     """Compose two comparison constants through an intermediate valuation."""
     if c1 <= 0 or c2 <= 0:
@@ -87,34 +73,22 @@ def chain_bound(c1: Fraction, c2: Fraction) -> Fraction:
 
 
 def extension_bound(
-    basis: WeightedBasis,
-    mu_prime_x: Fraction,
-    c_base: Fraction,
-    normalized: bool = False,
+    basis: WeightedBasis, mu_prime_x: Fraction | str, c_base: Fraction | str
 ) -> Fraction:
     """Upper bound for comparing the basis valuation with another extension.
 
-    Default: max(1/beta_1, 1/mu'(x)) * c_base * beta_alpha / deg U_alpha.
-    Normalized (every beta_i a positive integer and mu'(x) >= 1): the max
-    factor is then <= 1 and is dropped, which gives a valid bound that may be
-    weaker than the default.
+    max(1/beta_1, 1/mu'(x)) * c_base * beta_alpha / deg U_alpha, where
+    mu'(x) and c_base are rationals or their text, read as ``parse_rational``
+    reads them.  On a one-key basis (x, beta) against mu'(x) = beta' it is
+    the Gauss-pair bound c_base * max(1, beta/beta'), which x attains for
+    beta >= beta' and c_base = 1.
     """
-    mu_prime_x = Fraction(mu_prime_x)
-    c_base = Fraction(c_base)
+    mu_prime_x = parse_rational(mu_prime_x)
+    c_base = parse_rational(c_base)
     if mu_prime_x <= 0 or c_base <= 0:
         raise NonPositiveError("bound inputs must be positive")
     top = basis.steps[-1]
-    last = top.beta / top.U.degree
-    if normalized:
-        if mu_prime_x < 1:
-            raise NormalizationViolationError("mu'(x) must be >= 1 when normalized")
-        for step in basis.steps:
-            if step.beta.denominator != 1 or step.beta < 1:
-                raise NormalizationViolationError(
-                    "weight %s is not a positive integer" % step.beta
-                )
-        return c_base * last
-    return max(1 / basis.beta(1), 1 / mu_prime_x) * c_base * last
+    return max(1 / basis.beta(1), 1 / mu_prime_x) * c_base * top.beta / top.U.degree
 
 
 @dataclass(frozen=True)

@@ -81,8 +81,7 @@ class WeightedBasis:
     def __init__(self, base: BaseFieldConfig, steps, minimal: Poly | None = None):
         if minimal is not None and (minimal.degree < 1 or not minimal.is_monic()):
             raise NotAlgebraicError("minimal polynomial must be monic of degree >= 1")
-        pairs = [(U, parse_rational(beta) if isinstance(beta, str) else Fraction(beta))
-                 for U, beta in steps]
+        pairs = [(U, parse_rational(beta)) for U, beta in steps]
         if not pairs:
             raise KeyvalError("a weighted basis needs at least one key")
         if pairs[0][0] != Poly.x():

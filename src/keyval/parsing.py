@@ -63,12 +63,15 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([+\-*/^()])|(\S))")
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str | int | Fraction | float) -> Fraction:
     """The exact rational that text writes, as Fraction reads it: 3, -3/2, 1.5, 2.5e-3.
 
     An exponent beyond MAX_EXPONENT raises ParseError; any other fault
-    raises what Fraction raises.
+    raises what Fraction raises.  A number that is not text is returned as
+    Fraction(text).
     """
+    if not isinstance(text, str):
+        return Fraction(text)
     m = _EXPONENT.search(text)
     if m is not None:
         digits = m[1].replace("_", "").lstrip("0")

@@ -14,6 +14,7 @@ from keyval import io as kio
 from keyval import (
     BaseFieldConfig,
     CorpusConfig,
+    WeightedBasis,
     adic_expand,
     chain_bound,
     empirical_izumi,
@@ -184,13 +185,25 @@ def test_05_weight_additivity_over(request, name):
         check_additivity(basis, polys)
 
 
+def check_gauss_comparison(base):
+    """ord_{3/2} <= K * ord_{1/2} on signed corpus samples, with equality at x."""
+    hi, lo = F(3, 2), F(1, 2)
+    x = parse_poly("x", base)
+    K = extension_bound(WeightedBasis(base, [(x, hi)]), lo, 1)
+    assert K == 3
+    for f in corpus_polys(seed=303, count=10**3, positive_only=False, base=base):
+        assert gauss_value(f, base, hi) <= K * gauss_value(f, base, lo)
+    assert gauss_value(x, base, hi) == K * gauss_value(x, base, lo)
+
+
 def test_06_gauss_comparison():
     with criterion(6, "Gauss valuation comparison bound"):
-        hi, lo = F(3, 2), F(1, 2)
-        for f in corpus_polys(seed=303, count=10**3, positive_only=False):
-            assert gauss_value(f, FF, hi) <= 3 * gauss_value(f, FF, lo)
-        x = parse_poly("x", FF)
-        assert gauss_value(x, FF, hi) == 3 * gauss_value(x, FF, lo)
+        check_gauss_comparison(FF)
+
+
+def test_06_gauss_comparison_over_q3():
+    with criterion(6, "Gauss valuation comparison bound, over Q_3"):
+        check_gauss_comparison(BaseFieldConfig.p_adic(3))
 
 
 def test_07_extension_bounds(b1):
@@ -202,15 +215,15 @@ def test_07_extension_bounds(b1):
             assert weight(f, 2, b1) <= bound * gauss_value(f, FF, lo)
         par = conic_parametrization()
         basis = truncated_keys_from_series(par.series_at(5), 3, minimal=conic_defining())
-        nbound = extension_bound(basis, F(1), F(1), normalized=True)
-        assert nbound == 3
+        conic_bound = extension_bound(basis, F(1), F(1))
+        assert conic_bound == 3
         checked = 0
         for f in corpus_polys(seed=505, count=10**3):
             denom = gauss_value(f, FF, lo)
             if denom <= 0:
                 continue
             mu = oracle_valuation(f, par)
-            assert mu <= nbound * denom
+            assert mu <= conic_bound * denom
             checked += 1
         assert checked > 0
 

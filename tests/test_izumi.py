@@ -7,14 +7,12 @@ from keyval import (
     BaseFieldConfig,
     CorpusConfig,
     WeightedBasis,
-    bracket_ratio,
     chain_bound,
     empirical_izumi,
     extension_bound,
     gauss_value,
     izumi_step_constant,
     key_power_weight,
-    ord_comparison_bound,
     validate_basis,
 )
 from keyval.basefield import _Y_ONE
@@ -23,13 +21,15 @@ from keyval.errors import (
     EmptyEffectiveCorpusError,
     LevelOutOfRangeError,
     NonPositiveError,
-    NormalizationViolationError,
+    ParseError,
     UnboundedRatioError,
 )
 from keyval.izumi import canonical_witnesses, random_corpus_poly, weight_map
 from keyval.parsing import parse_poly, poly_text
 from keyval.polynomials import Poly
 from keyval.values import INF
+
+from conftest import alarm
 
 F = Fraction
 FF = BaseFieldConfig.function_field()
@@ -89,25 +89,23 @@ def test_step_constants(b1, b2):
     assert izumi_step_constant(b2, 2, 1) == F(5, 4)
 
 
-def test_bracket_ratio():
-    assert bracket_ratio(F(3, 2), F(1, 2)) == 3
-    assert bracket_ratio(F(1, 2), F(3, 2)) == 1
-    assert bracket_ratio(F(2), F(2)) == 1
-    with pytest.raises(NonPositiveError):
-        bracket_ratio(F(0), F(1))
-
-
-def test_ord_comparison_bound():
-    assert ord_comparison_bound(F(3, 2), F(1, 2), F(1)) == 3
-    assert ord_comparison_bound(F(1, 2), F(3, 2), F(1)) == 1
-    assert ord_comparison_bound(F(1), F(1), F(5, 2)) == F(5, 2)
-
-
-def test_ord_comparison_bound_tight_at_x():
-    hi, lo = F(3, 2), F(1, 2)
-    c = ord_comparison_bound(hi, lo, F(1))
-    f = p("x")
-    assert gauss_value(f, FF, hi) == c * gauss_value(f, FF, lo)
+@pytest.mark.parametrize("base", [FF, P3], ids=["Q(y)", "Q_3"])
+@pytest.mark.parametrize(
+    "beta, beta_prime, c_base, expected",
+    [(F(3, 2), F(1, 2), F(1), 3), (F(1, 2), F(3, 2), F(1), 1), (F(2), F(2), F(1), 1),
+     (F(1), F(1), F(5, 2), F(5, 2))],
+    ids=["above", "below", "equal", "c-base"],
+)
+def test_extension_bound_on_one_key_basis(base, beta, beta_prime, c_base, expected):
+    # the Gauss-pair bound c * max(1, beta/beta'): the ratio of the two Gauss
+    # valuations is beta/beta' at x and 1 at the uniformizer t of the base
+    x, t = parse_poly("x", base), parse_poly("3" if base.p else "y", base)
+    bound = extension_bound(WeightedBasis(base, [(x, beta)]), beta_prime, c_base)
+    assert bound == expected == c_base * max(1, beta / beta_prime)
+    at_x, at_t = (gauss_value(f, base, beta) / gauss_value(f, base, beta_prime) for f in (x, t))
+    assert (at_x, at_t) == (beta / beta_prime, 1)
+    if beta >= beta_prime:
+        assert bound == c_base * at_x
 
 
 def test_chain_bound():
@@ -126,16 +124,27 @@ def test_extension_bound_default(b1):
     assert extension_bound(b1, F(1), F(1)) == F(3, 2)
 
 
-def test_extension_bound_normalized_rejects_fractional(b1):
-    with pytest.raises(NormalizationViolationError):
-        extension_bound(b1, F(1), F(1), normalized=True)
+def test_extension_bound_reads_text_as_the_cli_does(b1, b3):
+    # an exponent over the cap is refused before 10 is raised to it
+    with alarm(1, "extension_bound with the exponent 10^7"):
+        with pytest.raises(ParseError):
+            extension_bound(b1, "1e10000000", 1)
+    assert extension_bound(b1, "3/2", "1") == extension_bound(b1, F(3, 2), F(1)) == F(3, 2)
+    assert extension_bound(b3, "1/4", "3/2") == 4 * F(3, 2) * F(3, 2)
+
+
+def integral_weight_bound(basis, c_base):
+    """The paper's bound c * beta_alpha / deg U_alpha for integer weights and mu'(x) >= 1."""
+    assert all(step.beta.denominator == 1 and step.beta >= 1 for step in basis.steps)
+    top = basis.steps[-1]
+    return c_base * top.beta / top.U.degree
 
 
 def test_extension_bound_normalized():
     basis = WeightedBasis(
         FF, [(p("x"), F(1)), (p("x - y"), F(2)), (p("x - y - y^2/2"), F(3))]
     )
-    assert extension_bound(basis, F(1), F(1), normalized=True) == 3
+    assert extension_bound(basis, F(1), F(1)) == integral_weight_bound(basis, F(1)) == 3
 
 
 def integer_weight_basis():
@@ -145,18 +154,17 @@ def integer_weight_basis():
 @pytest.mark.parametrize("mu_prime_x, default", [(F(1), F(5, 2)), (F(3), F(5, 4))])
 def test_extension_bound_normalized_drops_a_factor_at_most_one(mu_prime_x, default):
     # beta_i positive integers and mu'(x) >= 1 make max(1/beta_1, 1/mu'(x)) <= 1,
-    # so the normalized bound is valid but may be weaker than the default
+    # so the integral-weight formula is valid but may be weaker than the bound
     basis = integer_weight_basis()
     assert validate_basis(basis) == []
-    assert extension_bound(basis, mu_prime_x, F(1)) == default
-    assert extension_bound(basis, mu_prime_x, F(1), normalized=True) == F(5, 2)
+    bound = extension_bound(basis, mu_prime_x, F(1))
+    assert bound == default <= integral_weight_bound(basis, F(1)) == F(5, 2)
 
 
 @pytest.mark.parametrize("mu_prime_x", [F(1), F(3, 2), F(3)])
 def test_extension_bound_normalized_at_least_default(b3, mu_prime_x):
     for basis in (b3, integer_weight_basis()):
-        assert (extension_bound(basis, mu_prime_x, F(1), normalized=True)
-                >= extension_bound(basis, mu_prime_x, F(1)))
+        assert integral_weight_bound(basis, F(1)) >= extension_bound(basis, mu_prime_x, F(1))
 
 
 def test_corpus_is_deterministic():
@@ -337,19 +345,16 @@ def test_canonical_witnesses(b2):
     [
         (lambda b: extension_bound(b, F(0), F(1)),
          NonPositiveError, "bound inputs must be positive"),
-        (lambda b: extension_bound(b, F(1, 2), F(1), normalized=True),
-         NormalizationViolationError, "mu'(x) must be >= 1 when normalized"),
         (lambda b: CorpusConfig(seed=1, samples=0),
          NonPositiveError, "need at least one sample"),
         (lambda b: CorpusConfig(seed=1, max_degree=0),
          NonPositiveError, "need a maximum degree of at least 1"),
-        (lambda b: ord_comparison_bound(F(1), F(1), F(0)),
-         NonPositiveError, "base constant must be positive"),
+        (lambda b: extension_bound(b, F(1), F(0)),
+         NonPositiveError, "bound inputs must be positive"),
         (lambda b: chain_bound(F(0), F(1)),
          NonPositiveError, "comparison constants must be positive"),
     ],
-    ids=["mu-prime-zero", "normalized-mu-prime", "no-samples", "no-degree", "c-base-zero",
-         "chain-zero"],
+    ids=["mu-prime-zero", "no-samples", "no-degree", "c-base-zero", "chain-zero"],
 )
 def test_bounds_reject_bad_inputs(b1, call, error, message):
     with pytest.raises(error) as exc:
