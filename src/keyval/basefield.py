@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import partial
 
 from .errors import DivisorZeroError, KeyvalError
 from .values import INF, Value, list_order
@@ -47,10 +48,11 @@ def power(x, n: int, mul):
 class BaseFieldConfig:
     """Which valued field (K, nu) the computation runs over.
 
-    ``p=None`` is Q(y) with ord_y; a prime ``p`` is Q with v_p.
+    ``p=None`` is Q(y) with ord_y; a prime ``p`` is Q with v_p.  ``order``
+    is nu on the nonzero Q[y] coefficient list of a polynomial in y.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "order")
 
     def __init__(self, p=None):
         if p is not None:
@@ -59,6 +61,7 @@ class BaseFieldConfig:
             if not _is_prime(p):
                 raise KeyvalError("p must be prime, got %r" % (p,))
         self.p = p
+        self.order = list_order if p is None else partial(padic_order, p)
 
     @classmethod
     def function_field(cls):
@@ -334,16 +337,6 @@ class KElem:
     def __bool__(self):
         return bool(self.num.coeffs)
 
-    def is_constant(self):
-        return self.num.degree <= 0 and self.den.degree <= 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise KeyvalError("element is not a constant")
-        if not self:
-            return Fraction(0)
-        return Fraction(self.num.coeffs[0]) / self.den.coeffs[0]
-
     def __add__(self, other):
         if self.den is other.den is _Y_ONE:
             return KElem(self.num + other.num)
@@ -385,16 +378,15 @@ class KElem:
 
 
 def base_order(a: KElem, cfg: BaseFieldConfig) -> int:
-    """nu(a) of the nonzero a as an int: ord num - ord den, or v_p of the constant."""
-    p = cfg.p
-    if p is None:
-        return list_order(a.num.coeffs) - list_order(a.den.coeffs)
-    return padic_order(a.as_fraction(), p)
+    """nu(a) of the nonzero a as an int: nu of its numerator less nu of its denominator."""
+    return cfg.order(a.num.coeffs) - cfg.order(a.den.coeffs)
 
 
-def padic_order(r, p: int) -> int:
-    """v_p of the nonzero rational r, an int or a Fraction."""
-    n, d = r.numerator, r.denominator
+def padic_order(p: int, coeffs) -> int:
+    """v_p of the one entry, an int or a Fraction, of the nonzero constant list coeffs."""
+    if len(coeffs) > 1:
+        raise KeyvalError("element is not a constant")
+    n, d = coeffs[0].numerator, coeffs[0].denominator
     v = 0
     while n % p == 0:
         n //= p

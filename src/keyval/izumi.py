@@ -23,8 +23,9 @@ from .polynomials import Poly
 from .values import Value, is_finite
 
 
-def gauss_value(f: Poly, base: BaseFieldConfig, beta: Fraction) -> Value:
+def gauss_value(f: Poly, base: BaseFieldConfig, beta: Fraction | str) -> Value:
     """ord_{nu,beta}(f) = min nu(c_k) + k beta, the weight of the one-key basis (x, beta)."""
+    beta = parse_rational(beta)
     if beta <= 0:
         raise NonPositiveError("Gauss weight must be positive")
     return weight(f, 1, WeightedBasis(base, [(Poly.x(), beta)]))
@@ -65,8 +66,9 @@ def izumi_step_constant(basis: WeightedBasis, i_plus_1: int, j: int) -> Fraction
     return basis.beta(i_plus_1) / (steps * basis.beta(j))
 
 
-def chain_bound(c1: Fraction, c2: Fraction) -> Fraction:
+def chain_bound(c1: Fraction | str, c2: Fraction | str) -> Fraction:
     """Compose two comparison constants through an intermediate valuation."""
+    c1, c2 = parse_rational(c1), parse_rational(c2)
     if c1 <= 0 or c2 <= 0:
         raise NonPositiveError("comparison constants must be positive")
     return c1 * c2

@@ -22,8 +22,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .basefield import _Y_ONE, BaseFieldConfig, KElem, YPoly, base_order, list_order
-from .basefield import monic_divide, padic_order, ring_sub
+from .basefield import _Y_ONE, BaseFieldConfig, KElem, YPoly, base_order, monic_divide, ring_sub
 from .errors import (
     InsufficientPrecisionError,
     KeyvalError,
@@ -201,10 +200,8 @@ def _units(f: list, level: int, basis: WeightedBasis) -> int:
     if level > 1:
         U = basis.key_lists[level - 1]
         return min(_units(r, level - 1, basis) + j * b for j, r in _digits(f, U, _sub_product))
-    N, p = basis.N, basis.base.p
-    if p is None:
-        return min(list_order(c) * N + k * b for k, c in enumerate(f) if c)
-    return min(padic_order(c[0], p) * N + k * b for k, c in enumerate(f) if c)
+    order, N = basis.base.order, basis.N
+    return min(order(c) * N + k * b for k, c in enumerate(f) if c)
 
 
 def _by_top_key(terms: dict) -> dict:
@@ -267,7 +264,8 @@ def weight(f: Poly, i: int, basis: WeightedBasis) -> Value:
         else:
             if any(c.den is not _Y_ONE for c in g.coeffs):
                 # the weight is homogeneous, so a constant clearing factor adds nothing
-                lists, shift = _cleared(g)
+                lists, d = _cleared(g)
+                shift = basis.base.order(d.coeffs)
             else:
                 lists, shift = [c.num.coeffs for c in g.coeffs], 0
             w = Fraction(_units(lists, i, basis) - shift * basis.N, basis.N)

@@ -134,7 +134,8 @@ def oracle_valuation(f: Poly, par: Parametrization):
         return INF
     policy = par.policy
     p = policy.initial
-    rows, shift = _cleared(f)
+    rows, d = _cleared(f)
+    shift = d.order()
     while True:
         s = series_horner(rows, par.series_at(p))
         o = s.known_order()

@@ -68,9 +68,11 @@ def parse_rational(text: str | int | Fraction | float) -> Fraction:
 
     An exponent beyond MAX_EXPONENT raises ParseError; any other fault
     raises what Fraction raises.  A number that is not text is returned as
-    Fraction(text).
+    Fraction(text), and a bool raises TypeError.
     """
     if not isinstance(text, str):
+        if isinstance(text, bool):
+            raise TypeError("a bool is not a rational: %r" % text)
         return Fraction(text)
     m = _EXPONENT.search(text)
     if m is not None:

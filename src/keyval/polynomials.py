@@ -32,8 +32,8 @@ def poly_divmod(f: Poly, g: Poly):
     return f.divmod(g)
 
 
-def _cleared(f: Poly) -> tuple[list[list[int]], int]:
-    """f's coefficients as integer rows in Z[y], one per power of x, and ord(d).
+def _cleared(f: Poly) -> tuple[list[list[int]], YPoly]:
+    """f's coefficients as integer rows in Z[y], one per power of x, and d(y).
 
     The rows are scaled by the K-denominator lcm d(y) and by a constant D that
     clears Q to Z; at phi they give D d(y) f(phi(y), y), of order ord(d) above f's,
@@ -45,4 +45,4 @@ def _cleared(f: Poly) -> tuple[list[list[int]], int]:
             d = d * c.den.divmod(d.gcd(c.den))[0]  # lcm(d, c.den), as gcd is monic
     polys = [c.num * (d.divmod(c.den)[0] if c.den.degree > 0 else d) for c in f.coeffs]
     D = math.lcm(*[x.denominator for q in polys for x in q.coeffs])
-    return [[x.numerator * (D // x.denominator) for x in q.coeffs] for q in polys], d.order()
+    return [[x.numerator * (D // x.denominator) for x in q.coeffs] for q in polys], d

@@ -224,14 +224,13 @@ def test_kelem_mul_div_examples():
 
 def test_padic_constant_arithmetic():
     a = KElem.const(F(1, 2)) + KElem.const(F(1, 3))
-    assert a.as_fraction() == F(5, 6)
+    assert a == KElem.const(F(5, 6))
 
 
-def test_as_fraction_of_zero_and_non_constants():
-    assert KElem.zero().as_fraction() == F(0)
+def test_padic_valuation_refuses_non_constants():
     for non_constant in (KElem.gen(), KElem.one() / KElem.gen()):
         with pytest.raises(KeyvalError, match="^element is not a constant$"):
-            non_constant.as_fraction()
+            base_valuation(non_constant, P3)
 
 
 def test_reprs():
@@ -263,11 +262,16 @@ def test_valuation_axioms_property():
         if not den:
             den = YPoly.one()
         elems.append(KElem(num, den))
-    for a in elems:
-        for b in elems:
-            va, vb = base_valuation(a, FF), base_valuation(b, FF)
-            assert base_valuation(a * b, FF) == va + vb
-            assert base_valuation(a + b, FF) >= min(va, vb)
+    # constants u * 3^a / (w * 3^b) with units u, w prime to 3
+    units = [u for u in range(-8, 9) if u % 3]
+    constants = [KElem.const(F(rng.choice(units) * 3 ** rng.randint(0, 3),
+                               rng.choice(units) * 3 ** rng.randint(0, 3))) for _ in range(20)]
+    for base, elems in ((FF, elems), (P3, constants)):
+        for a in elems:
+            for b in elems:
+                va, vb = base_valuation(a, base), base_valuation(b, base)
+                assert base_valuation(a * b, base) == va + vb
+                assert base_valuation(a + b, base) >= min(va, vb)
 
 
 # Exact rationals as the code meets them: ints, Fractions, or a mix of both.

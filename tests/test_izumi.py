@@ -14,11 +14,13 @@ from keyval import (
     izumi_step_constant,
     key_power_weight,
     validate_basis,
+    weight,
 )
-from keyval.basefield import _Y_ONE
+from keyval.basefield import _Y_ONE, KElem
 from keyval.errors import (
     ConsistencyFailureError,
     EmptyEffectiveCorpusError,
+    KeyvalError,
     LevelOutOfRangeError,
     NonPositiveError,
     ParseError,
@@ -133,6 +135,29 @@ def test_extension_bound_reads_text_as_the_cli_does(b1, b3):
     assert extension_bound(b3, "1/4", "3/2") == 4 * F(3, 2) * F(3, 2)
 
 
+def test_gauss_value_and_chain_bound_read_text():
+    x = Poly.x()
+    assert gauss_value(x, FF, "1/2") == gauss_value(x, FF, F(1, 2)) == F(1, 2)
+    assert gauss_value(parse_poly("9*x + 1/3", P3), P3, "3/2") == -1
+    assert chain_bound("3/2", 2) == chain_bound(F(3, 2), F(2)) == 3
+    with alarm(1, "gauss_value with the exponent 10^7"):
+        with pytest.raises(ParseError):
+            gauss_value(x, FF, "1e10000000")
+
+
+def test_padic_values_refuse_a_y_at_once():
+    # v_p of a coefficient with a y is refused as base_valuation refuses it;
+    # the alarm is there because v_p's loop never ends on a 0 entry
+    x, y = Poly.x(), Poly.const(KElem.gen())
+    with alarm(1, "the Gauss value of x + y over Q_3"):
+        with pytest.raises(KeyvalError, match="^element is not a constant$"):
+            gauss_value(x + y, P3, 1)
+    basis = WeightedBasis(P3, [(x, 1), (x**2 - y, 3)])
+    with alarm(1, "the weight of x^3 on a Q_3 basis with the key x^2 - y"):
+        with pytest.raises(KeyvalError, match="^element is not a constant$"):
+            weight(x**3, 2, basis)
+
+
 def integral_weight_bound(basis, c_base):
     """The paper's bound c * beta_alpha / deg U_alpha for integer weights and mu'(x) >= 1."""
     assert all(step.beta.denominator == 1 and step.beta >= 1 for step in basis.steps)
@@ -234,7 +259,7 @@ def test_corpus_padic_samples():
         f = random_corpus_poly(P3, corpus, j)
         assert 1 <= f.degree <= corpus.max_degree
         for c in f.coeffs:
-            assert not c or c.is_constant()
+            assert len(c.num.coeffs) <= 1
             # an integer coefficient is an int, over the one denominator
             assert all(type(r) is int for r in c.num.coeffs) and c.den is _Y_ONE
 
@@ -353,8 +378,21 @@ def test_canonical_witnesses(b2):
          NonPositiveError, "bound inputs must be positive"),
         (lambda b: chain_bound(F(0), F(1)),
          NonPositiveError, "comparison constants must be positive"),
+        # a bool is not a rational, wherever a rational is read
+        (lambda b: WeightedBasis(FF, [(Poly.x(), True)]),
+         TypeError, "a bool is not a rational: True"),
+        (lambda b: extension_bound(b, True, 1),
+         TypeError, "a bool is not a rational: True"),
+        (lambda b: extension_bound(b, 1, False),
+         TypeError, "a bool is not a rational: False"),
+        (lambda b: gauss_value(Poly.x(), FF, True),
+         TypeError, "a bool is not a rational: True"),
+        (lambda b: chain_bound(2, True),
+         TypeError, "a bool is not a rational: True"),
     ],
-    ids=["mu-prime-zero", "no-samples", "no-degree", "c-base-zero", "chain-zero"],
+    ids=["mu-prime-zero", "no-samples", "no-degree", "c-base-zero", "chain-zero",
+         "bool-basis-weight", "bool-mu-prime", "bool-c-base", "bool-gauss-beta",
+         "bool-chain-constant"],
 )
 def test_bounds_reject_bad_inputs(b1, call, error, message):
     with pytest.raises(error) as exc:

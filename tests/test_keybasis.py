@@ -35,6 +35,8 @@ from keyval.series import Series
 from keyval.values import INF
 from keyval.izumi import CorpusConfig, random_corpus_poly
 
+from conftest import alarm
+
 F = Fraction
 FF = BaseFieldConfig.function_field()
 
@@ -462,3 +464,17 @@ def test_weight_clears_a_y_denominator(monkeypatch, b2):
     expected = [expansion_weight(adic_expand(f, i, b2), b2) for i in (1, 2, 3)]
     monkeypatch.setattr(keybasis, "ring_sub", None)  # no division over K
     assert [weight(f, i, b2) for i in (1, 2, 3)] == expected
+
+
+@pytest.mark.parametrize("text", ["1/y", "1/(1 + y)", "y/(1 + y)"])
+def test_padic_weight_refuses_a_y_denominator(text):
+    # the weight clears y-denominators by their lcm d(y), whose value is read
+    # by the base's own rule, so over Q_3 a coefficient 1/y gives no value
+    x = Poly.x()
+    f = x * Poly.const(parse_kelem(text, FF))
+    basis = WeightedBasis(BaseFieldConfig.p_adic(3), [(x, 1)])
+    with alarm(1, "the weight of %s * x over Q_3" % text):
+        with pytest.raises(KeyvalError, match="^element is not a constant$"):
+            weight(f, 1, basis)
+    with pytest.raises(KeyvalError, match="^element is not a constant$"):
+        expansion_weight(adic_expand(f, 1, basis), basis)

@@ -221,8 +221,8 @@ def test_lift_builds_no_fractions_or_ypolys():
 )
 def test_cleared_rows_are_integer_multiples(text, d, shift):
     f = p(text)
-    rows, ord_d = polynomials._cleared(f)
-    assert ord_d == shift
+    rows, d_y = polynomials._cleared(f)
+    assert d_y.order() == shift
     assert all(type(a) is int for row in rows for a in row)
     # the rows are one nonzero rational multiple of the coefficients of d(y) * f
     cleared = p(d) * f

@@ -53,8 +53,8 @@ def test_parse_basic():
 
 def test_parse_rational_coefficients():
     f = parse_poly("1/2 + 3*x/4", FF)
-    assert f.coeff(0).as_fraction() == F(1, 2)
-    assert f.coeff(1).as_fraction() == F(3, 4)
+    assert f.coeff(0) == KElem.const(F(1, 2))
+    assert f.coeff(1) == KElem.const(F(3, 4))
 
 
 def test_parse_field_fractions():
@@ -130,8 +130,8 @@ def test_parse_degree_cap():
 def test_parse_bit_cap():
     # at the cap a power of a constant is still taken
     assert parse_kelem("1^10000000", FF) == KElem.one()
-    assert parse_kelem("2^1000000", FF).as_fraction() == 2**1000000
-    assert parse_poly("(x/2)^1000", P3).leading.as_fraction() == F(1, 2**1000)
+    assert parse_kelem("2^1000000", FF) == KElem.const(2**1000000)
+    assert parse_poly("(x/2)^1000", P3).leading == KElem.const(F(1, 2**1000))
     assert parse_poly("(3/4*x*y^2)^1000", FF).leading.num.coeffs[2000] == F(3, 4)**1000
     # above it the power is refused before it is taken: exponent times the
     # largest bit length of a numerator or denominator in the base
@@ -157,7 +157,7 @@ def test_parse_bit_cap():
 
 def test_power_budget_of_a_dense_result():
     # one-term powers and small dense ones are taken
-    assert parse_poly("(x+1)^1000", FF).coeff(500).as_fraction() == math.comb(1000, 500)
+    assert parse_poly("(x+1)^1000", FF).coeff(500) == KElem.const(math.comb(1000, 500))
     assert parse_kelem("(1+y)^20", FF).num.coeffs[10] == math.comb(20, 10)
     # above the cap a power of several terms is refused before it is taken:
     # (degree + 1) * exponent * (bit length + log2 terms)
@@ -203,7 +203,7 @@ def test_integral_rationals_are_stored_as_ints():
 
 def test_integer_literal_over_the_digit_limit_is_a_parse_error():
     limit = sys.get_int_max_str_digits()
-    assert parse_poly("9" * limit + "*x", FF).leading.as_fraction() == 10**limit - 1
+    assert parse_poly("9" * limit + "*x", FF).leading == KElem.const(10**limit - 1)
     with pytest.raises(
         ParseError,
         match=r"^integer literal of %d digits exceeds the limit of %d digits \(at position 4\)$"
@@ -339,7 +339,7 @@ def test_parse_kelem_rejects_x():
 def test_padic_parse_rejects_y():
     with pytest.raises(ParseError):
         parse_poly("y*x", P3)
-    assert parse_poly("9*x + 1/3", P3).coeff(0).as_fraction() == F(1, 3)
+    assert parse_poly("9*x + 1/3", P3).coeff(0) == KElem.const(F(1, 3))
 
 
 def test_print_examples():

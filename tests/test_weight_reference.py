@@ -24,7 +24,7 @@ def _nu(c, base):
         def order(q):
             return next(k for k, a in enumerate(q.coeffs) if a)
         return F(order(c.num) - order(c.den))
-    r, v = c.as_fraction(), 0
+    r, v = F(c.num.coeffs[0]) / c.den.coeffs[0], 0
     while r.numerator % base.p == 0:
         r, v = r / base.p, v + 1
     while r.denominator % base.p == 0:
