@@ -12,7 +12,6 @@ from .basefield import BaseFieldConfig, KElem, YPoly, base_valuation
 from .izumi import (
     CorpusConfig,
     IzumiReport,
-    chain_bound,
     empirical_izumi,
     extension_bound,
     gauss_value,

@@ -7,7 +7,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import prod
 
 from .basefield import BaseFieldConfig, KElem, YPoly
 from .errors import (
@@ -31,27 +30,30 @@ def gauss_value(f: Poly, base: BaseFieldConfig, beta: Fraction | str) -> Value:
     return weight(f, 1, WeightedBasis(base, [(Poly.x(), beta)]))
 
 
-def _step_product(basis: WeightedBasis, j: int, i: int) -> int:
-    """m_j * ... * m_i, for levels 1 <= j < i+1 <= alpha."""
+def _check_steps(basis: WeightedBasis, j: int, i: int):
+    """Refuse levels outside 1 <= j < i+1 <= alpha, or degree steps m_j..m_i not all defined."""
     if not (1 <= j <= i < basis.alpha):
         raise LevelOutOfRangeError("need 1 <= j < i+1 <= alpha")
-    ms = [basis.m(k) for k in range(j, i + 1)]
-    if any(m is None for m in ms):
+    if any(basis.m(k) is None for k in range(j, i + 1)):
         raise LevelOutOfRangeError("degree steps m_%d..m_%d are not all defined" % (j, i))
-    return prod(ms)
+
+
+def _skewness(basis: WeightedBasis, i: int) -> Fraction:
+    """alpha_i = beta_i / deg U_i, the skewness of the level-i chain (Favre-Jonsson)."""
+    return basis.beta(i) / basis.key(i).degree
 
 
 def key_power_weight(basis: WeightedBasis, i_plus_1: int, ell: int, j: int) -> Value:
     """Weight of U_{i+1}^ell at level j: the closed form, cross-checked.
 
-    Computes (m_j * ... * m_i) * ell * beta_j and verifies it against the
-    division-based weight; disagreement signals a basis violating the
+    Computes ell * deg U_{i+1} * beta_j / deg U_j and verifies it against
+    the division-based weight; disagreement signals a basis violating the
     weighted-basis conditions.
     """
-    steps = _step_product(basis, j, i_plus_1 - 1)
+    _check_steps(basis, j, i_plus_1 - 1)
     if ell < 1:
         raise NonPositiveError("power must be >= 1")
-    formula = steps * ell * basis.beta(j)
+    formula = ell * basis.key(i_plus_1).degree * _skewness(basis, j)
     direct = weight(basis.key(i_plus_1) ** ell, j, basis)
     if direct != formula:
         raise ConsistencyFailureError(
@@ -61,17 +63,9 @@ def key_power_weight(basis: WeightedBasis, i_plus_1: int, ell: int, j: int) -> V
 
 
 def izumi_step_constant(basis: WeightedBasis, i_plus_1: int, j: int) -> Fraction:
-    """Exact constant comparing the level-(i+1) and level-j weight maps."""
-    steps = _step_product(basis, j, i_plus_1 - 1)
-    return basis.beta(i_plus_1) / (steps * basis.beta(j))
-
-
-def chain_bound(c1: Fraction | str, c2: Fraction | str) -> Fraction:
-    """Compose two comparison constants through an intermediate valuation."""
-    c1, c2 = parse_rational(c1), parse_rational(c2)
-    if c1 <= 0 or c2 <= 0:
-        raise NonPositiveError("comparison constants must be positive")
-    return c1 * c2
+    """Exact constant comparing the level-(i+1) and level-j weight maps: alpha_{i+1} / alpha_j."""
+    _check_steps(basis, j, i_plus_1 - 1)
+    return _skewness(basis, i_plus_1) / _skewness(basis, j)
 
 
 def extension_bound(
@@ -79,18 +73,18 @@ def extension_bound(
 ) -> Fraction:
     """Upper bound for comparing the basis valuation with another extension.
 
-    max(1/beta_1, 1/mu'(x)) * c_base * beta_alpha / deg U_alpha, where
-    mu'(x) and c_base are rationals or their text, read as ``parse_rational``
-    reads them.  On a one-key basis (x, beta) against mu'(x) = beta' it is
-    the Gauss-pair bound c_base * max(1, beta/beta'), which x attains for
-    beta >= beta' and c_base = 1.
+    c_base * alpha_top / min(beta_1, mu'(x)): the top skewness over that of
+    the Gauss point where the two valuations part.  mu'(x) and c_base are
+    rationals or their text, read as ``parse_rational`` reads them.  On a
+    one-key basis (x, beta) against mu'(x) = beta' it is the Gauss-pair
+    bound c_base * max(1, beta/beta'), which x attains for beta >= beta' and
+    c_base = 1.
     """
     mu_prime_x = parse_rational(mu_prime_x)
     c_base = parse_rational(c_base)
     if mu_prime_x <= 0 or c_base <= 0:
         raise NonPositiveError("bound inputs must be positive")
-    top = basis.steps[-1]
-    return max(1 / basis.beta(1), 1 / mu_prime_x) * c_base * top.beta / top.U.degree
+    return c_base * _skewness(basis, basis.alpha) / min(_skewness(basis, 1), mu_prime_x)
 
 
 @dataclass(frozen=True)

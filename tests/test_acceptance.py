@@ -16,7 +16,6 @@ from keyval import (
     CorpusConfig,
     WeightedBasis,
     adic_expand,
-    chain_bound,
     empirical_izumi,
     extension_bound,
     gauss_value,
@@ -26,6 +25,7 @@ from keyval import (
     oracle_valuation,
     raise_expansion,
     truncated_keys_from_series,
+    validate_basis,
     weight,
 )
 from keyval.izumi import canonical_witnesses, random_corpus_poly, weight_map
@@ -122,6 +122,19 @@ def test_01_conic_reproduction():
         for i, step in enumerate(basis.steps, start=1):
             assert step.beta == i
             assert oracle_valuation(step.U, par) == i
+
+
+def test_01_arc_valuation_has_no_izumi_constant():
+    with criterion(1, "the arc valuation has no Izumi constant"):
+        # the conic's keys are a valid basis at every depth, and K(d, 1) = d is
+        # attained by U_d: the finite key sequence and the constant need divisorial mu
+        par = conic_parametrization()
+        basis = truncated_keys_from_series(par.series_at(14), 12, minimal=conic_defining())
+        assert validate_basis(basis) == []
+        for d in range(2, 13):
+            assert izumi_step_constant(basis, d, 1) == d
+            U = basis.key(d)
+            assert weight(U, d, basis) / weight(U, 1, basis) == d
 
 
 def test_02_key_power_weight_formula(b2):
@@ -228,10 +241,34 @@ def test_07_extension_bounds(b1):
         assert checked > 0
 
 
+def test_07_extension_bound_on_basis_pairs(b1, b2, ram):
+    with criterion(7, "extension bound on pairs of bases, attained at a Gauss wedge"):
+        c = WeightedBasis(FF, [(parse_poly("x", FF), F(1)), (parse_poly("x - y", FF), F(3, 2))])
+        bases = {"b1": b1, "b2": b2, "ram": ram, "c": c}
+        assert all(validate_basis(basis) == [] for basis in bases.values())
+        x, y = parse_poly("x", FF), parse_poly("y", FF)
+        polys = corpus_polys(seed=36, count=300, max_degree=7, positive_only=False)
+        strict = {}
+        for a, A in bases.items():
+            for b, B in bases.items():
+                if a == b:
+                    continue
+                bound = extension_bound(A, weight(x, B.alpha, B), 1)
+                K = max(weight(f, A.alpha, A) / weight(f, B.alpha, B)
+                        for f in [s.U for s in A.steps + B.steps] + [y])
+                assert bound >= K
+                if bound != K:
+                    strict[a, b] = (bound, K)
+                for f in polys:
+                    assert weight(f, A.alpha, A) <= bound * weight(f, B.alpha, B)
+        # the bound is attained on 10 of the 12 pairs; these two part below a Gauss point
+        assert strict == {("b1", "b2"): (F(3, 2), F(6, 5)), ("b2", "b1"): (F(11, 8), F(11, 10))}
+
+
 def chained_constant(basis):
     """Criterion 8: the (3, 1) constant, checked against the chained (3, 2) and (2, 1)."""
     direct = izumi_step_constant(basis, 3, 1)
-    chained = chain_bound(izumi_step_constant(basis, 3, 2), izumi_step_constant(basis, 2, 1))
+    chained = izumi_step_constant(basis, 3, 2) * izumi_step_constant(basis, 2, 1)
     assert direct == chained
     return direct
 

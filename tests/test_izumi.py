@@ -7,7 +7,6 @@ from keyval import (
     BaseFieldConfig,
     CorpusConfig,
     WeightedBasis,
-    chain_bound,
     empirical_izumi,
     extension_bound,
     gauss_value,
@@ -110,16 +109,19 @@ def test_extension_bound_on_one_key_basis(base, beta, beta_prime, c_base, expect
         assert bound == c_base * at_x
 
 
-def test_chain_bound():
-    assert chain_bound(F(3, 2), F(2)) == 3
-    assert chain_bound(F(1), F(7, 3)) == F(7, 3)
-    assert chain_bound(F(11, 10), F(5, 4)) == F(11, 8)
-
-
-def test_chain_reproduces_step_constant(b2):
-    assert izumi_step_constant(b2, 3, 1) == chain_bound(
-        izumi_step_constant(b2, 3, 2), izumi_step_constant(b2, 2, 1)
-    )
+@pytest.mark.parametrize("name", ["b1", "b2", "b3", "q3", "q3b2", "ram"])
+def test_chain_reproduces_step_constant(request, name):
+    # K(i, j) telescopes, and K(i, j) beta_j deg U_i = beta_i deg U_j on the basis's steps
+    basis = request.getfixturevalue(name)
+    steps = basis.steps
+    for i in range(2, basis.alpha + 1):
+        for j in range(1, i):
+            K = izumi_step_constant(basis, i, j)
+            assert K * steps[j - 1].beta * steps[i - 1].U.degree == (
+                steps[i - 1].beta * steps[j - 1].U.degree
+            )
+            for k in range(1, j):
+                assert izumi_step_constant(basis, i, k) == K * izumi_step_constant(basis, j, k)
 
 
 def test_extension_bound_default(b1):
@@ -135,11 +137,10 @@ def test_extension_bound_reads_text_as_the_cli_does(b1, b3):
     assert extension_bound(b3, "1/4", "3/2") == 4 * F(3, 2) * F(3, 2)
 
 
-def test_gauss_value_and_chain_bound_read_text():
+def test_gauss_value_reads_text():
     x = Poly.x()
     assert gauss_value(x, FF, "1/2") == gauss_value(x, FF, F(1, 2)) == F(1, 2)
     assert gauss_value(parse_poly("9*x + 1/3", P3), P3, "3/2") == -1
-    assert chain_bound("3/2", 2) == chain_bound(F(3, 2), F(2)) == 3
     with alarm(1, "gauss_value with the exponent 10^7"):
         with pytest.raises(ParseError):
             gauss_value(x, FF, "1e10000000")
@@ -376,8 +377,6 @@ def test_canonical_witnesses(b2):
          NonPositiveError, "need a maximum degree of at least 1"),
         (lambda b: extension_bound(b, F(1), F(0)),
          NonPositiveError, "bound inputs must be positive"),
-        (lambda b: chain_bound(F(0), F(1)),
-         NonPositiveError, "comparison constants must be positive"),
         # a bool is not a rational, wherever a rational is read
         (lambda b: WeightedBasis(FF, [(Poly.x(), True)]),
          TypeError, "a bool is not a rational: True"),
@@ -387,12 +386,9 @@ def test_canonical_witnesses(b2):
          TypeError, "a bool is not a rational: False"),
         (lambda b: gauss_value(Poly.x(), FF, True),
          TypeError, "a bool is not a rational: True"),
-        (lambda b: chain_bound(2, True),
-         TypeError, "a bool is not a rational: True"),
     ],
-    ids=["mu-prime-zero", "no-samples", "no-degree", "c-base-zero", "chain-zero",
-         "bool-basis-weight", "bool-mu-prime", "bool-c-base", "bool-gauss-beta",
-         "bool-chain-constant"],
+    ids=["mu-prime-zero", "no-samples", "no-degree", "c-base-zero",
+         "bool-basis-weight", "bool-mu-prime", "bool-c-base", "bool-gauss-beta"],
 )
 def test_bounds_reject_bad_inputs(b1, call, error, message):
     with pytest.raises(error) as exc:
