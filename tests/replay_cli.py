@@ -1,26 +1,33 @@
-"""Replay recorded CLI requests through the installed ``keyval`` console script.
+"""Replay pinned and recorded CLI requests through the installed console script.
 
     python3 tests/replay_cli.py
 
-Takes the first argv, in sorted order, of each (subcommand, basis, --json,
-exit code) class of ``perfbench/expected_cli.json``, runs ``keyval`` on it
-in a subprocess, and compares its stdout and exit code with the record.
-Exits 1 naming the first argv that differs.  It needs keyval and the
-standard library only, so it runs before the test extras are installed.
+Runs every case of ``tests/cli_cases.py``, in text and in --json mode,
+through the installed ``keyval`` and through ``python3 -m keyval.cli``, and
+the first argv, in sorted order, of each (subcommand, basis, --json, exit
+code) class of ``perfbench/expected_cli.json`` through ``keyval``.  Compares
+each stdout and exit code with the table or the record, and exits 1 naming
+the first argv that differs.  It needs keyval and the standard library only,
+so it runs before the test extras are installed.
 """
 
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
+
+import cli_cases
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
 
 import inputs  # noqa: E402
 import workloads  # noqa: E402
+
+ENTRY_POINTS = (["keyval"], [sys.executable, "-m", "keyval.cli"])
 
 
 def first_of_each_class(expected):
@@ -34,18 +41,28 @@ def first_of_each_class(expected):
 
 
 def main():
+    if shutil.which("keyval") is None:
+        print("the keyval console script is not installed (pip install -e .)")
+        return 1
     with open(workloads.EXPECTED_CLI) as fh:
         expected = json.load(fh)
     keys = first_of_each_class(expected)
     with tempfile.TemporaryDirectory() as work:
-        paths = inputs.write_fixtures(work)
-        for key in keys:
-            argv = workloads.with_paths(key.split("\x1f"), paths)
-            run = subprocess.run(["keyval", *argv], capture_output=True, text=True)
-            if [run.returncode, run.stdout] != expected[key]:
-                print("differs from the record: keyval " + shlex.join(argv))
+        paths = inputs.write_fixtures(os.path.join(work, "perfbench"))
+        runs = [(["keyval", *workloads.with_paths(key.split("\x1f"), paths)], *expected[key])
+                for key in keys]
+        case_paths = cli_cases.write_files(work)
+        runs += [(entry + argv, code, out)
+                 for case in cli_cases.CASES
+                 for argv, code, out in cli_cases.runs(case, case_paths)
+                 for entry in ENTRY_POINTS]
+        for argv, code, out in runs:
+            run = subprocess.run(argv, capture_output=True, text=True)
+            if [run.returncode, run.stdout] != [code, out]:
+                print("differs from the expected output: " + shlex.join(argv))
                 return 1
-    print("%d recorded requests replayed" % len(keys))
+    print("%d recorded requests and %d pinned cases (%d runs) replayed"
+          % (len(keys), len(cli_cases.CASES), len(runs)))
     return 0
 
 

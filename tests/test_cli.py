@@ -19,6 +19,7 @@ from keyval import io as kio
 from keyval.cli import MAX_SAMPLES, main
 from keyval.oracle import MAX_PRECISION, PrecisionPolicy
 
+import cli_cases
 from conftest import alarm
 from seed_texts import VALID_TEXTS
 
@@ -37,101 +38,10 @@ def b2_path(tmp_path, b2):
     return str(path)
 
 
-@pytest.fixture()
-def b3_path(tmp_path, b3):
-    path = tmp_path / "b3.json"
-    path.write_text(json.dumps(kio.basis_to_json(b3)))
-    return str(path)
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_validate_ok(capsys, b1_path):
-    code, out, _ = run(capsys, "validate", "--basis", b1_path, "--json")
-    assert code == 0
-    assert json.loads(out) == {"ok": True, "violations": []}
-
-
-def test_validate_reports_violation(capsys, tmp_path):
-    doc = {
-        "base": "function_field",
-        "steps": [{"U": "x", "beta": "1"}, {"U": "x^2 - y", "beta": "3"}],
-    }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "validate", "--basis", str(path), "--json")
-    assert code == 1
-    parsed = json.loads(out)
-    assert not parsed["ok"]
-    assert parsed["violations"][0]["condition"] == "c"
-
-
-def test_expand(capsys, b1_path):
-    code, out, _ = run(
-        capsys, "expand", "--basis", b1_path, "--poly", "x^3 + y*x", "--level", "2", "--json"
-    )
-    assert code == 0
-    assert json.loads(out)["terms"] == {"1,0": "2*y", "1,1": "1"}
-
-
-def test_weight_and_initial(capsys, b1_path):
-    code, out, _ = run(
-        capsys, "weight", "--basis", b1_path, "--poly", "x^3 + y*x", "--level", "2", "--json"
-    )
-    assert code == 0
-    assert json.loads(out) == {"weight": "3/2"}
-    code, out, _ = run(
-        capsys, "initial", "--basis", b1_path, "--poly", "x^3 + y*x", "--level", "2", "--json"
-    )
-    assert code == 0
-    assert json.loads(out)["terms"] == {"1,0": "2*y"}
-
-
-def test_raise_with_trace(capsys, b1_path):
-    code, out, _ = run(
-        capsys,
-        "raise", "--basis", b1_path, "--poly", "x^4", "--level", "1", "--trace", "--json",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["terms"] == {"0,0": "y^2", "0,1": "2*y", "0,2": "1"}
-    assert [e["weight"] for e in doc["trace"]] == ["2", "2", "2"]
-
-
-def test_lower(capsys, b1_path):
-    code, out, _ = run(
-        capsys, "lower", "--basis", b1_path, "--poly", "x^3 + y*x", "--level", "2", "--json"
-    )
-    assert code == 0
-    assert json.loads(out)["terms"] == {"1": "y", "3": "1"}
-
-
-def test_lower_trace_json_pinned(capsys, b2_path):
-    code, out, _ = run(
-        capsys, "lower", "--basis", b2_path, "--poly", "x^9", "--level", "3", "--trace", "--json"
-    )
-    assert code == 0
-    reduced = '{"1,0,0": "y^4", "1,1,0": "4*y^3", "1,2,0": "6*y^2", "1,3,0": "4*y", "1,4,0": "1"}'
-    assert out == (
-        '{"level": 2, "terms": {"1,0": "y^4", "1,1": "4*y^3", "1,2": "6*y^2", "1,3": "4*y", '
-        '"1,4": "1"}, "trace": [{"terms": {"0,0,0": "-6*y^5", "0,1,0": "-10*y^4", '
-        '"0,2,0": "-6*y^3", "0,3,0": "-2*y^2", "1,0,0": "-y^5 + y^4", "1,1,0": "-y^4 + 4*y^3", '
-        '"1,2,0": "6*y^2", "1,3,0": "4*y", "1,4,0": "1", "2,0,0": "6*y^4", "2,1,0": "4*y^3", '
-        '"2,2,0": "2*y^2", "3,0,0": "y^4"}, "weight": "9/2"}, '
-        '{"terms": %s, "weight": "9/2"}, {"terms": %s, "weight": "9/2"}]}\n' % (reduced, reduced)
-    )
-
-
-def test_groups(capsys, b2_path):
-    code, out, _ = run(capsys, "groups", "--basis", b2_path, "--json")
-    assert code == 0
-    steps = json.loads(out)["steps"]
-    assert [s["n"] for s in steps[:2]] == [2, 2]
-    assert steps[0]["condition_holds"] is True
 
 
 def test_index_not_dividing_degree_step(capsys, tmp_path):
@@ -168,12 +78,6 @@ def test_power_over_the_bit_cap_is_parse_error(capsys):
     assert (code, out, err) == (
         2, "", "parse error: power with 200000000-bit coefficients exceeds the cap 10000000 "
         "(at position 2)\n")
-
-
-def test_gauss(capsys):
-    code, out, _ = run(capsys, "gauss", "--beta", "1/2", "--poly", "x^3 + y*x", "--json")
-    assert code == 0
-    assert json.loads(out) == {"value": "3/2"}
 
 
 @pytest.mark.parametrize(
@@ -259,19 +163,6 @@ def test_decimal_beta_is_read_exactly(capsys, tmp_path, b1_path):
     assert run(capsys, *argv, str(decimal)) == run(capsys, *argv, b1_path) == (0, "3/2\n", "")
 
 
-def test_izumi_exact_and_bound(capsys, b2_path, b1_path):
-    code, out, _ = run(
-        capsys, "izumi-exact", "--basis", b2_path, "--upper", "3", "--lower", "1", "--json"
-    )
-    assert code == 0
-    assert json.loads(out) == {"constant": "11/8"}
-    code, out, _ = run(
-        capsys, "izumi-bound", "--basis", b1_path, "--mu-prime-x", "1", "--json"
-    )
-    assert code == 0
-    assert json.loads(out) == {"bound": "3/2"}
-
-
 def test_izumi_bound_normalized_error(capsys, b1_path):
     # the extension bound is never above the integral-weight formula, so no flag selects it
     code, out, err = run(
@@ -279,20 +170,6 @@ def test_izumi_bound_normalized_error(capsys, b1_path):
     )
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --normalized" in err
-
-
-def test_izumi_search_reproducible(capsys, b1_path):
-    args = (
-        "izumi-search", "--basis", b1_path, "--upper", "2", "--lower", "1",
-        "--seed", "42", "--samples", "100", "--json",
-    )
-    code, out1, _ = run(capsys, *args)
-    assert code == 0
-    code, out2, _ = run(capsys, *args)
-    assert out1 == out2
-    doc = json.loads(out1)
-    assert doc["sup_found"] == "3/2"
-    assert doc["witness"] == "x^2 - y"
 
 
 @pytest.fixture()
@@ -362,32 +239,6 @@ def test_izumi_search_stdout_is_byte_identical(capsys, b1_path, b2_path, q3_path
     text, as_json = IZUMI_SEARCH_STDOUT[combo]
     assert run(capsys, *argv) == (0, text, "")
     assert run(capsys, *argv, "--json") == (0, as_json % seed, "")
-
-
-def test_oracle(capsys, tmp_path):
-    par_doc = {
-        "defining": "x^2 - y^2 - y^3",
-        "branch": "-y",
-        "policy": {"initial": 8, "growth": 2, "max": 64},
-    }
-    path = tmp_path / "par.json"
-    path.write_text(json.dumps(par_doc))
-    code, out, _ = run(capsys, "oracle", "--param", str(path), "--poly", "x + y", "--json")
-    assert code == 0
-    assert json.loads(out) == {"value": "2"}
-    code, out, _ = run(
-        capsys, "oracle", "--param", str(path), "--poly", "x^2 - y^2 - y^3", "--json"
-    )
-    assert code == 1
-    assert json.loads(out)["value"].startswith(">=")
-
-
-def test_example_conic(capsys):
-    code, out, _ = run(capsys, "example-conic", "--depth", "4", "--json")
-    assert code == 0
-    steps = json.loads(out)["steps"]
-    assert [s["beta"] for s in steps] == ["1", "2", "3", "4"]
-    assert [s["oracle"] for s in steps] == ["1", "2", "3", "4"]
 
 
 @pytest.mark.parametrize("depth", ["0", "-3"])
@@ -514,23 +365,6 @@ def test_parse_error_exit_code(capsys, b1_path):
     )
     assert code == 2
     assert "parse error" in err
-
-
-def test_missing_file_exit_code(capsys):
-    code, _, err = run(capsys, "validate", "--basis", "/nonexistent.json")
-    assert code == 2
-
-
-def test_usage_error_exit_code(capsys):
-    assert main(["no-such-command"]) == 2
-    capsys.readouterr()
-
-
-def test_math_error_exit_code(capsys, b1_path):
-    code, _, err = run(
-        capsys, "izumi-exact", "--basis", b1_path, "--upper", "1", "--lower", "1"
-    )
-    assert code == 1
 
 
 def _write(tmp_path, doc):
@@ -670,144 +504,25 @@ def test_zero_polynomial(capsys, tmp_path, b1_path, command, code, text, doc, er
     assert run(capsys, *argv) == (code, doc if json_mode else text, err)
 
 
-_PINNED = [
-    pytest.param(
-        ["validate", "--basis", "{b1}"], 0, "valid\n", '{"ok": true, "violations": []}\n',
-        id="validate",
-    ),
-    pytest.param(
-        ["validate", "--basis", "{violating}"], 1,
-        "step 1 condition (c): weight of recurrence coefficient at U_1^0 is 1, expected 2\n",
-        '{"ok": false, "violations": [{"condition": "c", "message": "weight of recurrence '
-        'coefficient at U_1^0 is 1, expected 2", "step": 1}]}\n',
-        id="validate-violation",
-    ),
-    pytest.param(
-        ["expand", "--basis", "{b1}", "--poly", "x^3 + y*x", "--level", "2"], 0,
-        "1,0 -> 2*y\n1,1 -> 1\n", '{"level": 2, "terms": {"1,0": "2*y", "1,1": "1"}}\n',
-        id="expand",
-    ),
-    pytest.param(
-        ["raise", "--basis", "{b1}", "--poly", "x^4", "--level", "1", "--trace"], 0,
-        "0,0 -> y^2\n0,1 -> 2*y\n0,2 -> 1\ntrace weights: 2 2 2\n",
-        '{"level": 2, "terms": {"0,0": "y^2", "0,1": "2*y", "0,2": "1"}, "trace": '
-        '[{"terms": {"4,0": "1"}, "weight": "2"}, {"terms": {"0,0": "y^2", "0,1": "2*y", '
-        '"0,2": "1"}, "weight": "2"}, {"terms": {"0,0": "y^2", "0,1": "2*y", "0,2": "1"}, '
-        '"weight": "2"}]}\n',
-        id="raise",
-    ),
-    pytest.param(
-        ["lower", "--basis", "{b1}", "--poly", "x^3 + y*x", "--level", "2", "--trace"], 0,
-        "1 -> y\n3 -> 1\ntrace weights: 3/2 3/2\n",
-        '{"level": 1, "terms": {"1": "y", "3": "1"}, "trace": [{"terms": {"1,0": "y", '
-        '"3,0": "1"}, "weight": "3/2"}, {"terms": {"1,0": "y", "3,0": "1"}, '
-        '"weight": "3/2"}]}\n',
-        id="lower",
-    ),
-    pytest.param(
-        ["weight", "--basis", "{b1}", "--poly", "x^3 + y*x", "--level", "2"], 0,
-        "3/2\n", '{"weight": "3/2"}\n',
-        id="weight",
-    ),
-    pytest.param(
-        ["initial", "--basis", "{b1}", "--poly", "x^3 + y*x", "--level", "2"], 0,
-        "1,0 -> 2*y\n", '{"level": 2, "terms": {"1,0": "2*y"}}\n',
-        id="initial",
-    ),
-    pytest.param(
-        ["groups", "--basis", "{b2}"], 0,
-        "i=1  Phi generated by 1/2  n=2  p=1  m=n holds: True\n"
-        "i=2  Phi generated by 1/4  n=2  p=1  m=n holds: True\n"
-        "i=3  Phi generated by 1/4  n=1  p=None  m=n holds: None\n",
-        '{"steps": [{"condition_holds": true, "i": 1, "n": 2, "p": 1, "phi": "1/2"}, '
-        '{"condition_holds": true, "i": 2, "n": 2, "p": 1, "phi": "1/4"}, '
-        '{"condition_holds": null, "i": 3, "n": 1, "p": null, "phi": "1/4"}]}\n',
-        id="groups",
-    ),
-    pytest.param(
-        ["gauss", "--beta", "1/2", "--poly", "x^3 + y*x"], 0,
-        "3/2\n", '{"value": "3/2"}\n',
-        id="gauss",
-    ),
-    pytest.param(
-        ["izumi-exact", "--basis", "{b2}", "--upper", "3", "--lower", "1"], 0,
-        "11/8\n", '{"constant": "11/8"}\n',
-        id="izumi-exact",
-    ),
-    pytest.param(
-        ["izumi-bound", "--basis", "{b1}", "--mu-prime-x", "1"], 0,
-        "3/2\n", '{"bound": "3/2"}\n',
-        id="izumi-bound",
-    ),
-    pytest.param(
-        ["izumi-search", "--basis", "{b1}", "--upper", "2", "--lower", "1", "--samples", "20"],
-        0,
-        "sup 3/2 at x^2 - y (theoretical 3/2, 20 samples, 0 skipped)\n",
-        '{"samples": 20, "seed": 42, "skipped": 0, "sup_found": "3/2", '
-        '"theoretical": "3/2", "witness": "x^2 - y"}\n',
-        id="izumi-search",
-    ),
-    pytest.param(
-        ["oracle", "--param", "{par}", "--poly", "x + y"], 0,
-        "2\n", '{"value": "2"}\n',
-        id="oracle",
-    ),
-    pytest.param(
-        ["oracle", "--param", "{par}", "--poly", "x^2 - y^2 - y^3"], 1,
-        ">= 64\n", '{"value": ">= 64"}\n',
-        id="oracle-exhausted",
-    ),
-    pytest.param(
-        ["example-conic", "--depth", "3"], 0,
-        "i=1  U=x  beta=1  oracle=1\ni=2  U=x + y  beta=2  oracle=2\n"
-        "i=3  U=x + (1/2*y^2 + y)  beta=3  oracle=3\n",
-        '{"steps": [{"U": "x", "beta": "1", "i": 1, "oracle": "1"}, '
-        '{"U": "x + y", "beta": "2", "i": 2, "oracle": "2"}, '
-        '{"U": "x + (1/2*y^2 + y)", "beta": "3", "i": 3, "oracle": "3"}]}\n',
-        id="example-conic",
-    ),
-    # Error exits print nothing to stdout, in either mode.
-    pytest.param(["no-such-command"], 2, "", "", id="usage-error"),
-    pytest.param(["weight", "--basis", "{b1}", "--poly", "x +", "--level", "1"], 2, "", "",
-                 id="parse-error"),
-    pytest.param(["validate", "--basis", "{b1}.missing"], 2, "", "", id="input-error"),
-    pytest.param(["izumi-exact", "--basis", "{b1}", "--upper", "1", "--lower", "1"], 1, "", "",
-                 id="math-error"),
-]
-
-
-@pytest.fixture()
-def cli_paths(tmp_path, b1_path, b2_path):
-    violating = tmp_path / "violating.json"
-    violating.write_text(json.dumps({
-        "base": "function_field",
-        "steps": [{"U": "x", "beta": "1"}, {"U": "x^2 - y", "beta": "3"}],
-    }))
-    par = tmp_path / "par.json"
-    par.write_text(json.dumps({
-        "defining": "x^2 - y^2 - y^3",
-        "branch": "-y",
-        "policy": {"initial": 8, "growth": 2, "max": 64},
-    }))
-    return {"b1": b1_path, "b2": b2_path, "violating": str(violating), "par": str(par)}
+@pytest.fixture(scope="module")
+def case_paths(tmp_path_factory):
+    return cli_cases.write_files(tmp_path_factory.mktemp("cases"))
 
 
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
-@pytest.mark.parametrize("argv, code, text, doc", _PINNED)
-def test_cli_output_pinned(capsys, cli_paths, argv, code, text, doc, json_mode):
-    argv = [a.format(**cli_paths) for a in argv] + (["--json"] if json_mode else [])
-    assert run(capsys, *argv)[:2] == (code, doc if json_mode else text)
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.id)
+def test_cli_output_pinned(capsys, case_paths, case, json_mode):
+    argv, code, out = cli_cases.runs(case, case_paths)[json_mode]
+    assert run(capsys, *argv)[:2] == (code, out)
 
 
-
-def test_parser_is_built_once_and_reused(capsys, cli_paths):
+def test_parser_is_built_once_and_reused(capsys, case_paths):
     cli.build_parser.cache_clear()
-    pinned = {p.id: p.values for p in _PINNED}
+    cases = {case.id: case for case in cli_cases.CASES}
     for name, json_mode in [("usage-error", False), ("parse-error", False), ("weight", False),
                             ("raise", True), ("groups", False)]:
-        argv, code, text, doc = pinned[name]
-        argv = [a.format(**cli_paths) for a in argv] + (["--json"] if json_mode else [])
-        assert run(capsys, *argv)[:2] == (code, doc if json_mode else text)
+        argv, code, out = cli_cases.runs(cases[name], case_paths)[json_mode]
+        assert run(capsys, *argv)[:2] == (code, out)
     assert cli.build_parser.cache_info().misses == 1
 
 
@@ -826,18 +541,11 @@ def test_initial_of_zero_modulo_ext_is_refused(capsys, tmp_path, json_mode):
 
 @pytest.mark.parametrize(
     "command, text, doc",
-    [
-        ("groups",
-         "i=1  Phi generated by 1/3  n=3  p=1  m=n holds: True\n"
-         "i=2  Phi generated by 1/6  n=2  p=None  m=n holds: None\n",
-         '{"steps": [{"condition_holds": true, "i": 1, "n": 3, "p": 1, "phi": "1/3"}, '
-         '{"condition_holds": null, "i": 2, "n": 2, "p": null, "phi": "1/6"}]}\n'),
-        ("validate", "valid\n", '{"ok": true, "violations": []}\n'),
-    ],
+    [("validate", "valid\n", '{"ok": true, "violations": []}\n')],
 )
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
 def test_value_group_chain_pinned(capsys, tmp_path, command, text, doc, json_mode):
-    # coprime denominators: Phi_1 = <2/3> = <1/3>, Phi_2 = <1/3, 5/2> = <1/6>
+    # coprime denominators, whose chain the table's groups-coprime case pins
     path = tmp_path / "coprime.json"
     path.write_text(json.dumps({
         "base": "function_field",
