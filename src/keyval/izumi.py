@@ -19,7 +19,7 @@ from .errors import (
 from .keybasis import WeightedBasis, weight
 from .parsing import parse_rational
 from .polynomials import Poly
-from .values import Value, is_finite
+from .values import INF, Value
 
 
 def gauss_value(f: Poly, base: BaseFieldConfig, beta: Fraction | str) -> Value:
@@ -174,14 +174,14 @@ def empirical_izumi(
             continue
         a = val_num(f)
         b = val_den(f)
-        if not is_finite(b) or b == 0:
-            if is_finite(a) and a > 0 and b == 0:
+        if b is INF or b == 0:
+            if a is not INF and a > 0 and b == 0:
                 raise UnboundedRatioError(
                     "sample has zero denominator value but positive numerator value"
                 )
             skipped += 1
             continue
-        if not is_finite(a):
+        if a is INF:
             raise UnboundedRatioError("sample has infinite numerator value")
         ratio = a / b
         if best is None or ratio > best:

@@ -42,10 +42,6 @@ INF = _Infinity()
 Value = Union[Fraction, _Infinity]
 
 
-def is_finite(v: Value) -> bool:
-    return v is not INF
-
-
 def list_order(coeffs):
     """Index of the lowest nonzero entry of a coefficient list; None when all are zero."""
     for i, c in enumerate(coeffs):

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 import keyval
 from keyval import cli
-from keyval import io as kio
 from keyval.cli import MAX_SAMPLES, main
 from keyval.oracle import MAX_PRECISION, PrecisionPolicy
 
@@ -24,36 +24,65 @@ from conftest import alarm
 from seed_texts import VALID_TEXTS
 
 
-@pytest.fixture()
-def b1_path(tmp_path, b1):
-    path = tmp_path / "b1.json"
-    path.write_text(json.dumps(kio.basis_to_json(b1)))
-    return str(path)
-
-
-@pytest.fixture()
-def b2_path(tmp_path, b2):
-    path = tmp_path / "b2.json"
-    path.write_text(json.dumps(kio.basis_to_json(b2)))
-    return str(path)
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-def test_index_not_dividing_degree_step(capsys, tmp_path):
-    path = tmp_path / "index.json"
-    path.write_text(json.dumps({
-        "base": "function_field",
-        "steps": [{"U": "x", "beta": "1/2"}, {"U": "x^3", "beta": "2"}],
-    }))
-    message = "m_1 = 3 is not divisible by n_1 = 2"
-    assert run(capsys, "validate", "--basis", str(path)) == (
-        1, "step 1 condition (index): %s\n" % message, "")
-    assert run(capsys, "groups", "--basis", str(path)) == (1, "", "error: %s\n" % message)
+def _write(tmp_path, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def case_paths(tmp_path_factory):
+    return cli_cases.write_files(tmp_path_factory.mktemp("cases"))
+
+
+def replay(capsys, paths, case, json_mode):
+    """(code, stdout, stderr) of case in-process, and the pinned triple.
+
+    A case whose stderr is not pinned (None) has its stderr read as None.
+    """
+    argv, *pinned = cli_cases.runs(case, paths)[json_mode]
+    code, out, err = run(capsys, *argv)
+    return (code, out, None if pinned[2] is None else err), tuple(pinned)
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.id)
+def test_cli_output_pinned(capsys, case_paths, case, json_mode):
+    got, pinned = replay(capsys, case_paths, case, json_mode)
+    assert got == pinned
+
+
+def test_every_subcommand_and_exit_code_has_a_case():
+    # the console script is checked on the table's cases only, so a new
+    # subcommand needs a case there
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) <= {case.argv[0] for case in cli_cases.CASES}
+    assert {case.code for case in cli_cases.CASES if case.err is not None} == {0, 1, 2}
+
+
+def test_parser_is_built_once_and_reused(capsys, case_paths):
+    cli.build_parser.cache_clear()
+    cases = {case.id: case for case in cli_cases.CASES}
+    for name, json_mode in [("usage-error", False), ("parse-error", False), ("weight", False),
+                            ("raise", True), ("groups", False)]:
+        got, pinned = replay(capsys, case_paths, cases[name], json_mode)
+        assert got == pinned
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_parse_error_exit_code(capsys, case_paths):
+    code, _, err = run(
+        capsys, "weight", "--basis", case_paths["{b1}"], "--poly", "x +", "--level", "1"
+    )
+    assert code == 2
+    assert "parse error" in err
 
 
 def test_deep_nesting_is_parse_error(capsys):
@@ -81,22 +110,6 @@ def test_power_over_the_bit_cap_is_parse_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "base, message",
-    [
-        ("5", "bad base field descriptor: 5"),
-        ('"bogus"', 'bad base field descriptor: "bogus"'),
-        ('{"p_adic": 9}', "p must be prime, got 9"),
-        ('{"p_adic": 2305843009213693951}', "p must be below 2^31, got 2305843009213693951"),
-    ],
-)
-def test_gauss_bad_base_is_input_error(capsys, base, message):
-    code, out, err = run(capsys, "gauss", "--base", base, "--beta", "1", "--poly", "x")
-    assert code == 2
-    assert out == ""
-    assert err == "input error: %s\n" % message
-
-
-@pytest.mark.parametrize(
     "argv",
     [
         ["gauss", "--beta", "1/0", "--poly", "x"],
@@ -105,8 +118,8 @@ def test_gauss_bad_base_is_input_error(capsys, base, message):
     ],
     ids=["beta", "mu-prime-x", "c-base"],
 )
-def test_zero_denominator_flag_is_input_error(capsys, b1_path, argv):
-    code, out, err = run(capsys, *[a.format(b1=b1_path) for a in argv])
+def test_zero_denominator_flag_is_input_error(capsys, case_paths, argv):
+    code, out, err = run(capsys, *[a.format(b1=case_paths["{b1}"]) for a in argv])
     assert code == 2
     assert out == ""
     # argparse prints the usage, then one line naming the flag
@@ -132,7 +145,7 @@ _EXPONENT_CAP = "a rational's exponent may be at most 4000 in absolute value"
     ],
     ids=["beta", "mu-prime-x", "string-beta", "ignored-number"],
 )
-def test_rational_exponent_over_the_cap_fails_fast(capsys, tmp_path, b1_path, argv, err):
+def test_rational_exponent_over_the_cap_fails_fast(capsys, tmp_path, case_paths, argv, err):
     # Fraction alone spends seconds on 10**10000000, so a missing cap fails the clock
     string_beta = tmp_path / "string_beta.json"
     string_beta.write_text(
@@ -140,7 +153,7 @@ def test_rational_exponent_over_the_cap_fails_fast(capsys, tmp_path, b1_path, ar
     ignored_number = tmp_path / "ignored_number.json"
     ignored_number.write_text(
         '{"base": "function_field", "steps": [{"U": "x", "beta": 1}], "note": 1e10000000}')
-    paths = {"b1": b1_path, "string_beta": string_beta, "ignored_number": ignored_number}
+    paths = {"b1": case_paths["{b1}"], "string_beta": string_beta, "ignored_number": ignored_number}
     start = time.perf_counter()
     code, out, got = run(capsys, *[a.format(**paths) for a in argv])
     assert time.perf_counter() - start < 1
@@ -153,49 +166,13 @@ def test_rational_flags_are_read_exactly(capsys, text):
     assert run(capsys, "gauss", "--beta", text, "--poly", "x") == (0, "%s\n" % Fraction(text), "")
 
 
-def test_decimal_beta_is_read_exactly(capsys, tmp_path, b1_path):
-    decimal = tmp_path / "decimal.json"
-    decimal.write_text(
-        '{"base": "function_field", "steps": [{"U": "x", "beta": 0.5}, '
-        '{"U": "x^2 - y", "beta": 1.5}]}'
-    )
-    argv = ["izumi-exact", "--upper", "2", "--lower", "1", "--basis"]
-    assert run(capsys, *argv, str(decimal)) == run(capsys, *argv, b1_path) == (0, "3/2\n", "")
-
-
-def test_izumi_bound_normalized_error(capsys, b1_path):
+def test_izumi_bound_normalized_error(capsys, case_paths):
     # the extension bound is never above the integral-weight formula, so no flag selects it
     code, out, err = run(
-        capsys, "izumi-bound", "--basis", b1_path, "--mu-prime-x", "1", "--normalized"
+        capsys, "izumi-bound", "--basis", case_paths["{b1}"], "--mu-prime-x", "1", "--normalized"
     )
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --normalized" in err
-
-
-@pytest.fixture()
-def q3_path(tmp_path, q3):
-    path = tmp_path / "q3.json"
-    path.write_text(json.dumps(kio.basis_to_json(q3)))
-    return str(path)
-
-
-@pytest.mark.parametrize(
-    "basis, upper, lower, sup, witness",
-    [
-        ("b2", 3, 2, "11/10", "x^4 - 2*y*x^2 + y^2*x + y^2"),
-        ("b2", 3, 1, "11/8", "x^4 - 2*y*x^2 + y^2*x + y^2"),
-        ("q3", 2, 1, "3/2", "x^2 - 3"),
-    ],
-)
-def test_izumi_search_pinned(capsys, b2_path, q3_path, basis, upper, lower, sup, witness):
-    path = {"b2": b2_path, "q3": q3_path}[basis]
-    code, out, _ = run(
-        capsys, "izumi-search", "--basis", path, "--upper", str(upper), "--lower", str(lower),
-        "--samples", "500", "--json",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert (doc["sup_found"], doc["witness"], doc["skipped"]) == (sup, witness, 0)
 
 
 # stdout of izumi-search --samples 400 on the benchmark's five level pairs,
@@ -231,22 +208,13 @@ IZUMI_SEARCH_STDOUT = {
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("combo", sorted(IZUMI_SEARCH_STDOUT), ids=str)
-def test_izumi_search_stdout_is_byte_identical(capsys, b1_path, b2_path, q3_path, combo, seed):
+def test_izumi_search_stdout_is_byte_identical(capsys, case_paths, combo, seed):
     basis, upper, lower = combo
-    path = {"b1": b1_path, "b2": b2_path, "q3": q3_path}[basis]
-    argv = ("izumi-search", "--basis", path, "--upper", str(upper), "--lower", str(lower),
-            "--seed", str(seed), "--samples", "400")
+    argv = ("izumi-search", "--basis", case_paths["{%s}" % basis], "--upper", str(upper),
+            "--lower", str(lower), "--seed", str(seed), "--samples", "400")
     text, as_json = IZUMI_SEARCH_STDOUT[combo]
     assert run(capsys, *argv) == (0, text, "")
     assert run(capsys, *argv, "--json") == (0, as_json % seed, "")
-
-
-@pytest.mark.parametrize("depth", ["0", "-3"])
-def test_example_conic_rejects_depth_below_one(capsys, depth):
-    code, out, err = run(capsys, "example-conic", "--depth", depth)
-    assert code == 2
-    assert out == ""
-    assert "--depth must be at least 1" in err
 
 
 @pytest.mark.parametrize(
@@ -258,10 +226,8 @@ def test_example_conic_rejects_depth_below_one(capsys, depth):
     ],
 )
 def test_oracle_rejects_degenerate_policy(capsys, tmp_path, policy):
-    par_doc = {"defining": "x^2 - y^2 - y^3", "branch": "-y", "policy": policy}
-    path = tmp_path / "par.json"
-    path.write_text(json.dumps(par_doc))
-    code, out, err = run(capsys, "oracle", "--param", str(path), "--poly", "x + y")
+    path = _write(tmp_path, {"defining": "x^2 - y^2 - y^3", "branch": "-y", "policy": policy})
+    code, out, err = run(capsys, "oracle", "--param", path, "--poly", "x + y")
     assert code == 2
     assert out == ""
     assert err.startswith("input error: precision policy needs")
@@ -299,9 +265,7 @@ def test_oracle_rejects_degenerate_policy(capsys, tmp_path, policy):
     ],
 )
 def test_malformed_basis_file_is_input_error(capsys, tmp_path, doc, message):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "validate", "--basis", str(path))
+    code, out, err = run(capsys, "validate", "--basis", _write(tmp_path, doc))
     assert code == 2
     assert out == ""
     assert err == "input error: %s\n" % message
@@ -323,137 +287,21 @@ def test_malformed_basis_file_is_input_error(capsys, tmp_path, doc, message):
     ],
 )
 def test_malformed_parametrization_file_is_input_error(capsys, tmp_path, doc, message):
-    path = tmp_path / "par.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "oracle", "--param", str(path), "--poly", "x + y")
+    code, out, err = run(capsys, "oracle", "--param", _write(tmp_path, doc), "--poly", "x + y")
     assert code == 2
     assert out == ""
     assert err == "input error: %s\n" % message
 
 
-def test_rewrite_on_undivided_degree_step(capsys, tmp_path):
-    doc = {
-        "base": "function_field",
-        "steps": [
-            {"U": "x", "beta": "1/2"},
-            {"U": "x^2 - y", "beta": "3/2"},
-            {"U": "x^3 - y^2", "beta": "5"},
-        ],
-    }
-    path = tmp_path / "undivided.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "raise", "--basis", str(path), "--poly", "x^5", "--level", "2")
-    assert code == 1
-    assert out == ""
-    assert err == "error: step 2 has no integral degree ratio\n"
-
-
-def test_stdin_poly(capsys, b1_path, monkeypatch):
+def test_stdin_poly(capsys, case_paths, monkeypatch):
     import io as stdlib_io
 
     monkeypatch.setattr("sys.stdin", stdlib_io.StringIO("x^3 + y*x"))
     code, out, _ = run(
-        capsys, "weight", "--basis", b1_path, "--poly", "-", "--level", "1", "--json"
+        capsys, "weight", "--basis", case_paths["{b1}"], "--poly", "-", "--level", "1", "--json"
     )
     assert code == 0
     assert json.loads(out) == {"weight": "3/2"}
-
-
-def test_parse_error_exit_code(capsys, b1_path):
-    code, _, err = run(
-        capsys, "weight", "--basis", b1_path, "--poly", "x +", "--level", "1"
-    )
-    assert code == 2
-    assert "parse error" in err
-
-
-def _write(tmp_path, doc):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-@pytest.mark.parametrize(
-    "keys",
-    [["x", "1"], ["x", "1", "x"]],
-    ids=["constant-last", "constant-middle"],
-)
-def test_constant_key_is_refused(capsys, tmp_path, keys):
-    steps = [{"U": U, "beta": str(beta)} for beta, U in enumerate(keys, start=1)]
-    path = _write(tmp_path, {"base": "function_field", "steps": steps})
-    for json_mode in ([], ["--json"]):
-        code, out, err = run(capsys, "validate", "--basis", path, *json_mode)
-        assert (code, out, err) == (1, "", "error: key polynomials must have degree >= 1\n")
-
-
-@pytest.mark.parametrize(
-    "doc, text",
-    [
-        ({"base": "function_field", "steps": [
-            {"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "3/2"}, {"U": "x^3", "beta": "5"}]},
-         "step 2 condition (a): deg U_3 is not a multiple of deg U_2\n"),
-        ({"base": "function_field", "ext": "x^2 - y", "steps": [
-            {"U": "x", "beta": "1/2"}, {"U": "x^4 - y^2", "beta": "5"}]},
-         "step 2 condition (deg): deg U_2 exceeds the extension degree\n"),
-    ],
-    ids=["a", "deg"],
-)
-def test_validate_degree_conditions(capsys, tmp_path, doc, text):
-    assert run(capsys, "validate", "--basis", _write(tmp_path, doc))[:2] == (1, text)
-
-
-@pytest.mark.parametrize(
-    "beta, code, text, doc",
-    [
-        ("2", 0, "valid\n", '{"ok": true, "violations": []}\n'),
-        ("1", 1, "step 1 condition (e): beta_2 = 1 is not > m_1*beta_1 = 1\n",
-         '{"ok": false, "violations": [{"condition": "e", '
-         '"message": "beta_2 = 1 is not > m_1*beta_1 = 1", "step": 1}]}\n'),
-    ],
-    ids=["valid", "e"],
-)
-@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
-def test_validate_key_of_extension_degree(capsys, tmp_path, beta, code, text, doc, json_mode):
-    # U_2 = U_1^2 - y holds in K[x]; reduced modulo ext, U_2 would read y^2
-    path = _write(tmp_path, {"base": "function_field", "ext": "x^2 - y - y^2", "steps": [
-        {"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": beta}]})
-    argv = ["validate", "--basis", path] + (["--json"] if json_mode else [])
-    assert run(capsys, *argv) == (code, doc if json_mode else text, "")
-
-
-def test_oracle_rejects_rational_branch(capsys, tmp_path):
-    path = _write(tmp_path, {"defining": "x^2 - y^2 - y^3", "branch": "1/y"})
-    code, out, err = run(capsys, "oracle", "--param", path, "--poly", "x")
-    assert (code, out, err) == (1, "", "error: branch segment must be polynomial\n")
-
-
-P_ADIC_PAR = {"defining": "x^2 - 3", "branch": "1", "base": {"p_adic": 3}}
-
-
-@pytest.mark.parametrize(
-    "doc, code, err",
-    [
-        (P_ADIC_PAR, 1, "error: the oracle supports function-field bases only\n"),
-        # parse and policy errors in the same file are reported first
-        (dict(P_ADIC_PAR, defining="x^2 - y"), 2,
-         "parse error: unknown variable 'y' (at position 6)\n"),
-        (dict(P_ADIC_PAR, policy={"initial": 0}), 2,
-         "input error: precision policy needs initial >= 1, growth >= 2 and max >= initial,"
-         " got initial=0, growth=2, max=512\n"),
-    ],
-    ids=["refused", "parse-error-first", "policy-error-first"],
-)
-def test_oracle_refuses_p_adic_parametrization(capsys, tmp_path, doc, code, err):
-    path = _write(tmp_path, doc)
-    assert run(capsys, "oracle", "--param", path, "--poly", "x") == (code, "", err)
-
-
-@pytest.mark.parametrize("defining", ["0", "y"])
-def test_oracle_rejects_defining_polynomial_without_x(capsys, tmp_path, defining):
-    # a defining polynomial of degree < 1 in x has a derivative that vanishes
-    path = _write(tmp_path, {"defining": defining, "branch": "-y"})
-    code, out, err = run(capsys, "oracle", "--param", path, "--poly", "x + y")
-    assert (code, out, err) == (1, "", "error: derivative vanishes on the branch\n")
 
 
 @pytest.mark.parametrize(
@@ -473,137 +321,32 @@ def test_oracle_rejects_defining_polynomial_without_x(capsys, tmp_path, defining
     ],
     ids=["samples", "samples-zero", "samples-negative", "depth", "policy-max"],
 )
-def test_over_budget_input_fails_fast(capsys, tmp_path, b1_path, command, message):
+def test_over_budget_input_fails_fast(capsys, tmp_path, case_paths, command, message):
     par = _write(tmp_path, {"defining": "x^2 - y^2 - y^3", "branch": "-y",
                             "policy": {"max": MAX_PRECISION + 1}})
-    argv = [a.format(b1=b1_path, par=par) for a in command]
+    argv = [a.format(b1=case_paths["{b1}"], par=par) for a in command]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (2, "", "input error: %s\n" % message)
 
 
-@pytest.mark.parametrize(
-    "command, code, text, doc, err",
-    [
-        (["weight", "--basis", "{b1}", "--poly", "0", "--level", "1"],
-         0, "inf\n", '{"weight": "inf"}\n', ""),
-        (["weight", "--basis", "{b1}", "--poly", "0", "--level", "9"],
-         1, "", "", "error: level 9 not in 1..2\n"),
-        (["weight", "--basis", "{b1}", "--poly", "0", "--level", "0"],
-         1, "", "", "error: level 0 not in 1..2\n"),
-        (["oracle", "--param", "{par}", "--poly", "0"],
-         0, "inf\n", '{"value": "inf"}\n', ""),
-    ],
-    ids=["weight", "weight-level-9", "weight-level-0", "oracle"],
-)
-@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
-def test_zero_polynomial(capsys, tmp_path, b1_path, command, code, text, doc, err, json_mode):
-    par = _write(tmp_path, {"defining": "x^2 - y^2 - y^3", "branch": "-y"})
-    argv = [a.format(b1=b1_path, par=par) for a in command] + (["--json"] if json_mode else [])
-    assert run(capsys, *argv) == (code, doc if json_mode else text, err)
-
-
-@pytest.fixture(scope="module")
-def case_paths(tmp_path_factory):
-    return cli_cases.write_files(tmp_path_factory.mktemp("cases"))
-
-
-@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
-@pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.id)
-def test_cli_output_pinned(capsys, case_paths, case, json_mode):
-    argv, code, out = cli_cases.runs(case, case_paths)[json_mode]
-    assert run(capsys, *argv)[:2] == (code, out)
-
-
-def test_parser_is_built_once_and_reused(capsys, case_paths):
-    cli.build_parser.cache_clear()
-    cases = {case.id: case for case in cli_cases.CASES}
-    for name, json_mode in [("usage-error", False), ("parse-error", False), ("weight", False),
-                            ("raise", True), ("groups", False)]:
-        argv, code, out = cli_cases.runs(cases[name], case_paths)[json_mode]
-        assert run(capsys, *argv)[:2] == (code, out)
-    assert cli.build_parser.cache_info().misses == 1
-
-
-@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
-def test_initial_of_zero_modulo_ext_is_refused(capsys, tmp_path, json_mode):
-    path = tmp_path / "ext.json"
-    path.write_text(json.dumps({
-        "base": "function_field",
-        "ext": "x^2 - y - y^2",
-        "steps": [{"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "2"}],
-    }))
-    argv = ["initial", "--basis", str(path), "--poly", "x^2-y-y^2", "--level", "2"]
-    expected = (1, "", "error: the zero polynomial has no initial form\n")
-    assert run(capsys, *argv + (["--json"] if json_mode else [])) == expected
-
-
-@pytest.mark.parametrize(
-    "command, text, doc",
-    [("validate", "valid\n", '{"ok": true, "violations": []}\n')],
-)
-@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
-def test_value_group_chain_pinned(capsys, tmp_path, command, text, doc, json_mode):
-    # coprime denominators, whose chain the table's groups-coprime case pins
-    path = tmp_path / "coprime.json"
-    path.write_text(json.dumps({
-        "base": "function_field",
-        "steps": [{"U": "x", "beta": "2/3"}, {"U": "x^3 - y^2", "beta": "5/2"}],
-    }))
-    argv = [command, "--basis", str(path)] + (["--json"] if json_mode else [])
-    assert run(capsys, *argv)[:2] == (0, doc if json_mode else text)
-
-
-def test_validate_shape_condition(capsys, tmp_path):
-    # U_2 = x^2 + y*x - y has an f_{1,1} term, but n_1 = [<1/2> : <1>] = 2
-    path = _write(tmp_path, {"base": "function_field", "steps": [
-        {"U": "x", "beta": "1/2"}, {"U": "x^2 + y*x - y", "beta": "3/2"}]})
-    c = "weight of recurrence coefficient at U_1^1 is 1, expected 1/2"
-    shape = "nonzero recurrence coefficient at exponent 1 not divisible by n_1 = 2"
-    assert run(capsys, "validate", "--basis", path) == (
-        1, "step 1 condition (c): %s\nstep 1 condition (shape): %s\n" % (c, shape), "")
-    code, out, err = run(capsys, "validate", "--basis", path, "--json")
-    assert (code, err) == (1, "")
-    assert out == json.dumps({"ok": False, "violations": [
-        {"condition": "c", "message": c, "step": 1},
-        {"condition": "shape", "message": shape, "step": 1},
-    ]}, sort_keys=True) + "\n"
-
-
-def test_izumi_exact_undefined_degree_step(capsys, tmp_path):
-    path = _write(tmp_path, {"base": "function_field", "steps": [
-        {"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "3/2"}, {"U": "x^3 - y^2", "beta": "5"}]})
-    assert run(capsys, "izumi-exact", "--basis", path, "--upper", "3", "--lower", "1") == (
-        1, "", "error: degree steps m_1..m_2 are not all defined\n")
-
-
-def test_dense_power_over_the_budget_fails_fast(capsys, tmp_path):
-    path = _write(tmp_path, {"base": "function_field", "steps": [{"U": "x", "beta": "1"}]})
+def test_dense_power_over_the_budget_fails_fast(capsys, case_paths):
     with alarm(5, "refusing (x+1)^1000000"):
-        code, out, err = run(capsys, "weight", "--basis", path, "--level", "1",
+        code, out, err = run(capsys, "weight", "--basis", case_paths["{onekey}"], "--level", "1",
                              "--poly", "(x+1)^1000000")
     assert (code, out) == (2, "")
     assert err == ("parse error: power with an estimated 2000002000000-bit result exceeds "
                    "the cap 10000000 (at position 6)\n")
 
 
-def test_power_in_x_and_y_over_the_budget_fails_fast(capsys, tmp_path):
-    path = _write(tmp_path, {"base": "function_field", "steps": [{"U": "x", "beta": "1"}]})
+def test_power_in_x_and_y_over_the_budget_fails_fast(capsys, case_paths):
     with alarm(5, "refusing (x+y+1)^2000"):
-        code, out, err = run(capsys, "weight", "--basis", path, "--level", "1",
+        code, out, err = run(capsys, "weight", "--basis", case_paths["{onekey}"], "--level", "1",
                              "--poly", "(x+y+1)^2000")
     assert (code, out) == (2, "")
     assert err == ("parse error: power with an estimated 12018006000-bit result exceeds "
                    "the cap 10000000 (at position 8)\n")
-
-
-def test_gauss_input_checks(capsys):
-    # the polynomial is parsed before the weight is checked, as in every command
-    assert run(capsys, "gauss", "--beta", "0", "--poly", "x") == (
-        1, "", "error: Gauss weight must be positive\n")
-    assert run(capsys, "gauss", "--beta", "0", "--poly", "x +") == (
-        2, "", "parse error: expected a number, variable, or parenthesis (at position 3)\n")
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from keyval.values import INF, is_finite
+from keyval.values import INF
 
 F = Fraction
 
@@ -20,11 +20,6 @@ def test_infinity_dominates_ordering():
             False, False, True, True, False, True), v
     assert (INF < INF, INF <= INF, INF > INF, INF >= INF, INF == INF, INF != INF) == (
         False, True, False, True, True, False)
-
-
-def test_is_finite():
-    assert is_finite(F(0))
-    assert not is_finite(INF)
 
 
 def test_format_parse_round_trip():
