@@ -85,17 +85,22 @@ def ring_sub(r, c, b):
     return r - c * b
 
 
-def monic_divide(f, U, sub):
-    """Untrimmed quotient and remainder lists of f by the monic U, lowest first.
+def split_key(U):
+    """The monic divisor list U as (deg U, [(j, U_j) for the nonzero U_j below the top])."""
+    return len(U) - 1, [(j, b) for j, b in enumerate(U[:-1]) if b]
 
-    U's leading entry must be one, so division never leaves the coefficient
-    ring (Knuth, TAOCP 2, 4.6.1); ``sub(r, c, b)`` is r - c*b on the entries,
-    and a zero entry is falsy.  Entry k + deg U is never touched after step
-    k, so one list ends as the remainder below deg U and the quotient above.
+
+def monic_divide(f, key, sub):
+    """Untrimmed quotient and remainder lists of f by a monic U, lowest first.
+
+    ``key`` is U as :func:`split_key` splits it.  U's leading entry is one,
+    so division never leaves the coefficient ring (Knuth, TAOCP 2, 4.6.1);
+    ``sub(r, c, b)`` is r - c*b on the entries, and a zero entry is falsy.
+    Entry k + deg U is never touched after step k, so one list ends as the
+    remainder below deg U and the quotient above.
     """
-    dv = len(U) - 1
+    dv, lower = key
     rem = list(f)
-    lower = [(j, b) for j, b in enumerate(U[:-1]) if b]
     for k in range(len(rem) - 1 - dv, -1, -1):
         c = rem[k + dv]
         if c:
@@ -224,11 +229,11 @@ class DensePoly:
         if not other:
             raise DivisorZeroError("division by the zero polynomial")
         if other.is_monic():
-            q, r = monic_divide(self.coeffs, other.coeffs, ring_sub)
+            q, r = monic_divide(self.coeffs, split_key(other.coeffs), ring_sub)
             return self._make(q), self._make(r)
         # other / lead leaves the same remainder and lead times the quotient
         inv = self._unit / other.leading
-        q, r = monic_divide(self.coeffs, other._scale(inv).coeffs, ring_sub)
+        q, r = monic_divide(self.coeffs, split_key(other._scale(inv).coeffs), ring_sub)
         return self._make(q)._scale(inv), self._make(r)
 
     def __eq__(self, other):

@@ -33,7 +33,10 @@ def gauss_value(f: Poly, base: BaseFieldConfig, beta: Fraction | str) -> Value:
 def _check_steps(basis: WeightedBasis, j: int, i: int):
     """Refuse levels outside 1 <= j < i+1 <= alpha, or degree steps m_j..m_i not all defined."""
     if not (1 <= j <= i < basis.alpha):
-        raise LevelOutOfRangeError("need 1 <= j < i+1 <= alpha")
+        raise LevelOutOfRangeError(
+            "need 1 <= lower < upper <= %d, the basis length; got upper %d, lower %d"
+            % (basis.alpha, i + 1, j)
+        )
     if any(basis.m(k) is None for k in range(j, i + 1)):
         raise LevelOutOfRangeError("degree steps m_%d..m_%d are not all defined" % (j, i))
 
@@ -116,22 +119,33 @@ def random_corpus_poly(cfg: BaseFieldConfig, corpus: CorpusConfig, index: int) -
     constant term when ``positive_only`` is set.  Coefficients are shared,
     immutable K-elements.
     """
-    # randint(1, n), randint(lo, 3) and randrange(1, p) are drawn as 1 + randrange(n),
-    # lo + randrange(4 - lo) and 1 + randrange(p - 1): the same draws, fewer call layers
+    # randint(1, n), randint(lo, 3), randrange(1, p) and choice(seq) are drawn as
+    # 1 + below(n), lo + below(4 - lo), 1 + below(p - 1) and seq[below(len(seq))],
+    # where below(n) is Random._randbelow spelled out: k = n.bit_length() bits
+    # from getrandbits, redrawn while >= n.  The same draws, fewer call layers;
+    # the corpus digests in tests/test_izumi.py check this on every Python in CI.
     rng = random.Random(corpus.seed ^ index)
-    randrange, rand, choice = rng.randrange, rng.random, rng.choice
+    bits, rand = rng.getrandbits, rng.random
+
+    def below(n):
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
     p = cfg.p
-    deg = 1 + randrange(corpus.max_degree)
+    deg = 1 + below(corpus.max_degree)
     coeffs = []
     for k in range(deg + 1):
         if k < deg and rand() < 0.3:
             coeffs.append(Poly._zero)
             continue
-        unit = choice(_UNITS)  # drawn over Q_p too, where it is then replaced
+        unit = _UNITS[below(6)]  # drawn over Q_p too, where it is then replaced
         if p is not None:
-            unit = (1 + randrange(p - 1)) * choice((1, -1))
+            unit = (1 + below(p - 1)) * (1, -1)[below(2)]
         lo = 1 if (k == 0 and corpus.positive_only) else 0
-        v = lo + randrange(4 - lo)
+        v = lo + below(4 - lo)
         if p is None:
             coeffs.append(_Y_TERMS[unit, v])
         else:
@@ -164,8 +178,9 @@ def empirical_izumi(
     denominator value is zero or infinite are skipped unless the numerator
     value is positive, which signals an unbounded ratio.
     """
-    best = None
-    best_witness = None
+    # a/b > best_num/best_den is tested as num * best_den > best_num * den, with
+    # a/b = num/den over den > 0, so that no Fraction is built per sample
+    best_num = best_den = best_witness = None
     skipped = 0
     samples = (random_corpus_poly(base, corpus, j) for j in range(corpus.samples))
     for f in chain(witnesses, samples):
@@ -174,7 +189,7 @@ def empirical_izumi(
             continue
         a = val_num(f)
         b = val_den(f)
-        if b is INF or b == 0:
+        if b is INF or not b:
             if a is not INF and a > 0 and b == 0:
                 raise UnboundedRatioError(
                     "sample has zero denominator value but positive numerator value"
@@ -183,12 +198,15 @@ def empirical_izumi(
             continue
         if a is INF:
             raise UnboundedRatioError("sample has infinite numerator value")
-        ratio = a / b
-        if best is None or ratio > best:
-            best = ratio
-            best_witness = f
-    if best is None:
+        num = a.numerator * b.denominator
+        den = a.denominator * b.numerator
+        if den < 0:  # a library map may take negative values
+            num, den = -num, -den
+        if best_den is None or num * best_den > best_num * den:
+            best_num, best_den, best_witness = num, den, f
+    if best_den is None:
         raise EmptyEffectiveCorpusError("every sample was skipped")
+    best = Fraction(best_num, best_den)
     report = IzumiReport(
         sup_found=best,
         witness=best_witness,

@@ -6,13 +6,15 @@ expansion in products of the keys where the exponent of U_j stays below the
 degree step m_j for all but the top level; the weight maps take minima of
 coefficient valuations plus weighted exponents over that expansion.
 
-Both routes take the digits of a polynomial from one generator, which
-divides coefficient lists by a monic key with
-:func:`~keyval.basefield.monic_divide`.  Expansions divide lists of elements
-of K.  The weight maps need only the minimum, and divide plain Q[y]
-coefficient lists: each key's lists, lowest first, are built once, and
-division by a monic key never leaves Q[y].  Keys with y-denominators have no
-such lists, and their bases take the weight of the full expansion.
+Every key is split once per basis into its degree and its nonzero lower
+entries, the form :func:`~keyval.basefield.monic_divide` divides by.
+Expansions take their digits from one generator, which divides lists of
+elements of K by the split keys.  The weight maps need only the minimum, and
+divide plain Q[y] coefficient lists by the keys' entries as Q[y] lists:
+division by a monic key never leaves Q[y].  Their kernel is one loop over an
+explicit stack of (lists, level, units of the key powers above), which
+holds the digits of a whole level at once.  Keys with y-denominators have no
+Q[y] lists, and their bases take the weight of the full expansion.
 """
 
 from __future__ import annotations
@@ -22,7 +24,16 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .basefield import _Y_ONE, BaseFieldConfig, KElem, YPoly, base_order, monic_divide, ring_sub
+from .basefield import (
+    _Y_ONE,
+    BaseFieldConfig,
+    KElem,
+    YPoly,
+    base_order,
+    monic_divide,
+    ring_sub,
+    split_key,
+)
 from .errors import (
     InsufficientPrecisionError,
     KeyvalError,
@@ -88,6 +99,8 @@ class WeightedBasis:
         self.base = base
         self.minimal = minimal
         self.steps = []
+        #: each key as split_key splits its coefficients in K, built once
+        self.split_keys = []
         # nu(K) = Z for both base fields, so Phi_i = (1/L)Z for L the lcm of the
         # denominators of beta_1, ..., beta_i
         L = 1
@@ -105,13 +118,14 @@ class WeightedBasis:
                 last.next_expansion = AdicExpansion(i, _expand(U.coeffs, i, self))
             L_prev, L = L, lcm(L, beta.denominator)
             self.steps.append(KeyStep(U, beta, Fraction(1, L), L // L_prev))
+            self.split_keys.append(split_key(U.coeffs))
         # Phi_alpha = (1/N)Z holds every weight, so weights are computed as
         # int counts of 1/N; beta_units[i] is beta_{i+1} * N.
         self.N = L
         self.beta_units = tuple(s.beta.numerator * (L // s.beta.denominator) for s in self.steps)
-        #: each key's coefficients as Q[y] lists, lowest first, for :func:`weight`;
+        #: each split key with its entries as Q[y] lists, for :func:`weight`;
         #: None when a key has y-denominators
-        lists = [[c.num.coeffs for c in s.U.coeffs] for s in self.steps]
+        lists = [(dv, [(j, c.num.coeffs) for j, c in lower]) for dv, lower in self.split_keys]
         self.key_lists = None if any(c.den.degree for U, _ in pairs for c in U.coeffs) else lists
         #: (f, effective level, weight) of the last weight() call, f by identity;
         #: one tuple, so that a reader never sees parts of two entries
@@ -152,21 +166,23 @@ def _reduced(f: Poly, basis: WeightedBasis) -> Poly:
     return f
 
 
-def _digits(f: list, U: list, sub):
+def _digits(f: list, key, sub) -> list:
     """The nonzero digits (j, r_j) of the trimmed list f = sum r_j U^j, each r_j trimmed.
 
-    U and ``sub`` are as for :func:`~keyval.basefield.monic_divide`.
+    ``key`` and ``sub`` are as for :func:`~keyval.basefield.monic_divide`.
     """
+    out = []
     j = 0
-    while len(f) >= len(U):
-        f, r = monic_divide(f, U, sub)
+    while len(f) > key[0]:
+        f, r = monic_divide(f, key, sub)
         while r and not r[-1]:
             r.pop()
         if r:
-            yield j, r
+            out.append((j, r))
         j += 1
     if f:
-        yield j, f
+        out.append((j, f))
+    return out
 
 
 def _expand(f: list, level: int, basis: WeightedBasis) -> dict:
@@ -175,7 +191,7 @@ def _expand(f: list, level: int, basis: WeightedBasis) -> dict:
         # U_1 = x, so the 1-adic expansion is the monomial expansion
         return {(k,): c for k, c in enumerate(f) if c}
     out = {}
-    for j, r in _digits(f, basis.key(level).coeffs, ring_sub):
+    for j, r in _digits(f, basis.split_keys[level - 1], ring_sub):
         for a, c in _expand(r, level - 1, basis).items():
             out[a + (j,)] = c
     return out
@@ -195,13 +211,31 @@ def _sub_product(r, c, b) -> list:
 
 
 def _units(f: list, level: int, basis: WeightedBasis) -> int:
-    """N times the level weight of the nonzero coefficient lists f: the least digit term."""
-    b = basis.beta_units[level - 1]
-    if level > 1:
-        U = basis.key_lists[level - 1]
-        return min(_units(r, level - 1, basis) + j * b for j, r in _digits(f, U, _sub_product))
+    """N times the level weight of the nonzero coefficient lists f: the least digit term.
+
+    Works from a stack of (lists, level, units of the key powers above).  A
+    level above 1 divides its lists by its split key, in Q[y] lists, and
+    pushes every nonzero digit one level down with the units of its power of
+    the key added; level 1 reads its terms off the monomial digits.
+    """
     order, N = basis.base.order, basis.N
-    return min(order(c) * N + k * b for k, c in enumerate(f) if c)
+    keys, betas = basis.key_lists, basis.beta_units
+    least = None
+    stack = [(f, level, 0)]
+    while stack:
+        f, level, above = stack.pop()
+        b = betas[level - 1]
+        if level == 1:
+            for c in f:
+                if c:
+                    w = order(c) * N + above
+                    if least is None or w < least:
+                        least = w
+                above += b
+            continue
+        for j, r in _digits(f, keys[level - 1], _sub_product):
+            stack.append((r, level - 1, above + j * b))
+    return least
 
 
 def _by_top_key(terms: dict) -> dict:

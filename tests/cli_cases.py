@@ -326,7 +326,8 @@ CASES = [
     Case("input-error", ["validate", "--basis", "{b1}.missing"], 2, "", "",
          "input error: [Errno 2] No such file or directory: '{b1}.missing'\n"),
     Case("math-error", ["izumi-exact", "--basis", "{b1}", "--upper", "1", "--lower", "1"],
-         1, "", "", "error: need 1 <= j < i+1 <= alpha\n"),
+         1, "", "",
+         "error: need 1 <= lower < upper <= 2, the basis length; got upper 1, lower 1\n"),
 ]
 
 # K's denominator routes: expand, weight and initial at level 2, raise from

@@ -181,13 +181,18 @@ def test_04_rewrite_round_trips_over(request, name):
 
 
 def test_05_weight_additivity(b1, b2, b3):
-    with criterion(5, "weight maps are additive iff the index condition holds"):
+    with criterion(5, "weight maps are additive where m_i = n_i, sufficient but not necessary"):
         polys = corpus_polys(seed=202, count=2 * 10**3, positive_only=False)
         for basis in (b1, b2):
             check_additivity(basis, polys)
         f, g = parse_poly("x - y", FF), parse_poly("x + y", FF)
+        # b3 = (x, 1), (x^2 - y^2, 3) has m_1 = 2 > n_1 = 1 and is not additive
         assert weight(f * g, 2, b3) == 3
         assert weight(f, 2, b3) + weight(g, 2, b3) == 2
+        # (x, 1), (x^2 + y^2, 3) has m_1 = 2 > n_1 = 1 too, and is
+        e = WeightedBasis(FF, [(parse_poly("x", FF), 1), (parse_poly("x^2 + y^2", FF), 3)])
+        check_additivity(e, [f, g])
+        assert weight(f * g, 2, e) == 2
 
 
 @pytest.mark.parametrize("name", OTHER_BASES)

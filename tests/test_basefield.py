@@ -377,9 +377,9 @@ def test_gcd_with_a_monomial_divides_nothing(monkeypatch):
     calls = []
     divide = basefield.monic_divide
 
-    def counting(f, U, sub):
-        calls.append(U)
-        return divide(f, U, sub)
+    def counting(f, key, sub):
+        calls.append(key)
+        return divide(f, key, sub)
 
     monkeypatch.setattr(basefield, "monic_divide", counting)
     a = YPoly((1, 1)) ** 600

@@ -76,10 +76,13 @@ def test_key_power_weight_bounds(b1):
 
 @pytest.mark.parametrize("upper, lower", [(3, 1), (2, 0), (2, 2), (1, 1), (5, 4)])
 def test_levels_checked_first(b1, upper, lower):
-    # a bad level is reported before a bad power and before any key is read
-    with pytest.raises(LevelOutOfRangeError, match="need 1 <= j < i\\+1 <= alpha"):
+    # a bad level is reported before a bad power and before any key is read,
+    # with the levels given and the basis length
+    message = "^need 1 <= lower < upper <= 2, the basis length; got upper %d, lower %d$" % (
+        upper, lower)
+    with pytest.raises(LevelOutOfRangeError, match=message):
         key_power_weight(b1, upper, 0, lower)
-    with pytest.raises(LevelOutOfRangeError, match="need 1 <= j < i\\+1 <= alpha"):
+    with pytest.raises(LevelOutOfRangeError, match=message):
         izumi_step_constant(b1, upper, lower)
 
 
@@ -339,6 +342,70 @@ def test_empirical_sup_above_theoretical():
         empirical_izumi(
             lambda f: F(2), lambda f: F(1), FF, CorpusConfig(seed=0, samples=1), theoretical=F(1)
         )
+
+
+def _signed_maps(special):
+    """Maps with negative, zero, positive and infinite values that never raise.
+
+    A polynomial whose id is in ``special`` takes its listed pair; any other
+    takes values read from its degree d and its number t of nonzero
+    coefficients.
+    """
+
+    def num(f):
+        if id(f) in special:
+            return special[id(f)][0]
+        d, t = f.degree, sum(1 for c in f.coeffs if c)
+        return INF if d == 1 and t == 1 else F(t - 3, d)  # <= 0 when d == 2
+
+    def den(f):
+        if id(f) in special:
+            return special[id(f)][1]
+        d, t = f.degree, sum(1 for c in f.coeffs if c)
+        return INF if d == 1 else F(0) if d == 2 else F(d - 2 * t + 1, 2)
+
+    return num, den
+
+
+def _reference_search(val_num, val_den, base, corpus, witnesses):
+    """The max of a/b as Fractions over the unskipped samples, the samples attaining it
+    in order, the number skipped, and every value pair."""
+    samples = list(witnesses) + [random_corpus_poly(base, corpus, j) for j in range(corpus.samples)]
+    values = [(f, val_num(f), val_den(f)) for f in samples if f]
+    kept = [(f, F(a) / F(b)) for f, a, b in values if b is not INF and b != 0]
+    best = max(r for _, r in kept)
+    return best, [f for f, r in kept if r == best], len(samples) - len(kept), values
+
+
+@pytest.mark.parametrize("tie", [False, True])
+def test_empirical_izumi_matches_a_reference_max(tie):
+    corpus = CorpusConfig(seed=7, samples=300, positive_only=False)
+    # two witnesses at one ratio 2, as 2/1 and -4/-2, above the corpus's max 0
+    a, b = Poly.x() ** 2, Poly.x() ** 3
+    special = {id(a): (F(2), F(1)), id(b): (F(-4), F(-2))} if tie else {}
+    witnesses = [Poly.zero(), a, b] if tie else []
+    num, den = _signed_maps(special)
+    best, at_best, skipped, values = _reference_search(num, den, FF, corpus, witnesses)
+    report = empirical_izumi(num, den, FF, corpus, witnesses=witnesses)
+    assert (report.sup_found, report.skipped, report.samples) == (best, skipped, 300)
+    # the first sample at the max is kept, among distinct ones at that max
+    assert report.witness == at_best[0] and len(set(at_best)) > 1
+    if tie:
+        assert report.witness is a
+    # every kind of value is drawn: infinite, negative, zero and positive
+    kinds = {"inf" if v is INF else (v > 0) - (v < 0) for _, u, w in values for v in (u, w)}
+    assert kinds == {"inf", -1, 0, 1}
+
+
+@pytest.mark.parametrize("name, upper, lower", [("b2", 3, 2), ("b2", 3, 1), ("q3", 2, 1)])
+def test_empirical_izumi_matches_a_reference_max_on_weights(request, name, upper, lower):
+    basis = request.getfixturevalue(name)
+    corpus = CorpusConfig(seed=3, samples=200)
+    num, den = weight_map(basis, upper), weight_map(basis, lower)
+    witnesses = canonical_witnesses(basis)
+    best, at_best, skipped, _ = _reference_search(num, den, basis.base, corpus, witnesses)
+    report = empirical_izumi(num, den, basis.base, corpus, witnesses=witnesses)
+    assert (report.sup_found, report.skipped, report.witness) == (best, skipped, at_best[0])
 
 
 def test_empirical_izumi_evaluates_each_sample_before_the_next(monkeypatch):

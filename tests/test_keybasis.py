@@ -27,7 +27,7 @@ from keyval.errors import (
     ZeroInputError,
 )
 from keyval import keybasis
-from keyval.basefield import KElem, YPoly, ring_sub
+from keyval.basefield import KElem, YPoly, ring_sub, split_key
 from keyval.keybasis import _digits, expansion_weight, recurrence_coefficients
 from keyval.parsing import parse_kelem, parse_poly
 from keyval.polynomials import Poly
@@ -380,7 +380,7 @@ def b1_ext(b1):
     return WeightedBasis(FF, [(s.U, s.beta) for s in b1.steps], p("x^2 - y - y^2"))
 
 
-@pytest.mark.parametrize("name", ["b1", "b2", "q3", "b1_ext"])
+@pytest.mark.parametrize("name", ["b1", "b2", "q3", "b1_ext", "ram", "q3b2"])
 def test_weight_is_the_weight_of_the_expansion(request, name):
     basis = request.getfixturevalue(name)
     corpus = CorpusConfig(seed=11, samples=60, max_degree=8, positive_only=False)
@@ -396,7 +396,7 @@ def test_digits_rebuild_f(b2):
         f = random_corpus_poly(FF, corpus, n)
         for i in range(2, b2.alpha + 1):
             U = b2.key(i)
-            digits = list(_digits(f.coeffs, U.coeffs, ring_sub))
+            digits = list(_digits(f.coeffs, b2.split_keys[i - 1], ring_sub))
             exponents = [e for e, _ in digits]
             assert exponents == sorted(set(exponents))
             # each digit is a nonzero list without trailing zeros, below deg U
@@ -405,9 +405,16 @@ def test_digits_rebuild_f(b2):
             for e, r in digits:
                 total = total + Poly(r) * U**e
             assert total == f
-    U2 = b2.key(2).coeffs
+    U2 = b2.split_keys[1]
+    assert U2 == split_key(b2.key(2).coeffs) == (2, [(0, k("-y"))])
     assert list(_digits(Poly.zero().coeffs, U2, ring_sub)) == []
     assert list(_digits(p("x + y").coeffs, U2, ring_sub)) == [(0, p("x + y").coeffs)]
+
+
+def test_weight_of_a_high_power_stays_fast(b1):
+    # 499 divisions by U_2, whose 500 digits are all held at once before level 1
+    with alarm(5, "the level-2 weight of x^999 on b1"):
+        assert weight(p("x^999"), 2, b1) == F(999, 2)
 
 
 def test_weight_of_one_polynomial_at_two_effective_levels(b2):
@@ -441,15 +448,15 @@ def test_weight_divides_coefficient_lists(monkeypatch, b1):
     calls = []
     divide = keybasis.monic_divide
 
-    def counting(f, U, sub):
+    def counting(f, key, sub):
         if sub is keybasis._sub_product:  # a division of Q[y] lists
-            calls.append(U)
-        return divide(f, U, sub)
+            calls.append(key)
+        return divide(f, key, sub)
 
     monkeypatch.setattr(keybasis, "monic_divide", counting)
     monkeypatch.setattr(keybasis, "poly_divmod", None)  # no division over K[x]
-    # U_2 = x^2 - y is stored once as its Q[y] lists, lowest first
-    assert b1.key_lists[1] == [(0, -1), (), (1,)]
+    # U_2 = x^2 - y is split once, its one lower entry -y as a Q[y] list
+    assert b1.key_lists[1] == (2, [(0, (0, -1))])
     # x^4 + y*x + y^2 by U_2: two divisions, and none once the quotient is
     # below deg U_2
     assert weight(p("x^4 + y*x + y^2"), 2, b1) == F(3, 2)
