@@ -129,7 +129,9 @@ def raise_expansion(E: AdicExpansion, basis: WeightedBasis):
     """Convert an i-adic expansion to the (i+1)-adic expansion by rewriting."""
     i = E.level
     if i >= basis.alpha:
-        raise LevelOutOfRangeError("cannot raise past the last level")
+        raise LevelOutOfRangeError(
+            "need 1 <= level < %d, the basis length; got level %d" % (basis.alpha, i)
+        )
     width = i + 1
     terms = {a + (0,): c for a, c in E.terms.items()}
     trace = RewriteTrace()
@@ -141,7 +143,9 @@ def lower_expansion(E: AdicExpansion, basis: WeightedBasis):
     """Convert an (i+1)-adic expansion to the i-adic expansion by rewriting."""
     lvl = E.level
     if lvl < 2 or lvl > basis.alpha:
-        raise LevelOutOfRangeError("lowering needs a level between 2 and alpha")
+        raise LevelOutOfRangeError(
+            "need 2 <= level <= %d, the basis length; got level %d" % (basis.alpha, lvl)
+        )
     i = lvl - 1
     trace = RewriteTrace()
     rewrote = any(a[-1] for a in E.terms)

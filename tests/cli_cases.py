@@ -14,36 +14,62 @@ A stderr of None is not compared.  Only argparse's own refusals have one:
 their usage text wraps to the terminal width, and argparse's wording of its
 errors differs between Python versions.
 
-Standard library only: the replay runs before the test extras are installed.
+Standard library only, as is ``perfbench/inputs.py``, which ``BASES`` reads:
+the replay runs before the test extras are installed.
 """
 
 import json
 import os
+import sys
 from collections import namedtuple
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import inputs  # noqa: E402
 
 Case = namedtuple("Case", "id argv code text doc err", defaults=("",))
 
-# The files a case may name, by placeholder.
-FILES = {
-    # README's basis b1 and the three-key basis b2 of tests/conftest.py
-    "b1": {"base": "function_field",
-           "steps": [{"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "3/2"}]},
-    "b2": {"base": "function_field",
-           "steps": [{"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "5/4"},
-                     {"U": "(x^2 - y)^2 + x*y^2", "beta": "11/4"}]},
+# One document per named basis.  b1, b2 and q3 are the benchmark's own
+# documents in perfbench/inputs.py, read and never copied; tests/conftest.py
+# serves every entry as a session fixture of the same name.
+BASES = {
+    **inputs.BASES,
+    # b2 with y replaced by 3, over Q_3
+    "q3b2": {"base": {"p_adic": 3},
+             "steps": [{"U": "x", "beta": "1/2"}, {"U": "x^2 - 3", "beta": "5/4"},
+                       {"U": "(x^2 - 3)^2 + 9*x", "beta": "11/4"}]},
+    # a ramified basis over Q(y): beta_1 = 3/2 has denominator 2
+    "ram": {"base": "function_field",
+            "steps": [{"U": "x", "beta": "3/2"}, {"U": "x^2 - y^3", "beta": "4"}]},
+    # m_1 = 2 against n_1 = 1: weight maps that are not additive
+    "b3": {"base": "function_field",
+           "steps": [{"U": "x", "beta": "1"}, {"U": "x^2 - y^2", "beta": "3"}]},
     # condition (c) fails: the recurrence coefficient y has weight 1, not 2 * 1
     "violating": {"base": "function_field",
                   "steps": [{"U": "x", "beta": "1"}, {"U": "x^2 - y", "beta": "3"}]},
     # weights with coprime denominators: Phi_2 = (1/6)Z, the lcm of 3 and 2
     "coprime": {"base": "function_field",
                 "steps": [{"U": "x", "beta": "2/3"}, {"U": "x^3 - y^2", "beta": "5/2"}]},
-    "onekey": {"base": "function_field", "steps": [{"U": "x", "beta": "3/2"}]},
-    # README's basis q3 over Q_3
-    "q3": {"base": {"p_adic": 3},
-           "steps": [{"U": "x", "beta": "1/2"}, {"U": "x^2 - 3", "beta": "3/2"}]},
     # a key with a y-denominator: weights take the full expansion (key_lists is None)
     "ydenom": {"base": "function_field",
                "steps": [{"U": "x", "beta": "1"}, {"U": "x - y/(1 + y)", "beta": "3"}]},
+    # integer weights, and Fraction entries in the keys' Q[y] lists
+    "halves": {"base": "function_field",
+               "steps": [{"U": "x", "beta": "1"}, {"U": "x - y", "beta": "2"},
+                         {"U": "x - y - y^2/2", "beta": "3"}]},
+    # deg U_3 = 3 is not a multiple of deg U_2 = 2, so m_2 is undefined
+    "undivided": {"base": "function_field",
+                  "steps": [{"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "3/2"},
+                            {"U": "x^3 - y^2", "beta": "5"}]},
+    # b1 modulo x^2 - y - y^2: polynomials are reduced before they are divided
+    "b1_ext": dict(inputs.BASES["b1"], ext="x^2 - y - y^2"),
+}
+
+# The files a case may name, by placeholder: every basis, and the documents
+# that only the CLI reads.
+FILES = {
+    **BASES,
+    "onekey": {"base": "function_field", "steps": [{"U": "x", "beta": "3/2"}]},
     # polynomials are reduced modulo ext first; U_2 = U_1^2 - y holds in K[x],
     # where reduced modulo ext it would read y^2
     "ext": {"base": "function_field", "ext": "x^2 - y - y^2",
@@ -69,10 +95,6 @@ FILES = {
     "const_middle": {"base": "function_field",
                      "steps": [{"U": "x", "beta": "1"}, {"U": "1", "beta": "2"},
                                {"U": "x", "beta": "3"}]},
-    # deg U_3 = 3 is not a multiple of deg U_2 = 2, so m_2 is undefined
-    "undivided": {"base": "function_field",
-                  "steps": [{"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "3/2"},
-                            {"U": "x^3 - y^2", "beta": "5"}]},
     # b1 with JSON numbers for beta, read exactly
     "decimal": {"base": "function_field",
                 "steps": [{"U": "x", "beta": 0.5}, {"U": "x^2 - y", "beta": 1.5}]},
@@ -154,6 +176,11 @@ CASES = [
          '[{"terms": {"4,0": "1"}, "weight": "2"}, {"terms": {"0,0": "y^2", "0,1": "2*y", '
          '"0,2": "1"}, "weight": "2"}, {"terms": {"0,0": "y^2", "0,1": "2*y", "0,2": "1"}, '
          '"weight": "2"}]}\n'),
+    # raise needs a level below the basis length, lower one of at least 2
+    Case("raise-top-level", ["raise", "--basis", "{b1}", "--poly", "x", "--level", "2"], 1,
+         "", "", "error: need 1 <= level < 2, the basis length; got level 2\n"),
+    Case("lower-level-1", ["lower", "--basis", "{b1}", "--poly", "x^3", "--level", "1"], 1,
+         "", "", "error: need 2 <= level <= 2, the basis length; got level 1\n"),
     # raising to level 3 needs m_2, which deg U_3 = 3 against deg U_2 = 2 leaves undefined
     Case("raise-undivided",
          ["raise", "--basis", "{undivided}", "--poly", "x^5", "--level", "2"], 1, "", "",
@@ -230,6 +257,9 @@ CASES = [
          "error: Gauss weight must be positive\n"),
     Case("gauss-zero-beta-parse-error", ["gauss", "--beta", "0", "--poly", "x +"], 2, "", "",
          "parse error: expected a number, variable, or parenthesis (at position 3)\n"),
+    # argparse refuses a rational's exponent past the cap before any arithmetic
+    Case("gauss-exponent-cap", ["gauss", "--beta", "1e1000000000", "--poly", "x"], 2, "", "",
+         None),
     # base field descriptors that are not a field: input errors
     Case("gauss-base-number", ["gauss", "--base", "5", "--beta", "1", "--poly", "x"], 2, "", "",
          "input error: bad base field descriptor: 5\n"),

@@ -1,11 +1,11 @@
 import signal
 from contextlib import contextmanager
-from fractions import Fraction
 
 import pytest
 
-from keyval import BaseFieldConfig, WeightedBasis
-from keyval.parsing import parse_poly
+import cli_cases
+from keyval import BaseFieldConfig
+from keyval.io import basis_from_json
 
 
 @pytest.fixture(scope="session")
@@ -13,46 +13,17 @@ def base():
     return BaseFieldConfig.function_field()
 
 
-def _mk(base, pairs):
-    return WeightedBasis(base, [(parse_poly(t, base), Fraction(b)) for t, b in pairs])
+def _basis_fixture(name):
+    @pytest.fixture(scope="session", name=name)
+    def basis():
+        return basis_from_json(cli_cases.BASES[name])
+
+    return basis
 
 
-@pytest.fixture(scope="session")
-def b1(base):
-    return _mk(base, [("x", "1/2"), ("x^2 - y", "3/2")])
-
-
-@pytest.fixture(scope="session")
-def b2(base):
-    return _mk(
-        base,
-        [("x", "1/2"), ("x^2 - y", "5/4"), ("(x^2 - y)^2 + x*y^2", "11/4")],
-    )
-
-
-@pytest.fixture(scope="session")
-def q3():
-    return _mk(BaseFieldConfig.p_adic(3), [("x", "1/2"), ("x^2 - 3", "3/2")])
-
-
-@pytest.fixture(scope="session")
-def q3b2():
-    """b2 with y replaced by 3, over Q_3."""
-    return _mk(
-        BaseFieldConfig.p_adic(3),
-        [("x", "1/2"), ("x^2 - 3", "5/4"), ("(x^2 - 3)^2 + 9*x", "11/4")],
-    )
-
-
-@pytest.fixture(scope="session")
-def ram(base):
-    """A ramified basis over Q(y): beta_1 = 3/2 has denominator 2."""
-    return _mk(base, [("x", "3/2"), ("x^2 - y^3", "4")])
-
-
-@pytest.fixture(scope="session")
-def b3(base):
-    return _mk(base, [("x", "1"), ("x^2 - y^2", "3")])
+# Every named basis of cli_cases.BASES, built by the CLI's own loader.
+for _name in cli_cases.BASES:
+    globals()[_name] = _basis_fixture(_name)
 
 
 @contextmanager

@@ -138,12 +138,15 @@ _EXPONENT_CAP = "a rational's exponent may be at most 4000 in absolute value"
     [
         (["gauss", "--beta", "1e10000000", "--poly", "x"],
          "keyval gauss: error: argument --beta: %s\n" % _EXPONENT_CAP),
+        # the argv of the pinned case gauss-exponent-cap, timed by this test
+        (["gauss", "--beta", "1e1000000000", "--poly", "x"],
+         "keyval gauss: error: argument --beta: %s\n" % _EXPONENT_CAP),
         (["izumi-bound", "--basis", "{b1}", "--mu-prime-x", "1e-10000000"],
          "keyval izumi-bound: error: argument --mu-prime-x: %s\n" % _EXPONENT_CAP),
         (["validate", "--basis", "{string_beta}"], "parse error: %s\n" % _EXPONENT_CAP),
         (["validate", "--basis", "{ignored_number}"], "parse error: %s\n" % _EXPONENT_CAP),
     ],
-    ids=["beta", "mu-prime-x", "string-beta", "ignored-number"],
+    ids=["beta", "beta-1e1000000000", "mu-prime-x", "string-beta", "ignored-number"],
 )
 def test_rational_exponent_over_the_cap_fails_fast(capsys, tmp_path, case_paths, argv, err):
     # Fraction alone spends seconds on 10**10000000, so a missing cap fails the clock
@@ -430,12 +433,7 @@ _BETAS = ["1/2", "3/2", "5/4", "11/4", "3", "0", "-1", "1/0", "x", "", 1, 3, 0, 
           float("inf"), float("nan"), True, None, [1], {"beta": 1}]
 _BASE_DOCS = ["function_field", {"p_adic": 3}, {"p_adic": "2"}, {"p_adic": 4}, {"p_adic": True},
               {"p_adic": 2**31 + 11}, "p_adic", 7, None]
-_FIXTURE_BASES = [
-    ("function_field", [("x", "1/2"), ("x^2 - y", "3/2")]),
-    ("function_field", [("x", "1/2"), ("x^2 - y", "5/4"), ("(x^2 - y)^2 + x*y^2", "11/4")]),
-    ("function_field", [("x", "1"), ("x^2 - y^2", "3")]),
-    ({"p_adic": 3}, [("x", "1/2"), ("x^2 - 3", "3/2")]),
-]
+_FIXTURE_BASES = [cli_cases.BASES[name] for name in ("b1", "b2", "b3", "q3")]
 _EXTS = ["x^2 - y^2 - y^3", "x^2 - y - y^2", "x^4 - y^3", "x^2 - 3", "x", "0", 5]
 _MALFORMED_BASES = [[], "steps", {"steps": []}, {"base": "function_field", "steps": {}},
                     {"base": "function_field", "steps": [["x", 1]]},
@@ -447,12 +445,12 @@ def basis_docs(draw):
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from(_MALFORMED_BASES))
     if draw(st.booleans()):
-        base, pairs = draw(st.sampled_from(_FIXTURE_BASES))
+        doc = dict(draw(st.sampled_from(_FIXTURE_BASES)))
     else:
         base = draw(st.sampled_from(_BASE_DOCS))
         pairs = draw(st.lists(st.tuples(st.sampled_from(_KEYS), st.sampled_from(_BETAS)),
                               max_size=4))
-    doc = {"base": base, "steps": [{"U": U, "beta": beta} for U, beta in pairs]}
+        doc = {"base": base, "steps": [{"U": U, "beta": beta} for U, beta in pairs]}
     if draw(st.booleans()):
         doc["ext"] = draw(st.sampled_from(_EXTS))
     return doc
@@ -510,8 +508,7 @@ def cli_argvs(draw):
 def cli_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-fuzz")
     param = root / "param.json"
-    param.write_text(json.dumps({"defining": "x^2 - y^2 - y^3", "branch": "-y",
-                                 "policy": {"initial": 8, "growth": 2, "max": 64}}))
+    param.write_text(json.dumps(cli_cases.FILES["par"]))
     return {"@basis": root / "basis.json", "@param": param, "@missing": root / "missing.json"}
 
 

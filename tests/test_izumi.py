@@ -169,31 +169,29 @@ def integral_weight_bound(basis, c_base):
     return c_base * top.beta / top.U.degree
 
 
-def test_extension_bound_normalized():
-    basis = WeightedBasis(
-        FF, [(p("x"), F(1)), (p("x - y"), F(2)), (p("x - y - y^2/2"), F(3))]
-    )
-    assert extension_bound(basis, F(1), F(1)) == integral_weight_bound(basis, F(1)) == 3
-
-
-def integer_weight_basis():
+@pytest.fixture(scope="module")
+def integer_weight():
     return WeightedBasis(FF, [(p("x"), F(2)), (p("x^2 - y^4"), F(5))])
 
 
-@pytest.mark.parametrize("mu_prime_x, default", [(F(1), F(5, 2)), (F(3), F(5, 4))])
-def test_extension_bound_normalized_drops_a_factor_at_most_one(mu_prime_x, default):
-    # beta_i positive integers and mu'(x) >= 1 make max(1/beta_1, 1/mu'(x)) <= 1,
-    # so the integral-weight formula is valid but may be weaker than the bound
-    basis = integer_weight_basis()
+# beta_i positive integers and mu'(x) >= 1 make max(1/beta_1, 1/mu'(x)) <= 1,
+# so the integral-weight bound is valid; it may be weaker than extension_bound
+@pytest.mark.parametrize(
+    "name, mu_prime_x, pinned",
+    [("halves", F(1), (F(3), F(3))),
+     ("integer_weight", F(1), (F(5, 2), F(5, 2))),
+     ("integer_weight", F(3, 2), None),
+     ("integer_weight", F(3), (F(5, 4), F(5, 2))),
+     ("b3", F(1), None), ("b3", F(3, 2), None), ("b3", F(3), None)],
+    ids=["halves-1", "integer_weight-1", "integer_weight-3/2", "integer_weight-3",
+         "b3-1", "b3-3/2", "b3-3"],
+)
+def test_integral_weight_bound_c_beta_alpha_over_deg_U_alpha(request, name, mu_prime_x, pinned):
+    basis = request.getfixturevalue(name)
     assert validate_basis(basis) == []
-    bound = extension_bound(basis, mu_prime_x, F(1))
-    assert bound == default <= integral_weight_bound(basis, F(1)) == F(5, 2)
-
-
-@pytest.mark.parametrize("mu_prime_x", [F(1), F(3, 2), F(3)])
-def test_extension_bound_normalized_at_least_default(b3, mu_prime_x):
-    for basis in (b3, integer_weight_basis()):
-        assert integral_weight_bound(basis, F(1)) >= extension_bound(basis, mu_prime_x, F(1))
+    bound, integral = extension_bound(basis, mu_prime_x, F(1)), integral_weight_bound(basis, F(1))
+    assert bound <= integral
+    assert pinned is None or (bound, integral) == pinned
 
 
 def test_corpus_is_deterministic():

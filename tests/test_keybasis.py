@@ -86,9 +86,8 @@ def test_validate_b1_b2(b1, b2):
     assert not validate_basis(b2)
 
 
-def test_validate_homogeneity_violation():
-    bad = WeightedBasis(FF, [(p("x"), F(1)), (p("x^2 - y"), F(3))])
-    report = validate_basis(bad)
+def test_validate_homogeneity_violation(violating):
+    report = validate_basis(violating)
     assert report
     assert any(v.condition == "c" and v.step == 1 for v in report)
 
@@ -221,9 +220,8 @@ def test_index_data_b3(b3):
     assert data[0].m != data[0].n
 
 
-def test_value_group_chain_is_built_with_the_basis(b2):
+def test_value_group_chain_is_built_with_the_basis(b2, coprime):
     assert [(s.phi, s.n) for s in b2.steps] == [(F(1, 2), 2), (F(1, 4), 2), (F(1, 4), 1)]
-    coprime = WeightedBasis(FF, [(p("x"), F(2, 3)), (p("x^3 - y^2"), F(5, 2))])
     assert [(s.phi, s.n) for s in coprime.steps] == [(F(1, 3), 3), (F(1, 6), 2)]
 
 
@@ -375,13 +373,9 @@ def test_construction_requires_monic_keys():
     assert (exc.type, str(exc.value)) == (KeyvalError, "key polynomials must be monic in x")
 
 
-@pytest.fixture(scope="module")
-def b1_ext(b1):
-    return WeightedBasis(FF, [(s.U, s.beta) for s in b1.steps], p("x^2 - y - y^2"))
-
-
 @pytest.mark.parametrize("name", ["b1", "b2", "q3", "b1_ext", "ram", "q3b2"])
 def test_weight_is_the_weight_of_the_expansion(request, name):
+    # on the izumi-search corpus; the Fraction reference test draws its own polynomials
     basis = request.getfixturevalue(name)
     corpus = CorpusConfig(seed=11, samples=60, max_degree=8, positive_only=False)
     for j in range(corpus.samples):

@@ -35,6 +35,7 @@ from keyval.parsing import (
 from keyval.polynomials import Poly
 from keyval.series import Series
 
+import cli_cases
 from conftest import alarm
 from seed_texts import VALID_TEXTS
 from series_refs import conic_branch_series
@@ -461,8 +462,7 @@ def mutated_texts(draw):
 @pytest.fixture(scope="module")
 def b1_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "b1.json"
-    path.write_text(json.dumps({"base": "function_field", "steps": [
-        {"U": "x", "beta": "1/2"}, {"U": "x^2 - y", "beta": "3/2"}]}))
+    path.write_text(json.dumps(cli_cases.BASES["b1"]))
     return str(path)
 
 

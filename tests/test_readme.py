@@ -4,7 +4,8 @@ import shlex
 from pathlib import Path
 
 from keyval import cli
-from keyval.io import basis_to_json
+
+import cli_cases
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,14 +16,14 @@ def test_readme_library_example_runs():
     exec(compile(block, str(README), "exec"), {})
 
 
-def test_readme_command_lines_run(tmp_path, monkeypatch, capsys, b2):
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     section = README.read_text().split("## Command line", 1)[1].split("## Library", 1)[0]
     basis, param = re.findall(r"```json\n(.*?)```", section, re.S)
     commands = re.search(r"```sh\n(.*?)```", section, re.S).group(1).splitlines()
     monkeypatch.chdir(tmp_path)
     Path("b1.json").write_text(basis)
     Path("conic.json").write_text(param)
-    Path("b2.json").write_text(json.dumps(basis_to_json(b2)))
+    Path("b2.json").write_text(json.dumps(cli_cases.BASES["b2"]))
     assert commands
     for line in commands:
         argv = shlex.split(line)

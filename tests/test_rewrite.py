@@ -4,7 +4,6 @@ import pytest
 
 from keyval import (
     AdicExpansion,
-    WeightedBasis,
     adic_expand,
     expansion_eval,
     expansion_weight,
@@ -66,7 +65,8 @@ def test_raise_no_rewrite_needed(b1):
 
 
 def test_raise_at_top_level_rejected(b1):
-    with pytest.raises(LevelOutOfRangeError):
+    with pytest.raises(LevelOutOfRangeError,
+                       match=r"^need 1 <= level < 2, the basis length; got level 2$"):
         raise_expansion(adic_expand(p("x"), 2, b1), b1)
 
 
@@ -78,7 +78,8 @@ def test_lower_example(b1):
 
 
 def test_lower_level_bounds(b1):
-    with pytest.raises(LevelOutOfRangeError):
+    with pytest.raises(LevelOutOfRangeError,
+                       match=r"^need 2 <= level <= 2, the basis length; got level 1$"):
         lower_expansion(adic_expand(p("x"), 1, b1), b1)
 
 
@@ -119,14 +120,11 @@ def test_rewrite_preserves_polynomial(b2):
     assert expansion_eval(down, b2) == f
 
 
-def test_rewrite_rejects_undivided_degree_step():
+def test_rewrite_rejects_undivided_degree_step(undivided):
     # deg U_3 / deg U_2 = 3/2, so m_2 is undefined and U_2 has no bound
-    basis = WeightedBasis(
-        FF, [(p("x"), F(1, 2)), (p("x^2 - y"), F(3, 2)), (p("x^3 - y^2"), F(5))]
-    )
     with pytest.raises(KeyvalError, match="step 2 has no integral degree ratio"):
-        raise_expansion(adic_expand(p("x^5"), 2, basis), basis)
-    zero, _ = raise_expansion(AdicExpansion(2, {}), basis)
+        raise_expansion(adic_expand(p("x^5"), 2, undivided), undivided)
+    zero, _ = raise_expansion(AdicExpansion(2, {}), undivided)
     assert zero == AdicExpansion(3, {})
 
 

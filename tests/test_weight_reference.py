@@ -10,10 +10,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from keyval import INF, KElem, WeightedBasis, YPoly
+from keyval import INF, KElem, YPoly
 from keyval import io as kio
 from keyval.keybasis import adic_expand, expansion_weight, initial_form, weight
-from keyval.parsing import parse_poly
 from keyval.polynomials import Poly
 
 SAMPLES = 300
@@ -61,40 +60,24 @@ def _random_poly(rng, base):
     ])
 
 
-def _mk(base, pairs):
-    return WeightedBasis(base, [(parse_poly(t, base), F(b)) for t, b in pairs])
-
-
 @pytest.fixture(scope="module")
-def bases(b1, b2, q3, base, tmp_path_factory):
+def decimal(tmp_path_factory):
     path = tmp_path_factory.mktemp("decimal") / "decimal.json"
     path.write_text(
         '{"base": "function_field", "steps": '
         '[{"U": "x", "beta": 0.4}, {"U": "x^5 - y^2", "beta": 2.1}]}'
     )
-    return {
-        "b1": b1,
-        "b2": b2,
-        "q3": q3,
-        "coprime": _mk(base, [("x", "2/3"), ("x^3 - y^2", "5/2")]),
-        "decimal": kio.load_basis(str(path)),
-        # a key with a y-denominator: weight takes the expansion's weight
-        "ydenom": _mk(base, [("x", "1"), ("x - y/(1+y)", "3")]),
-        # Fraction entries in the keys' Q[y] lists
-        "halves": _mk(base, [("x", "1"), ("x - y", "2"), ("x - y - y^2/2", "3")]),
-        # reduction modulo the minimal polynomial before the lists are divided
-        "b1_ext": WeightedBasis(base, [(s.U, s.beta) for s in b1.steps],
-                                parse_poly("x^2 - y - y^2", base)),
-    }
+    return kio.load_basis(str(path))
 
 
+# every basis but decimal is one of tests/cli_cases.BASES
 @pytest.mark.parametrize(
     "name, N",
     [("b1", 2), ("b2", 4), ("q3", 2), ("coprime", 6), ("decimal", 10), ("ydenom", 1),
-     ("halves", 1), ("b1_ext", 2)],
+     ("halves", 1), ("b1_ext", 2), ("ram", 2), ("q3b2", 4)],
 )
-def test_integer_weights_match_fraction_reference(bases, name, N):
-    basis = bases[name]
+def test_integer_weights_match_fraction_reference(request, name, N):
+    basis = request.getfixturevalue(name)
     assert basis.N == N
     assert basis.beta_units == tuple(s.beta * N for s in basis.steps)
     rng = random.Random(name)
